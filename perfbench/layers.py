@@ -8,10 +8,11 @@ module-level function is patched in the module that calls it.
 
 Two kinds of wrapper exist:
 
-* marks (every run): the wall-clock time at which a boundary call is
-  entered.  They cost one ``perf_counter`` per epoch or per simulated
-  second, so the untraced run that yields the end-to-end metrics carries
-  them too.
+* marks (every run): which boundary call was entered, and when.  They
+  split a run into segments of a few milliseconds each and cost one
+  ``perf_counter`` per boundary -- a few dozen per epoch or per simulated
+  second -- so the untraced run that yields the end-to-end metrics
+  carries them too.
 * spans (traced runs only, :class:`LayerTrace`): busy time inside each
   wrapped call counted as self time (the span's duration minus the time
   its wrapped children cover), call counts, tallies of return values and
@@ -59,12 +60,15 @@ class Patches:
             setattr(owner, attr, original)
 
 
-def mark_entries(marks: List[float], fn: Callable) -> Callable:
-    """Wrap ``fn`` so every call appends its entry time to ``marks``."""
+def mark_entries(
+    marks: List[Tuple[int, float]], label: int, fn: Callable
+) -> Callable:
+    """Wrap ``fn`` so every call appends ``(label, entry time)`` to
+    ``marks``."""
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
-        marks.append(perf_counter())
+        marks.append((label, perf_counter()))
         return fn(*args, **kwargs)
 
     return wrapper

@@ -15,11 +15,13 @@ same work; ``--trace 1`` adds traced repetitions for the per-layer numbers.
 Every repetition runs in a fresh interpreter (``rep.py``), one at a time, in
 a single process with ``workers=1``.  With ``--trace 0`` all repetitions are
 untraced and the run reports the end-to-end metrics named in
-``BENCHMARK.json`` as medians over repetitions.  With ``--trace 1``
-untraced and traced repetitions alternate in pairs and the run reports the
-per-layer metrics (medians over the traced repetitions) and the tracing
-overhead.  Every repetition's outputs are checked; all repetitions of a
-seed must give the same metrics digest, traced or not.  A fixed
+``BENCHMARK.json``: set-up time and memory as medians over repetitions,
+throughput and step time from each segment's fastest time over them
+(:func:`best_segments`).  With ``--trace 1`` untraced and traced
+repetitions alternate in pairs and the run reports the per-layer metrics
+(medians over the traced repetitions) and the tracing overhead.  Every
+repetition's outputs are checked; all repetitions of a seed must give the
+same metrics digest and segment boundaries, traced or not.  A fixed
 pure-Python loop is timed before and after each repetition as a host-speed
 diagnostic; it is printed with the raw numbers and used for nothing else.
 
@@ -39,7 +41,7 @@ import sys
 from time import perf_counter
 from typing import Any, Dict, List
 
-from spec import WORKLOADS
+from spec import WORKLOADS, steps_of
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
@@ -134,14 +136,16 @@ def verdict(reps: List[Dict]) -> Dict[str, Any]:
     """Correctness over the run's repetitions.
 
     Every repetition must pass its checks, and all of them -- traced or
-    not -- must agree on the metrics digest and the model outputs, which
-    are deterministic per seed.  A failed check counts every op as failed.
+    not -- must agree on the metrics digest, the model outputs and the
+    sequence of segment boundaries, which are deterministic per seed.  A
+    failed check counts every op as failed.
     """
     attempted = sum(rep["attempted"] for rep in reps)
     failed = sum(rep["failed"] for rep in reps)
     good = [rep for rep in reps if rep["ok"]]
     digests = {rep["digest"] for rep in good}
     outputs = {json.dumps(rep["outputs"], sort_keys=True) for rep in good}
+    boundaries = {tuple(rep["labels"]) for rep in good}
     problems: List[str] = []
     for rep in reps:
         problems += rep.get("failures", [])
@@ -151,6 +155,8 @@ def verdict(reps: List[Dict]) -> Dict[str, Any]:
         problems.append(f"metrics digests differ across repetitions: {digests}")
     if len(outputs) > 1:
         problems.append("model outputs differ across repetitions")
+    if len(boundaries) > 1:
+        problems.append("segment boundaries differ across repetitions")
     correct = not problems
     return {
         "correct": correct,
@@ -162,17 +168,47 @@ def verdict(reps: List[Dict]) -> Dict[str, Any]:
     }
 
 
-def end_to_end(reps: List[Dict], attempted: int, failed: int) -> Dict:
-    """End-to-end values from the untraced repetitions (medians)."""
+def best_segments(plain: List[Dict]) -> List[float]:
+    """The fastest time of each segment over the repetitions ``plain``.
+
+    The repetitions of a run do identical work, so the same boundary calls
+    split each into the same segments (:func:`verdict` checks it).
+    Contention from other tenants of the host only ever adds time, so the
+    fastest time is the one closest to the program's own.
+    """
+    return [min(column) for column in zip(*(rep["segments"] for rep in plain))]
+
+
+def end_to_end(
+    reps: List[Dict], attempted: int, failed: int, workload
+) -> Dict:
+    """End-to-end values from the untraced repetitions.
+
+    Set-up time and peak memory are medians over repetitions.  Throughput
+    and step time come from :func:`best_segments`: completed ops per
+    repetition over the sum of the fastest segment times, and the median
+    step rebuilt from them.
+    """
     plain = [rep for rep in reps if rep["ok"] and not rep["traced"]]
-    steps = [step for rep in plain for step in rep["steps"]]
-    return {
+    values = {
         "setup_s": median_or_zero([rep["setup_s"] for rep in plain]),
-        "ops_per_s": median_or_zero([rep["ops_per_s"] for rep in plain]),
-        "step_s_p50": median_or_zero(steps),
+        "ops_per_s": 0.0,
+        "step_s_p50": 0.0,
         "peak_rss_mib": median_or_zero([rep["peak_rss_mib"] for rep in plain]),
         "completed_ratio": (attempted - failed) / attempted,
     }
+    if plain:
+        best = best_segments(plain)
+        ops = statistics.median(
+            rep["attempted"] - rep["failed"] for rep in plain
+        )
+        steps = steps_of(
+            best, plain[0]["labels"], workload.step_label,
+            workload.last_step_ends_at_return,
+        )
+        values["ops_per_s"] = ops / sum(best)
+        values["step_s_p50"] = median_or_zero(steps)
+    return values
 
 
 def per_layer(reps: List[Dict]) -> Dict[str, float]:
@@ -214,7 +250,9 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool) -> Dict:
     values = (
         per_layer(reps)
         if trace
-        else end_to_end(reps, summary["attempted"], summary["failed"])
+        else end_to_end(
+            reps, summary["attempted"], summary["failed"], workload
+        )
     )
     # A layer value is missing only when no traced repetition succeeded,
     # and then the run is already reported as not correct.

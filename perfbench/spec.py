@@ -19,7 +19,7 @@ import resource
 import traceback
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from layers import LayerTrace, Patches, mark_entries
 
@@ -121,11 +121,40 @@ def metrics_digest(metrics: Dict[str, Any]) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def steps_between(marks: List[float], end: Optional[float]) -> List[float]:
-    """Durations between consecutive marks; with ``end``, the last mark's
-    step runs to ``end`` (one step per mark), else to the next mark only."""
-    bounds = marks + [end] if end is not None else marks
-    return [b - a for a, b in zip(bounds, bounds[1:])]
+def segments_of(
+    marks: List[Tuple[int, float]], end: float
+) -> Tuple[float, List[float], List[int]]:
+    """Split the time from set-up's end to ``end`` at every mark after it.
+
+    Set-up ends at the first mark labelled 0, or at ``end`` if there is
+    none.  Returns that time, each segment's duration and the label of
+    the mark that opens the segment.
+    """
+    first = next(
+        (i for i, (label, _) in enumerate(marks) if label == 0), len(marks)
+    )
+    timed = marks[first:]
+    times = [t for _, t in timed] + [end]
+    return (
+        times[0],
+        [b - a for a, b in zip(times, times[1:])],
+        [label for label, _ in timed],
+    )
+
+
+def steps_of(
+    segments: List[float],
+    labels: List[int],
+    step_label: int,
+    last_step_ends_at_return: bool,
+) -> List[float]:
+    """Step durations: a step opens at each segment labelled
+    ``step_label`` and runs to the next one; the last step runs to the
+    end of the segments only if ``last_step_ends_at_return``."""
+    starts = [i for i, label in enumerate(labels) if label == step_label]
+    if last_step_ends_at_return:
+        starts.append(len(segments))
+    return [sum(segments[a:b]) for a, b in zip(starts, starts[1:])]
 
 
 @dataclass(frozen=True)
@@ -144,10 +173,24 @@ class Society:
     # Nominal wall seconds of one repetition on the reference host,
     # interpreter start included; sets how many fit in --seconds.
     rep_seconds: float
-    # run_load's set-up ends at its first shard dispatch and every epoch
-    # starts with one, so the same call marks both.
-    setup_mark = "repro.parallel.pool:SerialPool.map_ordered"
-    step_mark = setup_mark
+    # Calls whose entries split a repetition into segments (see
+    # ``segments_of``).  The first ends set-up: run_load's first shard
+    # dispatch.  Every epoch starts with one, so it also opens each step.
+    # The others run a fixed number of times per epoch and cut it into
+    # pieces of a few tens of milliseconds: each shard's phases, each
+    # block, the DAO, moderation, privacy and trust barriers, and the
+    # next epoch's cache warm-up.
+    segment_marks = (
+        "repro.parallel.pool:SerialPool.map_ordered",
+        "repro.workloads.load:run_shard_epoch",
+        "repro.ledger.chain:Blockchain.propose_block",
+        "repro.dao.dao:DAO.submit_proposal",
+        "repro.governance.moderation:ModerationService.process_prepared",
+        "repro.privacy.pipeline:PrivacyPipeline.ingest_all",
+        "repro.reputation.system:ReputationSystem.global_trust_top",
+        "repro.workloads.load:warm_caches",
+    )
+    step_label = 0
     last_step_ends_at_return = True
 
     MIX = (
@@ -261,10 +304,21 @@ class Serving:
     rate_per_user: float
     rep_seconds: float
     spike_multiplier: float = 3.0
-    setup_mark = "repro.serving.loop:EventLoop.run"
-    # One block tick per simulated second: a step is the wall time
-    # between two consecutive ticks.
-    step_mark = "repro.serving.repository:ServingRepository.produce_blocks"
+    # Set-up ends when the event loop starts.  One block tick per
+    # simulated second: a step is the wall time between two consecutive
+    # ticks.  The governance ticks and the result's SLO evaluation and
+    # exports cut the run into further segments.
+    segment_marks = (
+        "repro.serving.loop:EventLoop.run",
+        "repro.serving.repository:ServingRepository.produce_blocks",
+        "repro.serving.repository:ServingRepository.roll_proposal",
+        "repro.serving.repository:ServingRepository.run_review",
+        "repro.obs.context:RequestTraceSampler.finalize",
+        "repro.obs.slo:SLOEngine.evaluate",
+        "repro.serving.run:trace_to_jsonl",
+        "repro.obs.timeseries:WindowedTelemetry.to_json",
+    )
+    step_label = 1
     last_step_ends_at_return = False
 
     def traffic(self, seed: int):
@@ -384,7 +438,7 @@ class Serving:
 WORKLOADS = {
     workload.name: workload
     for workload in (
-        Society("society-100k", n_agents=100_000, epochs=10, rep_seconds=4.8),
+        Society("society-100k", n_agents=100_000, epochs=20, rep_seconds=7.0),
         Society("society-1m", n_agents=1_000_000, epochs=3, rep_seconds=8.8),
         Serving(
             "serving-flash",
@@ -401,20 +455,19 @@ def run_rep(workload, seed: int, traced: bool) -> Dict[str, Any]:
     """One repetition: call the program once, time it, check its outputs.
 
     A repetition that raises or fails a check counts every op it attempted
-    as failed.  ``layers`` (traced runs only) holds the per-layer values.
+    as failed.  ``segments`` and ``labels`` split the time after set-up at
+    the workload's segment marks; ``layers`` (traced runs only) holds the
+    per-layer values.
     """
-    setup_marks: List[float] = []
-    step_marks: List[float] = []
+    marks: List[Tuple[int, float]] = []
     trace = LayerTrace() if traced else None
     patches = Patches()
     rep: Dict[str, Any] = {"traced": traced}
     try:
-        patches.replace(
-            workload.step_mark, lambda fn: mark_entries(step_marks, fn)
-        )
-        if workload.setup_mark != workload.step_mark:
+        for label, path in enumerate(workload.segment_marks):
             patches.replace(
-                workload.setup_mark, lambda fn: mark_entries(setup_marks, fn)
+                path,
+                lambda fn, label=label: mark_entries(marks, label, fn),
             )
         if trace is not None:
             for path, metric, measure in TALLIES:
@@ -444,7 +497,9 @@ def run_rep(workload, seed: int, traced: bool) -> Dict[str, Any]:
         patches.restore()
 
     attempted, failed, failures, outputs = workload.examine(result)
-    setup_end = (setup_marks or step_marks)[0]
+    setup_end, segments, labels = segments_of(marks, end)
+    if not segments:
+        failures.append(f"{workload.segment_marks[0]} was never entered")
     rep.update(
         ok=not failures,
         failures=failures,
@@ -452,9 +507,14 @@ def run_rep(workload, seed: int, traced: bool) -> Dict[str, Any]:
         failed=attempted if failures else failed,
         setup_s=setup_end - start,
         wall_s=end - start,
-        ops_per_s=(attempted - failed) / (end - setup_end),
-        steps=steps_between(
-            step_marks, end if workload.last_step_ends_at_return else None
+        ops_per_s=(attempted - failed) / max(end - setup_end, 1e-9),
+        segments=segments,
+        labels=labels,
+        steps=steps_of(
+            segments,
+            labels,
+            workload.step_label,
+            workload.last_step_ends_at_return,
         ),
         peak_rss_mib=(
             resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
@@ -471,7 +531,7 @@ def run_rep(workload, seed: int, traced: bool) -> Dict[str, Any]:
         )
         layers["ledger.submit_calls"] = trace.calls.get("ledger.submit_s", 0)
         layers.update(
-            workload.layer_values(result, trace, step_marks[0], end)
+            workload.layer_values(result, trace, setup_end, end)
         )
         layers["runtime.gc.pause_s"] = trace.gc_pause_s
         layers["runtime.gc.gen2"] = trace.gc_gen2

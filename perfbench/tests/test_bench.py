@@ -89,7 +89,9 @@ def test_every_declared_metric_is_computed():
         ]
         summary = run.verdict(reps)
         assert summary["correct"], summary["problems"]
-        plain = run.end_to_end(reps, summary["attempted"], summary["failed"])
+        plain = run.end_to_end(
+            reps, summary["attempted"], summary["failed"], workload
+        )
         assert set(declared("end_to_end")) <= set(plain)
         assert set(declared("per_layer")) <= set(run.per_layer(reps))
 
@@ -106,8 +108,52 @@ def test_steps_are_one_per_epoch_and_one_per_simulated_second():
     ticks = int(serving.horizon + ServingConfig().drain_window)
     assert len(rep["steps"]) == ticks - 1
 
-    assert spec.steps_between([0.0, 1.0, 3.0], 6.0) == [1.0, 2.0, 3.0]
-    assert spec.steps_between([0.0, 1.0, 3.0], None) == [1.0, 2.0]
+    setup_end, segments, labels = spec.segments_of(
+        [(1, -1.0), (0, 0.0), (2, 0.5), (0, 1.0), (0, 3.0)], 6.0
+    )
+    assert setup_end == 0.0
+    assert segments == [0.5, 0.5, 2.0, 3.0] and labels == [0, 2, 0, 0]
+    assert spec.steps_of(segments, labels, 0, True) == [1.0, 2.0, 3.0]
+    assert spec.steps_of(segments, labels, 0, False) == [1.0, 2.0]
+
+
+def test_segments_split_the_time_after_set_up():
+    for workload in (TOY["society-100k"], TOY["serving-flash"]):
+        rep = spec.run_rep(workload, 3, traced=False)
+        assert rep["labels"][0] == 0
+        assert len(rep["labels"]) == len(rep["segments"])
+        # Every mark splits the run somewhere.
+        assert set(rep["labels"]) == set(range(len(workload.segment_marks)))
+        assert rep["setup_s"] + sum(rep["segments"]) == pytest.approx(
+            rep["wall_s"]
+        )
+
+
+def test_best_segments_take_the_fastest_time_of_each_segment():
+    workload = TOY["serving-flash"]
+    reps = [
+        {"ok": True, "traced": False, "attempted": 10, "failed": 0,
+         "setup_s": setup, "peak_rss_mib": 1.0,
+         "segments": segments, "labels": [0, 1, 1, 4]}
+        for setup, segments in (
+            (1.0, [0.5, 2.0, 3.0, 0.2]),
+            (3.0, [0.1, 4.0, 1.0, 0.2]),
+        )
+    ]
+    values = run.end_to_end(reps, 20, 0, workload)
+    assert values["setup_s"] == 2.0
+    assert values["ops_per_s"] == pytest.approx(10 / (0.1 + 2.0 + 1.0 + 0.2))
+    assert values["step_s_p50"] == 2.0
+
+
+def test_repetitions_split_differently_fail_the_run():
+    workload = TOY["serving-flash"]
+    reps = [spec.run_rep(workload, 4, traced=False) for _ in range(2)]
+    assert run.verdict(reps)["correct"]
+    reps[1]["labels"] = reps[1]["labels"][:-1] + [2]
+    summary = run.verdict(reps)
+    assert not summary["correct"]
+    assert "segment boundaries differ across repetitions" in summary["problems"]
 
 
 def test_a_run_that_raises_counts_every_op_as_failed(toy_run, monkeypatch):
@@ -137,7 +183,7 @@ def test_wrappers_are_restored_and_leave_the_digest_unchanged():
     paths = {path for path, _ in spec.SPANS}
     paths |= {path for path, _, _ in spec.TALLIES}
     for workload in TOY.values():
-        paths |= {workload.setup_mark, workload.step_mark}
+        paths |= set(workload.segment_marks)
     originals = {path: vars(layers.resolve(path)[0])[layers.resolve(path)[1]]
                  for path in paths}
     callbacks = list(gc.callbacks)
