@@ -1,10 +1,15 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench bench-smoke bench-regression bench-baseline bench-scaling bench-parallel bench-serving bench-columnar bench-transport parallel-check steal-check shm-check obs-check serve-check slo-check ci
+.PHONY: test perfbench-tests bench bench-smoke bench-regression bench-baseline bench-scaling bench-parallel bench-serving bench-columnar bench-transport parallel-check steal-check shm-check obs-check serve-check slo-check ci
 
 test:
 	$(PYTHON) -m pytest -x -q
+
+# The repository benchmark's own tests (toy workload sizes, ~15 s);
+# tier-1's testpaths do not collect them.
+perfbench-tests:
+	$(PYTHON) -m pytest perfbench/tests -q
 
 # Observability determinism gate: run the seeded e2e scenario twice and
 # verify byte-identical exported traces + a complete span forest.
@@ -115,5 +120,6 @@ bench-scaling:
 # equivalence; steal-check pins the stealing layer's byte-equivalence
 # and exactly-once accounting; shm-check pins the shared-memory
 # transport's byte-equivalence and segment hygiene; bench-columnar pins
-# the columnar/object byte-equivalence contract.
-ci: test bench-smoke bench-scaling bench-columnar parallel-check steal-check shm-check obs-check serve-check slo-check
+# the columnar/object byte-equivalence contract; perfbench-tests runs
+# the repository benchmark's own tests.
+ci: test perfbench-tests bench-smoke bench-scaling bench-columnar parallel-check steal-check shm-check obs-check serve-check slo-check

@@ -4,7 +4,9 @@
 block's transactions to a copy of its parent's state, and selects the
 canonical head by *longest chain* (tie broken by lowest block hash so
 every node agrees).  Because states are kept per block, reorgs are
-instant — the head pointer just moves.
+instant — the head pointer just moves.  A block the chain assembles from
+its own mempool runs each transaction once: the speculative state its
+candidates were checked on becomes the block's state.
 
 The chain is the audit substrate of the reproduction: the paper's §II-D
 asks that "a distributed ledger can register any party's data collection
@@ -161,8 +163,10 @@ class Blockchain:
         """Assemble, validate, and append the next canonical block.
 
         If ``transactions`` is omitted, the block is filled from the
-        mempool.  Raises :class:`InvalidBlockError` if ``proposer`` is
-        not the consensus-expected proposer for the next height.
+        mempool, and the state the candidates were speculatively applied
+        to becomes the block's state unless one of them was dropped.
+        Raises :class:`InvalidBlockError` if ``proposer`` is not the
+        consensus-expected proposer for the next height.
         """
         parent = self.head
         with self._obs.span(
@@ -172,6 +176,7 @@ class Blockchain:
             height=parent.height + 1,
             proposer=proposer,
         ) as span:
+            executed: Optional[LedgerState] = None
             if transactions is None:
                 # Pre-execute candidates speculatively so one reverting
                 # contract call cannot poison every subsequent proposal.
@@ -194,6 +199,13 @@ class Blockchain:
                     else:
                         executable.append(stx)
                 transactions = executable
+                # With nothing dropped, the speculative child holds exactly
+                # this block's transactions applied to its parent: commit
+                # it instead of executing them again.  A dropped contract
+                # call may have left moved value or storage writes behind,
+                # so then the block is replayed like any received block.
+                if len(executable) == len(candidates):
+                    executed = speculative
             block = build_block(
                 height=parent.height + 1,
                 prev_hash=parent.block_hash,
@@ -203,7 +215,7 @@ class Blockchain:
             )
             span.set_attribute("n_txs", len(block.transactions))
             span.set_attribute("block_hash", block.block_hash)
-            self.add_block(block)
+            self._commit(block, executed)
             self._obs.counter("ledger.blocks_produced").inc()
             self._obs.histogram("ledger.block_txs").observe(
                 float(len(block.transactions))
@@ -217,6 +229,16 @@ class Blockchain:
         parent linkage, height, monotonic timestamp, consensus proposer
         rule, and clean application of every transaction to the parent
         state.  Accepting a block may move the head (fork choice).
+        """
+        self._commit(block, None)
+
+    def _commit(self, block: Block, executed: Optional[LedgerState]) -> None:
+        """Run :meth:`add_block`'s checks on ``block`` and store it.
+
+        ``executed`` is a child of the parent state that already holds
+        the block's transactions, applied in order (a block this chain
+        assembled, with no speculation drop); None replays them on a
+        fresh child of the parent.
         """
         if block.block_hash in self._blocks:
             raise InvalidBlockError(f"block {block.block_hash[:12]} already known")
@@ -248,17 +270,19 @@ class Blockchain:
         parent_state = self._states[block.prev_hash]
         self.consensus.validate(block, parent_state)
 
-        # Copy-on-write snapshot over the (frozen) parent block state:
-        # appending a block is O(keys touched), not O(total accounts).
-        new_state = parent_state.child()
-        try:
-            for stx in block.transactions:
-                new_state.apply(stx, contract_executor=self.contracts)
-        except (InvalidTransactionError, ContractError) as exc:
-            self.rejected_blocks += 1
-            raise InvalidBlockError(
-                f"block {block.block_hash[:12]}: transaction failed ({exc})"
-            ) from exc
+        new_state = executed
+        if new_state is None:
+            # Copy-on-write snapshot over the (frozen) parent block state:
+            # appending a block is O(keys touched), not O(total accounts).
+            new_state = parent_state.child()
+            try:
+                for stx in block.transactions:
+                    new_state.apply(stx, contract_executor=self.contracts)
+            except (InvalidTransactionError, ContractError) as exc:
+                self.rejected_blocks += 1
+                raise InvalidBlockError(
+                    f"block {block.block_hash[:12]}: transaction failed ({exc})"
+                ) from exc
         new_state.credit_fees(block.proposer, block.total_fees)
 
         self._blocks[block.block_hash] = block

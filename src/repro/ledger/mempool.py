@@ -122,7 +122,8 @@ class Mempool:
         self._chains: Dict[str, _SenderChain] = {}
         # Min-heap of (fee, tx_id) over all residents; entries whose
         # tx_id is no longer resident are stale and skipped on pop
-        # (lazy deletion).  Serves eviction.
+        # (lazy deletion), or dropped by prune_included's rebuild.
+        # Serves eviction.
         self._fee_heap: List[Tuple[int, str]] = []
         # Max-heap of (-max resident fee, sender); an entry is live
         # while its fee still equals the sender's current max_fee().
@@ -368,11 +369,26 @@ class Mempool:
                 heapq.heappush(self._head_heap, (-chain.max_fee(), sender))
             else:
                 del self._chains[sender]
+        # Pruned ids stay in the eviction heap as stale entries, and only
+        # a full pool pops them.  Rebuild once they outnumber residents;
+        # (fee, tx_id) is a total order, so eviction picks are unchanged.
+        if len(self._fee_heap) > 2 * len(self._by_id):
+            self._fee_heap = [
+                (stx.tx.fee, tx_id) for tx_id, stx in self._by_id.items()
+            ]
+            heapq.heapify(self._fee_heap)
         return len(targets)
 
     def pending(self) -> List[SignedTransaction]:
         """All resident transactions (no particular order)."""
         return list(self._by_id.values())
+
+
+# Hex digit -> its complement (15 - value), lower case; upper-case
+# digits map as ``int(ch, 16)`` reads them.
+_DESC_TABLE = str.maketrans(
+    {ch: "%x" % (15 - int(ch, 16)) for ch in "0123456789abcdefABCDEF"}
+)
 
 
 def _desc_id(tx_id: str) -> str:
@@ -382,4 +398,4 @@ def _desc_id(tx_id: str) -> str:
     popping yields the highest fee with ties broken by *highest* tx_id —
     the same total order the greedy reference uses.
     """
-    return "".join("%x" % (15 - int(ch, 16)) for ch in tx_id)
+    return tx_id.translate(_DESC_TABLE)

@@ -41,22 +41,30 @@ class _CowMap(MutableMapping):
     """Mapping overlay: reads fall through to the parent snapshot,
     writes land in a local delta dict.
 
-    The parent is logically frozen once a child exists (the chain never
-    mutates a committed block state); nothing enforces that, so do not
-    hand a parent out for mutation after calling ``LedgerState.child``.
+    The overlay keeps every layer it reads through as one tuple of delta
+    dicts, newest (its own ``_local``) first, plus the base mapping below
+    them, so a read is one flat loop rather than a walk up a chain of
+    parents.  The parent is logically frozen once a child exists (the
+    chain never mutates a committed block state); nothing enforces that,
+    so do not hand a parent out for mutation after calling
+    ``LedgerState.child``.
     """
 
-    __slots__ = ("_local", "_parent", "_depth")
+    __slots__ = ("_local", "_layers", "_base")
 
     def __init__(self, parent: Optional[Mapping] = None):
-        if isinstance(parent, _CowMap) and parent._depth >= _FLATTEN_DEPTH:
+        if isinstance(parent, _CowMap) and len(parent._layers) >= _FLATTEN_DEPTH:
             parent = parent._compacted()
-        self._parent = parent
         self._local: Dict = {}
-        self._depth = parent._depth + 1 if isinstance(parent, _CowMap) else 1
+        if isinstance(parent, _CowMap):
+            self._layers = (self._local,) + parent._layers
+            self._base = parent._base
+        else:
+            self._layers = (self._local,)
+            self._base = parent
 
     def _compacted(self):
-        """Collapse the overlay chain to at most one layer.
+        """Collapse the overlay layers to at most one.
 
         A plain-dict (or absent) base is fully materialised, as the
         original flatten did.  Any other base — e.g. a columnar
@@ -64,55 +72,38 @@ class _CowMap(MutableMapping):
         table — stays the bottom layer untouched and only the overlay
         deltas fold into a single dict, keeping the flatten O(touched
         keys) instead of O(population)."""
-        layers = []
-        node: Any = self
-        while isinstance(node, _CowMap):
-            layers.append(node._local)
-            node = node._parent
-        if node is None or type(node) is dict:
-            base = dict(node) if node else {}
-            for local in reversed(layers):
-                base.update(local)
-            return base
-        deltas: Dict = {}
-        for local in reversed(layers):
-            deltas.update(local)
-        folded = type(self)(node)
-        folded._local = deltas
+        base = self._base
+        if base is None or type(base) is dict:
+            return self._merged()
+        folded = type(self)(base)
+        for local in reversed(self._layers):
+            folded._local.update(local)
         return folded
 
     def _merged(self) -> Dict:
         """Materialise the full mapping (newest layer wins)."""
-        layers = []
-        node: Any = self
-        while isinstance(node, _CowMap):
-            layers.append(node._local)
-            node = node._parent
-        base = dict(node) if node else {}
-        for local in reversed(layers):
-            base.update(local)
-        return base
+        base = self._base
+        merged = dict(base) if base else {}
+        for local in reversed(self._layers):
+            merged.update(local)
+        return merged
 
     def __getitem__(self, key):
-        node: Any = self
-        while isinstance(node, _CowMap):
-            value = node._local.get(key, _MISSING)
-            if value is not _MISSING:
-                return value
-            node = node._parent
-        if node is not None:
-            return node[key]
+        for local in self._layers:
+            if key in local:
+                return local[key]
+        base = self._base
+        if base is not None:
+            return base[key]
         raise KeyError(key)
 
     def get(self, key, default=None):
-        node: Any = self
-        while isinstance(node, _CowMap):
-            value = node._local.get(key, _MISSING)
-            if value is not _MISSING:
-                return value
-            node = node._parent
-        if node is not None:
-            return node.get(key, default)
+        for local in self._layers:
+            if key in local:
+                return local[key]
+        base = self._base
+        if base is not None:
+            return base.get(key, default)
         return default
 
     def __contains__(self, key) -> bool:
@@ -154,23 +145,22 @@ class _CowStorageMap(_CowMap):
     __slots__ = ()
 
     def __getitem__(self, key):
-        value = self._local.get(key, _MISSING)
-        if value is not _MISSING:
-            return value
-        node: Any = self._parent
-        while isinstance(node, _CowMap):
-            value = node._local.get(key, _MISSING)
-            if value is not _MISSING:
+        local = self._local
+        for layer in self._layers:
+            if key in layer:
+                value = layer[key]
+                if layer is local:
+                    return value
                 break
-            node = node._parent
-        if value is _MISSING:
-            if node is None:
+        else:
+            base = self._base
+            if base is None:
                 raise KeyError(key)
-            value = node.get(key, _MISSING)
+            value = base.get(key, _MISSING)
             if value is _MISSING:
                 raise KeyError(key)
         value = _deep_copy_storage(value)
-        self._local[key] = value
+        local[key] = value
         return value
 
     def get(self, key, default=None):

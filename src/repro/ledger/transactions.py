@@ -25,7 +25,12 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import InvalidTransactionError
 from repro.ledger.crypto import LamportSignature, lamport_verify, sha256
-from repro.ledger.encoding import canonical_encode
+from repro.ledger.encoding import (
+    _encode_int,
+    _encode_items,
+    _encode_str,
+    canonical_encode,
+)
 from repro.ledger.merkle import MerkleProof
 
 __all__ = ["TxKind", "Transaction", "SignedTransaction"]
@@ -40,6 +45,23 @@ class TxKind(str, enum.Enum):
     MINT = "mint"
     STAKE = "stake"
     UNSTAKE = "unstake"
+
+
+# ``Transaction.to_dict``'s keys, pre-encoded in ``canonical_encode``'s
+# sorted order (amount, fee, kind, nonce, payload, recipient, sender);
+# each kind's key, value and the following key make one constant.
+_AMOUNT_KEY = canonical_encode("amount")
+_FEE_KEY = canonical_encode("fee")
+_KIND_FRAMES = {
+    kind: canonical_encode("kind")
+    + canonical_encode(kind.value)
+    + canonical_encode("nonce")
+    for kind in TxKind
+}
+_PAYLOAD_KEY = canonical_encode("payload")
+_EMPTY_PAYLOAD = canonical_encode({})
+_RECIPIENT_KEY = canonical_encode("recipient")
+_SENDER_KEY = canonical_encode("sender")
 
 
 @dataclass(frozen=True)
@@ -107,8 +129,46 @@ class Transaction:
 
     @cached_property
     def signing_bytes(self) -> bytes:
-        """The exact bytes a wallet signs."""
-        return canonical_encode(self.to_dict())
+        """The exact bytes a wallet signs: ``canonical_encode(self.to_dict())``.
+
+        Written straight from the fixed seven-key layout when every field
+        has its plain type; anything else (a ``bool`` or numpy amount, a
+        ``str`` subclass) takes the generic encoder, which encodes or
+        raises for it exactly as it always has.
+        """
+        amount, fee, nonce = self.amount, self.fee, self.nonce
+        sender, recipient, kind = self.sender, self.recipient, self.kind
+        if not (
+            type(amount) is int
+            and type(fee) is int
+            and type(nonce) is int
+            and type(sender) is str
+            and type(recipient) is str
+            and type(kind) is TxKind
+        ):
+            return canonical_encode(self.to_dict())
+        payload = self.payload
+        return _encode_items(
+            7,
+            b"".join(
+                (
+                    _AMOUNT_KEY,
+                    _encode_int(amount),
+                    _FEE_KEY,
+                    _encode_int(fee),
+                    _KIND_FRAMES[kind],
+                    _encode_int(nonce),
+                    _PAYLOAD_KEY,
+                    _EMPTY_PAYLOAD
+                    if type(payload) is dict and not payload
+                    else canonical_encode(payload),
+                    _RECIPIENT_KEY,
+                    _encode_str(recipient),
+                    _SENDER_KEY,
+                    _encode_str(sender),
+                )
+            ),
+        )
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,6 @@ from repro.serving.loop import (
 )
 from repro.serving.middleware import BoundedQueue, ReadCache, TokenBucket
 from repro.serving.repository import ServingRepository
-from repro.serving.run import ServingRunResult, run_serving
 from repro.serving.schemas import (
     CastVoteRequest,
     Endpoint,
@@ -72,3 +71,14 @@ __all__ = [
     "GetBalanceRequest",
     "GetTallyRequest",
 ]
+
+
+def __getattr__(name: str):
+    # ``serving.run`` imports ``repro.workloads.traffic``, which imports
+    # this package's schemas and repository: loading ``run`` on first use
+    # lets either side be imported first.
+    if name in ("ServingRunResult", "run_serving"):
+        from repro.serving import run
+
+        return getattr(run, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -5,12 +5,17 @@ import pytest
 from repro.errors import InvalidBlockError
 from repro.ledger import (
     Blockchain,
+    ContractRegistry,
+    LedgerState,
     PoAConsensus,
     PoSConsensus,
     TxKind,
+    VotingContract,
     Wallet,
     build_block,
 )
+from repro.obs import Instrumentation
+from repro.sim import MetricsRegistry, TraceLog
 
 
 @pytest.fixture
@@ -80,6 +85,86 @@ class TestBasics:
         assert bad.tx_id not in [s.tx_id for s in block.transactions]
         chain.propose_block(validator.address, timestamp=2.0)
         assert chain.height == 2
+
+
+class TestExecuteOnce:
+    """A block the chain fills from its mempool runs each transaction
+    once; a drop, given transactions and received blocks replay."""
+
+    @pytest.fixture
+    def applied(self, monkeypatch):
+        tx_ids = []
+        original = LedgerState.apply
+
+        def counting(state, stx, contract_executor=None):
+            tx_ids.append(stx.tx_id)
+            return original(state, stx, contract_executor=contract_executor)
+
+        monkeypatch.setattr(LedgerState, "apply", counting)
+        return tx_ids
+
+    def test_clean_block_adopts_speculative_state(
+        self, chain, validator, alice, applied
+    ):
+        for nonce in range(3):
+            chain.mempool.submit(
+                alice.transfer("ff" * 32, 10, nonce=nonce, fee=1), chain.state
+            )
+        block = chain.propose_block(validator.address, timestamp=1.0)
+        assert len(block.transactions) == 3
+        assert applied == block.tx_ids
+        assert chain.state.balance_of(alice.address) == 1000 - 33
+        assert chain.state.balance_of(validator.address) == 10 + 3
+        assert chain.state.nonce_of(alice.address) == 3
+
+    def test_speculation_drop_replays_block(self, chain, validator, alice, applied):
+        broke = Wallet(seed=b"chain-broke", height=4)
+        good = alice.transfer("ff" * 32, 10, nonce=0, fee=1)
+        overdraw = broke.transfer("ff" * 32, 5, nonce=0, fee=2)
+        chain.mempool.submit(good, chain.state)
+        chain.mempool.submit(overdraw, chain.state)
+        block = chain.propose_block(validator.address, timestamp=1.0)
+        assert block.tx_ids == [good.tx_id]
+        # Speculation tried both; the block was then replayed on its parent.
+        assert sorted(applied) == sorted([overdraw.tx_id, good.tx_id, good.tx_id])
+        assert chain.state.balance_of(alice.address) == 989
+        assert chain.state.balance_of(validator.address) == 11
+
+    def test_given_and_received_blocks_replay_once(
+        self, chain, validator, alice, applied
+    ):
+        first = alice.transfer("ff" * 32, 10, nonce=0)
+        chain.propose_block(validator.address, timestamp=1.0, transactions=[first])
+        second = alice.transfer("ff" * 32, 10, nonce=1)
+        chain.add_block(
+            build_block(2, chain.head.block_hash, 2.0, validator.address, [second])
+        )
+        assert applied == [first.tx_id, second.tx_id]
+        assert chain.state.balance_of(alice.address) == 980
+
+    def test_contract_call_executes_once(self, validator, alice):
+        metrics = MetricsRegistry()
+        trace = TraceLog()
+        obs = Instrumentation(trace=trace, metrics=metrics, run_id="t")
+        contracts = ContractRegistry(obs=obs)
+        voting = contracts.deploy(VotingContract())
+        chain = Blockchain(
+            PoAConsensus([validator.address]),
+            genesis_balances={alice.address: 1000},
+            contracts=contracts,
+            obs=obs,
+        )
+        chain.mempool.submit(
+            alice.call_contract(
+                voting, "open", {"poll_id": "p", "options": ["yes", "no"]}, nonce=0
+            ),
+            chain.state,
+        )
+        block = chain.propose_block(validator.address, timestamp=1.0)
+        assert len(block.transactions) == 1
+        assert trace.count(source="ledger.contracts") == 1
+        assert metrics.counter("ledger.contracts.voting.calls").value == 1
+        assert chain.state.contract_storage[voting]["polls"]["p"]["open"]
 
 
 class TestValidation:

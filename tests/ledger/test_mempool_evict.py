@@ -5,6 +5,7 @@ import pytest
 from repro.ledger import LedgerState, Mempool, Wallet
 from repro.obs import Instrumentation
 from repro.sim import MetricsRegistry, TraceLog
+from repro.workloads.load import agent_address, synthetic_transfer
 
 
 @pytest.fixture
@@ -69,6 +70,25 @@ class TestHeapEviction:
         higher = wallets[4].transfer(SINK, 1, nonce=0, fee=7)
         assert pool.submit(higher, state)
         assert sorted(s.tx.fee for s in pool.pending()) == [6, 7, 8]
+
+    def test_heap_tracks_residents_not_history(self):
+        # A pool that never fills never pops its eviction heap; included
+        # transactions must not pile up in it as stale entries.
+        pool = Mempool()
+        senders = [agent_address(i) for i in range(20)]
+        for cycle in range(100):
+            batch = [
+                synthetic_transfer(sender, SINK, 1, fee=1 + i % 5, nonce=cycle)
+                for i, sender in enumerate(senders)
+            ]
+            for stx in batch:
+                assert pool.submit(stx)
+            # Include all but the last five; they wait for the next block.
+            pool.prune_included([stx.tx_id for stx in batch[:-5]])
+            assert len(pool._fee_heap) <= 2 * len(pool)
+            pool.prune_included([stx.tx_id for stx in batch[-5:]])
+            assert len(pool) == 0
+        assert pool._fee_heap == []
 
 
 class TestEvictionEvents:

@@ -200,6 +200,37 @@ class TestCopyOnWriteChild:
         assert current.total_supply == state.total_supply
         assert state.balance_of(alice.address) == 100
 
+    def test_deep_chains_over_column_base_read_like_dict_base(self):
+        from repro.world.columnar import AgentTable
+
+        addresses = [f"{i:064x}" for i in range(40)]
+        outsider = "ee" * 32  # not interned: lands in overlays only
+        table = AgentTable(addresses, initial_balance=500)
+        balances = {address: 500 for address in addresses}
+        nonces = {}
+        states = [LedgerState.from_columns(table), LedgerState(balances)]
+        for depth in range(50):
+            # Each layer writes keys the next few layers leave alone, so
+            # reads must reach every layer down to the base.
+            writes = {addresses[depth % 40]: depth}
+            if depth % 7 == 0:
+                writes[outsider] = depth
+            balances.update(writes)
+            nonces[addresses[3 * depth % 40]] = depth + 1
+            states = [parent.child() for parent in states]
+            for current in states:
+                current.balances.update(writes)
+                current.nonces[addresses[3 * depth % 40]] = depth + 1
+                for address in addresses + [outsider]:
+                    assert current.balance_of(address) == balances.get(address, 0)
+                    assert current.nonce_of(address) == nonces.get(address, 0)
+                    assert (address in current.balances) == (address in balances)
+                assert dict(current.balances) == balances
+                assert dict(current.nonces) == nonces
+                assert current.total_supply == sum(balances.values())
+        # The column base is never written through an overlay.
+        assert table.balances.tolist() == [500] * 40
+
     def test_contract_storage_copy_on_read(self, state):
         state.contract_storage["c1"] = {"nested": {"list": [1, 2]}}
         child = state.child()

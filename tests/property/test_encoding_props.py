@@ -1,14 +1,16 @@
 """Property-based tests: canonical encoding injectivity and stability."""
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ledger import canonical_encode
+from repro.ledger import EncodingError, Transaction, TxKind, canonical_encode
 
 scalars = st.one_of(
     st.none(),
     st.booleans(),
-    st.integers(min_value=-(2 ** 64), max_value=2 ** 64),
+    st.integers(min_value=-(2 ** 200), max_value=2 ** 200),
     st.floats(allow_nan=False, allow_infinity=False),
     st.text(max_size=20),
     st.binary(max_size=20),
@@ -70,3 +72,75 @@ def _normalised(value):
             tuple(sorted((k, _normalised(v)) for k, v in value.items())),
         )
     raise AssertionError(f"unexpected {type(value)}")
+
+
+big_ints = st.integers(min_value=0, max_value=2 ** 200)
+
+
+class _Address(str):
+    """A ``str`` subclass: must take the generic encoder's path."""
+
+
+def _tx(**fields):
+    base = dict(
+        sender="ab" * 32, recipient="cd" * 32, amount=5, fee=1, nonce=2,
+        kind=TxKind.TRANSFER,
+    )
+    base.update(fields)
+    return Transaction(**base)
+
+
+class TestTransactionSigningBytes:
+    """``Transaction.signing_bytes`` writes a fixed layout; it must stay
+    byte-for-byte ``canonical_encode(tx.to_dict())``."""
+
+    @given(
+        kind=st.sampled_from(TxKind),
+        sender=st.text(min_size=1, max_size=70),
+        recipient=st.text(max_size=70),
+        amount=big_ints,
+        fee=big_ints,
+        nonce=big_ints,
+        payload=st.one_of(
+            st.just({}),
+            st.dictionaries(st.text(max_size=8), values, max_size=4),
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_fixed_layout_matches_generic_encoding(
+        self, kind, sender, recipient, amount, fee, nonce, payload
+    ):
+        tx = Transaction(sender, recipient, amount, fee, nonce, kind, payload)
+        assert tx.signing_bytes == canonical_encode(tx.to_dict())
+
+    @pytest.mark.parametrize("field", ["amount", "fee", "nonce"])
+    @pytest.mark.parametrize(
+        "value", [True, False, np.int64(7), np.int32(0), np.uint8(3)],
+        ids=["true", "false", "int64", "int32", "uint8"],
+    )
+    def test_non_int_fields_encode_or_raise_as_before(self, field, value):
+        tx = _tx(**{field: value})
+        try:
+            expected = canonical_encode(tx.to_dict())
+        except EncodingError as exc:
+            with pytest.raises(EncodingError) as raised:
+                tx.signing_bytes
+            assert str(raised.value) == str(exc)
+        else:
+            assert tx.signing_bytes == expected
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"sender": _Address("ab" * 32)},
+            {"recipient": _Address("é" * 3)},
+            {"payload": None},
+            {"payload": []},
+            {"payload": {"nested": {"ints": [2 ** 200, -1], "s": "ü"}}},
+        ],
+        ids=["str-subclass-sender", "str-subclass-recipient", "none-payload",
+             "list-payload", "nested-payload"],
+    )
+    def test_other_field_types_match(self, fields):
+        tx = _tx(**fields)
+        assert tx.signing_bytes == canonical_encode(tx.to_dict())

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ledger import LedgerState, Mempool, Wallet
-from repro.ledger.mempool import _fee_key
+from repro.ledger.mempool import _desc_id, _fee_key
 from repro.workloads.load import agent_address, synthetic_transfer
 
 # Fixed wallet cast (generation is the expensive part).
@@ -199,3 +199,52 @@ class TestIndexedSelectionEquivalence:
         second = [s.tx_id for s in pool.select(state, max_count=25)]
         assert first == second
         assert {s.tx_id for s in pool.pending()} == before
+
+
+class TestDescId:
+    @given(tx_id=st.text(alphabet="0123456789abcdefABCDEF", min_size=64, max_size=64))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_digitwise_inversion(self, tx_id):
+        expected = "".join("%x" % (15 - int(ch, 16)) for ch in tx_id)
+        assert _desc_id(tx_id) == expected
+
+
+# (admissions, residents a block then includes, oldest first) per cycle.
+admit_include_cycles = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=12),
+        st.integers(min_value=0, max_value=12),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+class TestEvictionHeapBound:
+    @given(cycles=admit_include_cycles, capacity=st.integers(1, 10))
+    @settings(max_examples=60, deadline=None)
+    def test_heap_bounded_and_evictions_match_reference(self, cycles, capacity):
+        pool = Mempool(capacity=capacity)
+        residents = {}  # reference pool: tx_id -> stx, in admission order
+        serial = 0
+        for admissions, included in cycles:
+            for _ in range(admissions):
+                serial += 1
+                stx = synthetic_transfer(
+                    agent_address(serial), agent_address(0),
+                    amount=serial, fee=serial * 7 % 11, nonce=0,
+                )
+                if len(residents) >= capacity:
+                    victim = min(residents.values(), key=_fee_key)
+                    if victim.tx.fee >= stx.tx.fee:
+                        assert not pool.submit(stx)
+                        continue
+                    del residents[victim.tx_id]
+                assert pool.submit(stx)
+                residents[stx.tx_id] = stx
+            block = list(residents)[:included]
+            pool.prune_included(block)
+            for tx_id in block:
+                del residents[tx_id]
+            assert {stx.tx_id for stx in pool.pending()} == set(residents)
+            assert len(pool._fee_heap) <= 2 * len(pool)

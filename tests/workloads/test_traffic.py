@@ -1,8 +1,13 @@
 """Tests for the open-loop traffic generator."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.serving.schemas import Endpoint
 from repro.workloads.traffic import (
     SpikeWindow,
@@ -167,3 +172,26 @@ class TestValidation:
         b = user_stream(42, 7).random(4).tolist()
         c = user_stream(42, 8).random(4).tolist()
         assert a == b != c
+
+
+class TestImport:
+    # repro.serving.run imports this module, and this module imports
+    # repro.serving's schemas: either side must import first on its own.
+    @pytest.mark.parametrize(
+        "statement",
+        [
+            "import repro.workloads.traffic",
+            "from repro.serving import run_serving, ServingRunResult",
+        ],
+    )
+    def test_imports_in_a_fresh_interpreter(self, statement):
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", statement],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
