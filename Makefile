@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test perfbench-tests bench bench-smoke bench-regression bench-baseline bench-scaling bench-parallel bench-serving bench-columnar bench-transport parallel-check steal-check shm-check obs-check serve-check slo-check ci
+.PHONY: test perfbench-tests bench bench-smoke bench-regression bench-baseline bench-scaling bench-parallel bench-serving bench-columnar bench-transport determinism ci
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -11,12 +11,10 @@ test:
 perfbench-tests:
 	$(PYTHON) -m pytest perfbench/tests -q
 
-# Observability determinism gate: run the seeded e2e scenario twice and
-# verify byte-identical exported traces + a complete span forest.
-obs-check:
-	$(PYTHON) -c "from repro.workloads.observability import check_observability; \
-	[print(f'{k:18s} {v}') for k, v in check_observability().items()]; \
-	print('obs-check: OK')"
+# The golden-digest determinism matrix alone (part of `test`): every
+# seeded scenario, under every knob cell, reproduces committed sha256s.
+determinism:
+	$(PYTHON) -m pytest tests/integration/test_determinism.py -q
 
 bench:
 	$(PYTHON) -m pytest benchmarks -q --benchmark-only
@@ -33,43 +31,6 @@ bench-regression:
 
 bench-baseline:
 	$(PYTHON) -m benchmarks.regression --update-baseline
-
-# Sharded-execution determinism gate: the load workload run inline and
-# on a 2-process pool must produce byte-identical metrics AND traces.
-parallel-check:
-	$(PYTHON) -m repro.parallel.check
-
-# Work-stealing determinism gate: the weighted-plan load workload across
-# workers={1,2,4} with chunked stealing on and off must produce
-# byte-identical metrics AND traces, with every (shard, chunk) unit
-# executed exactly once.
-steal-check:
-	$(PYTHON) -m repro.parallel.steal_check
-
-# Transport determinism gate: the load workload across transport
-# {pickle, shm, shm-full} x workers {1,2,4} x stealing on/off must
-# produce byte-identical metrics AND traces, shm tasks must actually
-# shrink (descriptors instead of materialized snapshots), delta
-# republishing must beat whole-column republishing, and no /dev/shm
-# plane segment may survive the matrix.
-shm-check:
-	$(PYTHON) -m repro.parallel.shm_check
-
-# Serving determinism gate: one seeded open-loop scenario (flash crowd
-# included) through the full serving stack twice — metrics and traces
-# byte-identical, every middleware stage live (cache hits, sheds,
-# validation rejects, policy refusals), all platform ticks firing.
-serve-check:
-	$(PYTHON) -m repro.serving.check
-
-# SLO/alerting determinism gate: a seeded flash-crowd scenario with
-# request-scoped tracing, windowed telemetry, and burn-rate alerting —
-# the availability alert must fire inside the spike and clear after it,
-# sampled traces must attribute >=95% of latency to stages, and the
-# time series + alert timeline + trace forest must be byte-identical
-# across reruns and workers={1,2}.
-slo-check:
-	$(PYTHON) -m repro.obs.slo_check
 
 # Serving latency/saturation sweep: open-loop arrival rates vs p50/p99
 # and the saturation knee, all in simulated time; writes BENCH_PR6.json
@@ -113,13 +74,11 @@ bench-transport:
 bench-scaling:
 	$(PYTHON) -m benchmarks.scaling --smoke
 
-# Everything a merge must pass, in one target.  bench-scaling's smoke
-# mode includes the workers tier (10k agents, workers={2,4} equivalence
-# asserts) and the shard-balance tier (equal vs weighted plans, steal
-# on/off equivalence); parallel-check additionally pins trace-level
-# equivalence; steal-check pins the stealing layer's byte-equivalence
-# and exactly-once accounting; shm-check pins the shared-memory
-# transport's byte-equivalence and segment hygiene; bench-columnar pins
-# the columnar/object byte-equivalence contract; perfbench-tests runs
-# the repository benchmark's own tests.
-ci: test perfbench-tests bench-smoke bench-scaling bench-columnar parallel-check steal-check shm-check obs-check serve-check slo-check
+# Everything a merge must pass, in one target.  `test` runs the
+# determinism matrix; bench-scaling's smoke mode includes the workers
+# tier (10k agents, workers={2,4} equivalence asserts) and the
+# shard-balance tier (equal vs weighted plans, steal on/off
+# equivalence); bench-columnar pins the columnar/object
+# byte-equivalence contract; perfbench-tests runs the repository
+# benchmark's own tests.
+ci: test perfbench-tests bench-smoke bench-scaling bench-columnar

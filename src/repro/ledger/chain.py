@@ -284,6 +284,7 @@ class Blockchain:
                     f"block {block.block_hash[:12]}: transaction failed ({exc})"
                 ) from exc
         new_state.credit_fees(block.proposer, block.total_fees)
+        new_state.freeze()
 
         self._blocks[block.block_hash] = block
         self._states[block.block_hash] = new_state

@@ -140,16 +140,25 @@ class _CowStorageMap(_CowMap):
     """Contract-storage overlay: values are *mutable* nested dicts, so a
     read that resolves to a parent layer deep-copies the value into the
     local layer first — executors may then mutate it freely without
-    corrupting the parent snapshot."""
+    corrupting the parent snapshot.
 
-    __slots__ = ()
+    Once frozen (the chain freezes every block state it commits), a
+    read returns a private deep copy and stores nothing: reading leaves
+    every layer unchanged, and mutating what a read returned reaches no
+    block state."""
+
+    __slots__ = ("_frozen",)
+
+    def __init__(self, parent: Optional[Mapping] = None):
+        super().__init__(parent)
+        self._frozen = False
 
     def __getitem__(self, key):
         local = self._local
         for layer in self._layers:
             if key in layer:
                 value = layer[key]
-                if layer is local:
+                if layer is local and not self._frozen:
                     return value
                 break
         else:
@@ -160,7 +169,8 @@ class _CowStorageMap(_CowMap):
             if value is _MISSING:
                 raise KeyError(key)
         value = _deep_copy_storage(value)
-        local[key] = value
+        if not self._frozen:
+            local[key] = value
         return value
 
     def get(self, key, default=None):
@@ -409,6 +419,11 @@ class LedgerState:
         clone.contract_storage = _CowStorageMap(self.contract_storage)
         clone.records = _CowList(self.records)
         return clone
+
+    def freeze(self) -> None:
+        """Mark a :meth:`child` state committed: contract-storage reads
+        through it return private copies and write nothing into it."""
+        self.contract_storage._frozen = True
 
 
 def _deep_copy_storage(value: Any) -> Any:

@@ -4,9 +4,9 @@ Three consumers, three formats:
 
 * **JSONL traces** — one JSON object per trace record, keys sorted, so a
   seeded scenario exports byte-identical bytes on every run (the
-  ``make obs-check`` gate relies on this).  :func:`load_trace_jsonl`
-  round-trips the export and :func:`span_forest` rebuilds the causal
-  span trees from it.
+  determinism matrix's committed digests rely on this).
+  :func:`load_trace_jsonl` round-trips the export and
+  :func:`span_forest` rebuilds the causal span trees from it.
 * **Prometheus-style text** — :func:`prometheus_text` renders the
   shared :class:`MetricsRegistry` in the exposition format scrapers
   expect (counters as ``_total``, histogram summaries as quantiles).
@@ -377,7 +377,7 @@ def request_breakdowns(
     :mod:`repro.obs.context`), and sums its direct ``stage.*`` children
     into named buckets.  ``coverage`` is attributed-over-total latency —
     the gateway's decompositions cover the full latency by construction,
-    so the slo-check gate asserts coverage ≥ 0.95 for every request.
+    so the determinism matrix asserts coverage ≥ 0.95 for every request.
     Results are sorted by ``(start, trace_id)`` — deterministic for a
     seeded run.
     """

@@ -13,8 +13,8 @@ Everything runs on the **virtual clock**: windows are simulated-time
 windows, trailing burn rates are sums over those windows, and alert
 events are stamped with window-end times.  The whole report — budgets
 and timeline — is a deterministic function of the telemetry rollup, so
-the ``make slo-check`` gate byte-compares its JSON across reruns and
-worker counts.
+its JSON has one committed sha256 across reruns and worker counts
+(``tests/integration/test_determinism.py``).
 
 Burn-rate alerting follows the SRE-workbook multi-window shape: with
 ``budget_fraction = 1 - target``, the burn rate over a trailing window
@@ -174,7 +174,7 @@ class SLOReport:
         }
 
     def to_json(self) -> str:
-        """Sorted-key JSON (the slo-check byte-compare gate)."""
+        """Sorted-key JSON (the determinism matrix digests it)."""
         return json.dumps(self.as_dict(), sort_keys=True)
 
 

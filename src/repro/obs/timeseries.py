@@ -11,8 +11,8 @@ Design points:
 * **Virtual clock only.**  A response lands in the window of its
   *completion* time; queue-depth samples in the window of the
   observation.  No wall clock, so the exported series is byte-identical
-  for a seeded run — the ``make slo-check`` gate compares the JSON
-  export bytewise across reruns.
+  for a seeded run — the determinism matrix pins the JSON export's
+  sha256 across reruns and worker counts.
 * **Sketch-backed percentiles.**  Each (window, scope) keeps a bounded
   :class:`~repro.sim.metrics.SketchHistogram` (or the exact backend on
   request), so memory is O(windows × endpoints × compression) no matter

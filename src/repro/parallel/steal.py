@@ -25,8 +25,8 @@ Why this is deterministic where classic work stealing is not:
   exactly once, and re-derives span payloads from the merged results —
   byte-identical to the monolithic :func:`run_shard_epoch` path.
 
-``make steal-check`` (:mod:`repro.parallel.steal_check`) gates the
-equivalence: metrics and traces must match across
+``tests/integration/test_determinism.py`` pins the equivalence:
+metrics and traces reproduce one committed digest across
 ``workers ∈ {1, 2, 4}`` with stealing on and off.
 """
 

@@ -29,7 +29,8 @@ Generations make stale reads impossible:
 Values read through a descriptor are bit-identical to the arrays the
 pickle path ships, so the byte-identical-for-any-scheduling contract is
 untouched: ``transport`` joins ``workers`` and ``steal`` as a pure
-transport/scheduling knob (``make shm-check`` gates it).
+transport/scheduling knob (``tests/integration/test_determinism.py``
+pins it).
 
 Lifecycle: a :class:`ColumnPlane` owns its segments and unlinks them on
 ``close()`` (context-manager exit, ``run_load``'s ``finally``, or the
@@ -524,7 +525,7 @@ def leaked_segments() -> List[str]:
 
     Empty after every clean run: planes unlink their segments in
     ``run_load``'s ``finally`` (and the atexit hook covers paths that
-    never reach it).  ``make shm-check`` asserts this.
+    never reach it).  The determinism matrix asserts this.
     """
     shm_dir = "/dev/shm"
     if not os.path.isdir(shm_dir):  # pragma: no cover - non-Linux

@@ -48,7 +48,7 @@ class PrivacyBudget:
     """
 
     def __init__(self, default_cap: float = 10.0):
-        if default_cap <= 0:
+        if not default_cap > 0:  # also rejects NaN
             raise PrivacyError(f"default_cap must be positive, got {default_cap}")
         self._default_cap = float(default_cap)
         self._caps: Dict[str, float] = {}
@@ -81,7 +81,7 @@ class PrivacyBudget:
 
     def set_cap(self, subject: str, cap: float) -> None:
         """Give ``subject`` a personal cap (their privacy preference)."""
-        if cap <= 0:
+        if not cap > 0:  # also rejects NaN
             raise PrivacyError(f"cap must be positive, got {cap}")
         self._caps[subject] = float(cap)
 

@@ -20,9 +20,7 @@ Layers (service/repository split):
   loop, plus periodic platform ticks (blocks, proposal windows,
   moderation review);
 * :mod:`~repro.serving.run` — one-call runner returning p50/p99 and
-  status breakdowns;
-* :mod:`~repro.serving.check` — the ``make serve-check`` determinism
-  gate.
+  status breakdowns.
 """
 
 from repro.serving.gateway import ServingConfig, ServingGateway

@@ -17,7 +17,6 @@ from repro.workloads.load import (
 )
 from repro.workloads.observability import (
     ObservabilityRunResult,
-    check_observability,
     run_observability_scenario,
 )
 from repro.workloads.scenarios import (
@@ -44,7 +43,6 @@ __all__ = [
     "run_load",
     "synthetic_transfer",
     "ObservabilityRunResult",
-    "check_observability",
     "run_observability_scenario",
     "build_flat_dao",
     "build_modular_federation",

@@ -363,8 +363,9 @@ def run_load(
 
     ``transport`` selects how shard state reaches workers.  ``"auto"``
     (the default) resolves to ``"shm"`` — the shared-memory column
-    plane — whenever the run is columnar and the platform has
-    ``multiprocessing.shared_memory``, else to ``"pickle"``.  Under
+    plane — whenever more than one worker runs, the run is columnar and
+    the platform has ``multiprocessing.shared_memory``, else to
+    ``"pickle"``: with one worker no other process reads the plane.  Under
     ``"shm"`` the nonce and privacy-spent columns are published into
     shared segments once, tasks carry small descriptors instead of
     materialized array snapshots, and each epoch's changed entries are
@@ -372,11 +373,13 @@ def run_load(
     whole columns instead — the delta ablation).  ``"pickle"`` is the
     escape hatch that ships materialized snapshots in every task.  Like
     ``workers`` and ``steal``, the transport never changes a metrics or
-    trace byte (``make shm-check`` gates it); the measured ship bytes
-    land in ``LoadRunResult.ship_cost``.
+    trace byte (``tests/integration/test_determinism.py`` pins it); the
+    measured ship bytes land in ``LoadRunResult.ship_cost``.
     """
     if workers < 0:
         raise ValueError(f"workers must be >= 0, got {workers}")
+    if block_size < 1:
+        raise ValueError(f"block_size must be >= 1, got {block_size}")
     if plan_mode not in ("equal", "weighted"):
         raise ValueError(
             f"plan_mode must be 'equal' or 'weighted', got {plan_mode!r}"
@@ -388,7 +391,8 @@ def run_load(
         )
     if transport == "auto":
         resolved_transport = (
-            "shm" if (columnar and shm_available()) else "pickle"
+            "shm" if (workers > 1 and columnar and shm_available())
+            else "pickle"
         )
     elif transport in ("shm", "shm-full"):
         if not columnar:

@@ -7,17 +7,18 @@ processes the epoch's interactions, and the privacy pipeline releases
 sensor frames — then exports the trace as JSONL and reconstructs the
 span forest.
 
-Two properties are checked (the paper's §IV-C transparency bar made
+Two properties hold (the paper's §IV-C transparency bar made
 executable):
 
 * **causal integrity** — every exported span reconstructs into exactly
   one tree per root action, with no orphans;
-* **determinism** — two runs with the same seed export *byte-identical*
-  JSONL (span ids derive from the sim clock and a per-run counter, never
+* **determinism** — a seeded run exports the same JSONL bytes every
+  time (span ids derive from the sim clock and a per-run counter, never
   wall time).
 
-``python -m repro.workloads.observability`` runs the scenario twice and
-exits non-zero if either property fails (the ``make obs-check`` target).
+``tests/integration/test_determinism.py`` pins both: the seed-2022
+export's sha256 is committed there, and its check requires a complete
+span forest.
 """
 
 from __future__ import annotations
@@ -29,11 +30,7 @@ from repro.core.config import FrameworkConfig
 from repro.core.framework import MetaverseFramework
 from repro.obs import SpanNode, span_forest, trace_to_jsonl
 
-__all__ = [
-    "ObservabilityRunResult",
-    "run_observability_scenario",
-    "check_observability",
-]
+__all__ = ["ObservabilityRunResult", "run_observability_scenario"]
 
 
 @dataclass(frozen=True)
@@ -127,38 +124,3 @@ def run_observability_scenario(
         root_names=[root.name for root in roots],
         hottest=fw.simulator.hottest_handlers(top_n=5),
     )
-
-
-def check_observability(
-    seed: int = 2022, n_users: int = 40, epochs: int = 8
-) -> Dict[str, object]:
-    """Run the scenario twice; verify determinism and causal integrity.
-
-    Returns a summary dict; raises AssertionError on violation.
-    """
-    first = run_observability_scenario(seed=seed, n_users=n_users, epochs=epochs)
-    second = run_observability_scenario(seed=seed, n_users=n_users, epochs=epochs)
-    assert first.jsonl == second.jsonl, (
-        "seeded runs exported different traces "
-        f"({first.n_records} vs {second.n_records} records)"
-    )
-    assert first.causally_complete, (
-        f"span forest incomplete: {first.n_roots} roots, "
-        f"{first.n_orphans} orphans"
-    )
-    return {
-        "records": first.n_records,
-        "roots": first.n_roots,
-        "orphans": first.n_orphans,
-        "chain_height": first.chain_height,
-        "released_frames": first.released_frames,
-        "moderation_cases": first.moderation_cases,
-        "byte_identical": True,
-    }
-
-
-if __name__ == "__main__":
-    summary = check_observability()
-    for key, value in summary.items():
-        print(f"{key:18s} {value}")
-    print("obs-check: OK (byte-identical traces, complete span forest)")

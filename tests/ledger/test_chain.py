@@ -167,6 +167,51 @@ class TestExecuteOnce:
         assert chain.state.contract_storage[voting]["polls"]["p"]["open"]
 
 
+class TestCommittedStorage:
+    """Reading contract storage through a committed block state neither
+    edits that state nor hands out a value that aliases it."""
+
+    def test_reads_leave_block_states_unchanged(self, validator, alice):
+        contracts = ContractRegistry()
+        voting = contracts.deploy(VotingContract())
+        chain = Blockchain(
+            PoAConsensus([validator.address]),
+            genesis_balances={alice.address: 1000},
+            contracts=contracts,
+        )
+        chain.mempool.submit(
+            alice.call_contract(
+                voting, "open", {"poll_id": "a", "options": ["yes", "no"]}, nonce=0
+            ),
+            chain.state,
+        )
+        opened = chain.propose_block(validator.address, timestamp=1.0)
+        chain.propose_block(validator.address, timestamp=2.0)  # empty
+        head = chain.state.contract_storage
+        assert head._local == {}
+        chain.state.contract_storage[voting]["polls"]["a"]["open"] = False
+        assert head._local == {}
+        chain.state_at(opened.block_hash).contract_storage[voting]["polls"][
+            "a"
+        ]["open"] = False
+        for state in (chain.state, chain.state_at(opened.block_hash)):
+            assert state.contract_storage[voting]["polls"]["a"]["open"]
+
+        # Blocks built on a frozen state still copy on read into their own
+        # layer, so execution sees and extends the committed poll.
+        chain.mempool.submit(
+            alice.call_contract(
+                voting, "vote", {"poll_id": "a", "option": "yes"}, nonce=1
+            ),
+            chain.state,
+        )
+        chain.propose_block(validator.address, timestamp=3.0)
+        votes = chain.state.contract_storage[voting]["polls"]["a"]["votes"]
+        assert votes == {alice.address: "yes"}
+        opened_state = chain.state_at(opened.block_hash)
+        assert opened_state.contract_storage[voting]["polls"]["a"]["votes"] == {}
+
+
 class TestValidation:
     def test_unknown_parent_rejected(self, chain, validator):
         orphan = build_block(5, "ab" * 32, 1.0, validator.address, [])

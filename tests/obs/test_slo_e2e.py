@@ -1,40 +1,22 @@
 """End-to-end SLO/alerting: a seeded flash crowd through the full
 serving stack with tracing, windowed telemetry, and burn-rate alerts.
 
-Reuses the ``make slo-check`` scenario constants so the test and the
-gate pin the same contract: the availability alert fires inside the
-spike and clears after it, sampled traces attribute >=95% of latency,
-and the whole observability export replays byte-identically.
+The availability alert fires inside the spike and clears after it,
+sampled traces attribute >=95% of latency, and the whole observability
+export replays byte-identically at any worker count.  The
+``serving-slo`` row of ``tests/integration/test_determinism.py`` pins
+the same scenario's exports to committed digests.
 """
 
 import pytest
 
-from repro.obs.context import SamplingPolicy
 from repro.obs.exporters import load_trace_jsonl, request_breakdowns
-from repro.obs.slo import SLOSpec
-from repro.obs.slo_check import (
-    CHECK_SERVING,
-    CHECK_SLOS,
-    CHECK_SPIKE,
-    CHECK_TRAFFIC,
-    MIN_COVERAGE,
-)
-from repro.serving.gateway import ServingConfig
 from repro.serving.run import run_serving
-from repro.workloads.traffic import SpikeWindow, TrafficConfig
+from tests.flash_crowd import AVAILABILITY, FLASH_CROWD_SLO, SPIKE
 
 
 def _run(workers=1):
-    traffic = TrafficConfig(
-        spikes=(SpikeWindow(**CHECK_SPIKE),), **CHECK_TRAFFIC
-    )
-    return run_serving(
-        traffic,
-        ServingConfig(**CHECK_SERVING),
-        slos=(SLOSpec(**CHECK_SLOS),),
-        sampling=SamplingPolicy(head_rate=0.05),
-        workers=workers,
-    )
+    return run_serving(**FLASH_CROWD_SLO, workers=workers)
 
 
 @pytest.fixture(scope="module")
@@ -45,24 +27,21 @@ def result():
 class TestAlertTimeline:
     def test_alert_fires_inside_spike(self, result):
         fires = [
-            a for a in result.slo_report.alerts_for(CHECK_SLOS["name"])
+            a for a in result.slo_report.alerts_for(AVAILABILITY.name)
             if a.state == "fire"
         ]
         assert fires, "flash crowd fired no burn-rate alert"
-        assert any(
-            CHECK_SPIKE["start"] <= a.time <= CHECK_SPIKE["end"] + 1.0
-            for a in fires
-        )
+        assert any(SPIKE.start <= a.time <= SPIKE.end + 1.0 for a in fires)
 
     def test_alert_clears_after_spike(self, result):
-        alerts = result.slo_report.alerts_for(CHECK_SLOS["name"])
+        alerts = result.slo_report.alerts_for(AVAILABILITY.name)
         clears = [a for a in alerts if a.state == "clear"]
         fires = [a for a in alerts if a.state == "fire"]
         assert clears and clears[-1].time > fires[0].time
         assert clears[-1].time <= result.horizon + 10.0
 
     def test_availability_burned_during_spike(self, result):
-        budget = result.slo_report.budgets[CHECK_SLOS["name"]]
+        budget = result.slo_report.budgets[AVAILABILITY.name]
         assert budget["bad"] > 0
         assert budget["budget_consumed"] > 1.0  # the spike overspends
 
@@ -73,7 +52,8 @@ class TestSampledTraces:
             load_trace_jsonl(result.trace_jsonl)
         )
         assert breakdowns
-        assert min(r["coverage"] for r in breakdowns) >= MIN_COVERAGE
+        # Named stages cover nearly all of every sampled request's latency.
+        assert min(r["coverage"] for r in breakdowns) >= 0.95
 
     def test_tail_rules_kept_spike_sheds(self, result):
         stats = result.sampling_stats

@@ -75,10 +75,16 @@ class TestCaps:
             budget.charge("cautious", 1.0)
 
     def test_invalid_caps_rejected(self):
-        with pytest.raises(PrivacyError):
-            PrivacyBudget(default_cap=0.0)
-        with pytest.raises(PrivacyError):
-            PrivacyBudget().set_cap("u", -1.0)
+        for bad in (0.0, -1.0, float("nan")):
+            with pytest.raises(PrivacyError):
+                PrivacyBudget(default_cap=bad)
+            with pytest.raises(PrivacyError):
+                PrivacyBudget().set_cap("u", bad)
+
+    def test_infinite_caps_accepted(self):
+        budget = PrivacyBudget(default_cap=float("inf"))
+        budget.set_cap("u", float("inf"))
+        assert budget.can_afford("u", 1e9)
 
     def test_can_afford(self):
         budget = PrivacyBudget(default_cap=1.0)

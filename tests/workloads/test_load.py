@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.errors import PrivacyError
 from repro.ledger.chain import Blockchain
 from repro.ledger.consensus import PoAConsensus
 from repro.ledger.crypto import sha256
@@ -71,6 +72,17 @@ class TestLoadWorkload:
         assert json.dumps(first.metrics, sort_keys=True) == json.dumps(
             second.metrics, sort_keys=True
         )
+
+    def test_block_size_below_one_rejected(self):
+        # A block size of 0 or less would include no transaction at all.
+        for block_size in (0, -1):
+            with pytest.raises(ValueError, match="block_size"):
+                run_load(block_size=block_size, **SMALL)
+
+    def test_nan_privacy_cap_rejected(self):
+        # NaN passed `cap <= 0` and then blocked almost every frame.
+        with pytest.raises(PrivacyError):
+            run_load(privacy_cap=float("nan"), **SMALL)
 
     def test_different_seed_differs(self):
         base = run_load(**SMALL)
