@@ -20,9 +20,11 @@ bench:
 	$(PYTHON) -m pytest benchmarks -q --benchmark-only
 
 # One untimed repetition of every bench suite plus a single pass over
-# the tracked regression kernels; finishes in under a minute.
+# the tracked regression kernels; finishes in under a minute.  Its
+# report goes to the untracked .bench_build/, not over BENCH_PR1.json.
 bench-smoke:
-	$(PYTHON) -m benchmarks.regression --smoke
+	mkdir -p .bench_build
+	$(PYTHON) -m benchmarks.regression --smoke --output .bench_build/BENCH_PR1.json
 
 # Full perf gate: 3 reps per tracked op, compares against
 # benchmarks/baseline.json, fails on >25% regression.
@@ -51,10 +53,12 @@ bench-parallel:
 # Columnar smoke gate: 10k-tier columnar-vs-object kernels with exact
 # equivalence asserts (bitwise balances/nonces/spends), the columnar
 # load run byte-identical to the object-backed run on metrics, and the
-# bytes/agent ceiling.  The full 1M tier lives in the scaling suite:
+# bytes/agent ceiling.  The report goes to the untracked .bench_build/.
+# The full 1M tier lives in the scaling suite:
 #   python -m benchmarks.scaling --smoke --million
 bench-columnar:
-	$(PYTHON) -m benchmarks.scaling --columnar-only
+	mkdir -p .bench_build
+	$(PYTHON) -m benchmarks.scaling --columnar-only --report .bench_build/BENCH_columnar.json
 
 # Transport tier only: per-epoch ship bytes and wall clock for pickle
 # vs shm vs shm-full at the gate tier, with the >=10x ship-bytes
@@ -69,10 +73,12 @@ bench-transport:
 # engines byte-for-byte on the same seed); the quantile sketch must stay
 # within its documented rank-error tolerance; each load tier — now
 # including the moderation and privacy-budget phases — must replay
-# byte-identically.  Full suite (adds the 100k tier):
+# byte-identically.  The report goes to the untracked .bench_build/,
+# not over BENCH_PR9.json.  Full suite (adds the 100k tier):
 #   python -m benchmarks.scaling
 bench-scaling:
-	$(PYTHON) -m benchmarks.scaling --smoke
+	mkdir -p .bench_build
+	$(PYTHON) -m benchmarks.scaling --smoke --report .bench_build/BENCH_scaling.json
 
 # Everything a merge must pass, in one target.  `test` runs the
 # determinism matrix; bench-scaling's smoke mode includes the workers

@@ -735,9 +735,9 @@ def kernel_serving_request_path() -> Tuple[int, float]:
     section; this is the serving tier's steady-state cost per request.
     """
     from repro.serving.gateway import ServingConfig, ServingGateway
-    from repro.serving.loop import EventLoop, PRIORITY_ARRIVAL
+    from repro.serving.loop import EventLoop
     from repro.serving.repository import ServingRepository
-    from repro.serving.run import SERVICE_TIME_DOMAIN
+    from repro.serving.run import SERVICE_TIME_DOMAIN, schedule_arrivals
     from repro.sim.metrics import MetricsRegistry
     from repro.workloads.traffic import TrafficConfig, generate_traffic
 
@@ -756,12 +756,7 @@ def kernel_serving_request_path() -> Tuple[int, float]:
             np.random.SeedSequence(entropy=SEED, spawn_key=(SERVICE_TIME_DOMAIN,))
         ),
     )
-    for arrival in arrivals:
-        loop.schedule(
-            arrival.time,
-            (lambda request: lambda: gateway.submit(request))(arrival.request),
-            priority=PRIORITY_ARRIVAL,
-        )
+    schedule_arrivals(loop, gateway.submit, arrivals)
     gateway.start(horizon=traffic.horizon)
     t0 = time.perf_counter()
     loop.run()
@@ -857,17 +852,12 @@ def _build_serving_loop(observed: bool):
     import numpy as np
 
     from repro.obs import Instrumentation
-    from repro.obs.context import (
-        RequestContext,
-        RequestTraceSampler,
-        SamplingPolicy,
-        head_sampled,
-    )
+    from repro.obs.context import RequestTraceSampler, SamplingPolicy
     from repro.obs.timeseries import WindowedTelemetry
     from repro.serving.gateway import ServingConfig, ServingGateway
-    from repro.serving.loop import EventLoop, PRIORITY_ARRIVAL
+    from repro.serving.loop import EventLoop
     from repro.serving.repository import ServingRepository
-    from repro.serving.run import SERVICE_TIME_DOMAIN
+    from repro.serving.run import SERVICE_TIME_DOMAIN, schedule_arrivals
     from repro.sim.metrics import MetricsRegistry
     from repro.workloads.traffic import TrafficConfig, generate_traffic
 
@@ -898,25 +888,12 @@ def _build_serving_loop(observed: bool):
         ),
         obs=obs, telemetry=telemetry, sampler=sampler,
     )
-    for arrival in arrivals:
-        ctx = None
-        if observed:
-            ctx = RequestContext(
-                trace_id=arrival.trace_id,
-                user=arrival.user,
-                seq=arrival.seq,
-                sampled=head_sampled(arrival.trace_id, policy.head_rate),
-                arrived=arrival.time,
-                service_start=arrival.time,
-                substrate_traced=False,
-            )
-        loop.schedule(
-            arrival.time,
-            (lambda request, rctx: lambda: gateway.submit(request, rctx))(
-                arrival.request, ctx
-            ),
-            priority=PRIORITY_ARRIVAL,
-        )
+    schedule_arrivals(
+        loop,
+        gateway.submit,
+        arrivals,
+        policy.head_rate if observed else None,
+    )
     gateway.start(horizon=traffic.horizon)
 
     def finish() -> int:

@@ -26,6 +26,7 @@ from repro.obs.context import (
     RequestTraceSampler,
     SamplingPolicy,
     derive_trace_id,
+    derive_trace_ids,
     head_sampled,
     request_span_id,
 )
@@ -85,6 +86,7 @@ __all__ = [
     "RequestTraceSampler",
     "SamplingPolicy",
     "derive_trace_id",
+    "derive_trace_ids",
     "head_sampled",
     "request_span_id",
     "REQUEST_SOURCE",

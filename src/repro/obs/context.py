@@ -41,6 +41,7 @@ __all__ = [
     "SamplingPolicy",
     "RequestTraceSampler",
     "derive_trace_id",
+    "derive_trace_ids",
     "request_span_id",
     "head_sampled",
     "REQUEST_SOURCE",
@@ -71,6 +72,20 @@ def derive_trace_id(*parts: Any) -> str:
     """
     text = "trace:" + ":".join(repr(part) for part in parts)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:_ID_HEX]
+
+
+def derive_trace_ids(seed: Any, user: Any, count: int) -> List[str]:
+    """``[derive_trace_id(seed, user, seq) for seq in range(count)]``.
+
+    The serving tier's ids for one user's arrivals, hashed from a
+    per-user text prefix instead of re-joining every part per id.
+    """
+    prefix = f"trace:{seed!r}:{user!r}:"
+    sha256 = hashlib.sha256
+    return [
+        sha256((prefix + repr(seq)).encode("utf-8")).hexdigest()[:_ID_HEX]
+        for seq in range(count)
+    ]
 
 
 def request_span_id(trace_id: str, part: str) -> str:

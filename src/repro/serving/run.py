@@ -10,8 +10,10 @@ measurements: same seed, same bytes, on any host.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from functools import partial
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -30,9 +32,14 @@ from repro.serving.loop import EventLoop, PRIORITY_ARRIVAL
 from repro.serving.repository import ServingRepository
 from repro.serving.schemas import Endpoint, Response, Status
 from repro.sim.metrics import MetricsRegistry
-from repro.workloads.traffic import TrafficConfig, generate_traffic
+from repro.workloads.traffic import Arrival, TrafficConfig, generate_traffic
 
-__all__ = ["ServingRunResult", "run_serving", "SERVICE_TIME_DOMAIN"]
+__all__ = [
+    "ServingRunResult",
+    "run_serving",
+    "schedule_arrivals",
+    "SERVICE_TIME_DOMAIN",
+]
 
 #: Spawn-key namespace for the gateway's service-time stream (traffic
 #: owns domain 7; see :data:`repro.workloads.traffic.TRAFFIC_DOMAIN`).
@@ -90,6 +97,75 @@ def _percentile(registry: MetricsRegistry, name: str, q: float) -> float:
     return float(histogram.percentile(q))
 
 
+def schedule_arrivals(
+    loop: EventLoop,
+    submit: Callable[[Any, Optional[RequestContext]], None],
+    arrivals: Iterable[Arrival],
+    head_rate: Optional[float] = None,
+) -> None:
+    """Schedule one ``submit(request, ctx)`` event per arrival.
+
+    ``head_rate=None`` submits without a trace context; otherwise each
+    request carries a :class:`RequestContext` whose head decision is
+    taken at ``head_rate``.  Events fire in ``(time, priority, seq)``
+    order, arrivals in the :data:`PRIORITY_ARRIVAL` band.
+    """
+    schedule = loop.schedule
+    if head_rate is None:
+        for arrival in arrivals:
+            schedule(
+                arrival.time,
+                partial(submit, arrival.request, None),
+                PRIORITY_ARRIVAL,
+            )
+        return
+    for arrival in arrivals:
+        time = arrival.time
+        trace_id = arrival.trace_id
+        # Positional: trace_id, user, seq, sampled, arrived,
+        # service_start, substrate_traced.
+        ctx = RequestContext(
+            trace_id, arrival.user, arrival.seq,
+            head_sampled(trace_id, head_rate), time, time, False,
+        )
+        schedule(time, partial(submit, arrival.request, ctx), PRIORITY_ARRIVAL)
+
+
+class _FrozenArrivalTable:
+    """Keeps the cyclic collector off the arrival table.
+
+    Set-up builds several long-lived, acyclic tracked objects per
+    arrival; without this, full collections re-traverse all of them
+    during set-up and the run.
+    Entering turns the collector off; :meth:`loaded` freezes everything
+    built so far and restores the caller's enabled flag; leaving
+    unfreezes and restores the flag again.  A caller's own frozen
+    objects are never unfrozen: then nothing is frozen.
+    """
+
+    def __enter__(self) -> "_FrozenArrivalTable":
+        self._enabled = gc.isenabled()
+        self._may_freeze = gc.get_freeze_count() == 0
+        self._frozen = False
+        gc.disable()
+        return self
+
+    def loaded(self) -> None:
+        if self._may_freeze:
+            gc.freeze()
+            self._frozen = True
+        if self._enabled:
+            gc.enable()
+
+    def __exit__(self, *exc_info) -> None:
+        if self._frozen:
+            gc.unfreeze()
+        if self._enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+
 def run_serving(
     traffic: TrafficConfig,
     serving: Optional[ServingConfig] = None,
@@ -118,6 +194,12 @@ def run_serving(
       exports per-request span trees under its head/status/tail rules.
     * ``workers`` — parallelize *traffic generation* over a process
       pool; a pure scheduling knob (results byte-identical for any K).
+
+    The cyclic collector is off while the arrival table is built; the
+    table is then frozen (``gc.freeze``) until the result, exports
+    included, is built.  On return or on an exception the table is
+    unfrozen and the caller's collector flag restored.  If the caller
+    has frozen objects of its own, nothing is frozen or unfrozen.
     """
     serving = serving if serving is not None else ServingConfig()
     registry = MetricsRegistry(histogram_backend=histogram_backend)
@@ -152,100 +234,87 @@ def run_serving(
         telemetry=telemetry, sampler=sampler,
     )
 
-    arrivals = generate_traffic(traffic, workers=workers)
-    head_rate = sampling.head_rate if sampling is not None else 0.0
-    for arrival in arrivals:
+    with _FrozenArrivalTable() as table:
+        arrivals = generate_traffic(traffic, workers=workers)
+        schedule_arrivals(
+            loop,
+            gateway.submit,
+            arrivals,
+            sampling.head_rate if sampling is not None else None,
+        )
+        gateway.start(horizon=traffic.horizon)
+        table.loaded()
+        loop.run()
         if sampler is not None:
-            ctx: Optional[RequestContext] = RequestContext(
-                trace_id=arrival.trace_id,
-                user=arrival.user,
-                seq=arrival.seq,
-                sampled=head_sampled(arrival.trace_id, head_rate),
-                arrived=arrival.time,
-                service_start=arrival.time,
-                substrate_traced=False,
+            sampler.finalize()  # flush tail keeps before the trace export
+
+        responses = gateway.responses
+        status_counts: Dict[int, int] = {}
+        for response in responses:
+            code = int(response.status)
+            status_counts[code] = status_counts.get(code, 0) + 1
+
+        counters = registry.counters()
+        endpoint_stats: Dict[str, Dict[str, float]] = {}
+        for endpoint in Endpoint:
+            offered_here = counters.get(f"serving.offered.{endpoint.value}", 0.0)
+            if not offered_here:
+                continue
+            stats: Dict[str, float] = {"offered": offered_here}
+            for status in (Status.OK, Status.INVALID, Status.REFUSED, Status.SHED,
+                           Status.ERROR):
+                stats[status.name.lower()] = counters.get(
+                    f"serving.status.{endpoint.value}.{int(status)}", 0.0
+                )
+            stats["p50_ms"] = _percentile(
+                registry, f"serving.latency_ms.{endpoint.value}", 50
             )
-        else:
-            ctx = None
-        loop.schedule(
-            arrival.time,
-            (lambda request, rctx: lambda: gateway.submit(request, rctx))(
-                arrival.request, ctx
-            ),
-            priority=PRIORITY_ARRIVAL,
-        )
-    gateway.start(horizon=traffic.horizon)
-    loop.run()
-    if sampler is not None:
-        sampler.finalize()  # flush tail keeps before the trace export
-
-    responses = gateway.responses
-    status_counts: Dict[int, int] = {}
-    for response in responses:
-        code = int(response.status)
-        status_counts[code] = status_counts.get(code, 0) + 1
-
-    counters = registry.counters()
-    endpoint_stats: Dict[str, Dict[str, float]] = {}
-    for endpoint in Endpoint:
-        offered_here = counters.get(f"serving.offered.{endpoint.value}", 0.0)
-        if not offered_here:
-            continue
-        stats: Dict[str, float] = {"offered": offered_here}
-        for status in (Status.OK, Status.INVALID, Status.REFUSED, Status.SHED,
-                       Status.ERROR):
-            stats[status.name.lower()] = counters.get(
-                f"serving.status.{endpoint.value}.{int(status)}", 0.0
+            stats["p99_ms"] = _percentile(
+                registry, f"serving.latency_ms.{endpoint.value}", 99
             )
-        stats["p50_ms"] = _percentile(
-            registry, f"serving.latency_ms.{endpoint.value}", 50
+            endpoint_stats[endpoint.value] = stats
+
+        ok_count = status_counts.get(int(Status.OK), 0)
+        shed_count = status_counts.get(int(Status.SHED), 0)
+        offered = len(arrivals)
+        cache_hits = gateway.cache.hits
+        cache_lookups = cache_hits + gateway.cache.misses
+
+        slo_report: Optional[SLOReport] = None
+        if slos is not None and telemetry is not None:
+            slo_report = SLOEngine(slos).evaluate(telemetry)
+        sampling_stats: Optional[Dict[str, int]] = None
+        if sampler is not None:
+            sampling_stats = {
+                "seen": sampler.seen,
+                "kept": sampler.kept,
+                "kept_head": sampler.kept_head,
+                "kept_status": sampler.kept_status,
+                "kept_tail": sampler.kept_tail,
+            }
+
+        return ServingRunResult(
+            seed=traffic.seed,
+            horizon=traffic.horizon,
+            offered=offered,
+            completed=len(responses),
+            status_counts=status_counts,
+            endpoint_stats=endpoint_stats,
+            p50_ms=_percentile(registry, "serving.latency_ms.all", 50),
+            p99_ms=_percentile(registry, "serving.latency_ms.all", 99),
+            goodput_rps=ok_count / traffic.horizon,
+            shed_rate=(shed_count / offered) if offered else 0.0,
+            cache_hit_rate=(cache_hits / cache_lookups) if cache_lookups else 0.0,
+            blocks_produced=repo.blocks_produced,
+            txs_included=repo.txs_included,
+            cases_reviewed=int(counters.get("serving.cases_reviewed", 0.0)),
+            metrics=registry.as_dict(),
+            registry=registry,
+            responses=responses,
+            trace_jsonl=trace_to_jsonl(obs.trace) if obs is not None else None,
+            telemetry=telemetry,
+            timeseries_json=telemetry.to_json() if telemetry is not None else None,
+            slo_report=slo_report,
+            alerts_json=slo_report.to_json() if slo_report is not None else None,
+            sampling_stats=sampling_stats,
         )
-        stats["p99_ms"] = _percentile(
-            registry, f"serving.latency_ms.{endpoint.value}", 99
-        )
-        endpoint_stats[endpoint.value] = stats
-
-    ok_count = status_counts.get(int(Status.OK), 0)
-    shed_count = status_counts.get(int(Status.SHED), 0)
-    offered = len(arrivals)
-    cache_hits = gateway.cache.hits
-    cache_lookups = cache_hits + gateway.cache.misses
-
-    slo_report: Optional[SLOReport] = None
-    if slos is not None and telemetry is not None:
-        slo_report = SLOEngine(slos).evaluate(telemetry)
-    sampling_stats: Optional[Dict[str, int]] = None
-    if sampler is not None:
-        sampling_stats = {
-            "seen": sampler.seen,
-            "kept": sampler.kept,
-            "kept_head": sampler.kept_head,
-            "kept_status": sampler.kept_status,
-            "kept_tail": sampler.kept_tail,
-        }
-
-    return ServingRunResult(
-        seed=traffic.seed,
-        horizon=traffic.horizon,
-        offered=offered,
-        completed=len(responses),
-        status_counts=status_counts,
-        endpoint_stats=endpoint_stats,
-        p50_ms=_percentile(registry, "serving.latency_ms.all", 50),
-        p99_ms=_percentile(registry, "serving.latency_ms.all", 99),
-        goodput_rps=ok_count / traffic.horizon,
-        shed_rate=(shed_count / offered) if offered else 0.0,
-        cache_hit_rate=(cache_hits / cache_lookups) if cache_lookups else 0.0,
-        blocks_produced=repo.blocks_produced,
-        txs_included=repo.txs_included,
-        cases_reviewed=int(counters.get("serving.cases_reviewed", 0.0)),
-        metrics=registry.as_dict(),
-        registry=registry,
-        responses=responses,
-        trace_jsonl=trace_to_jsonl(obs.trace) if obs is not None else None,
-        telemetry=telemetry,
-        timeseries_json=telemetry.to_json() if telemetry is not None else None,
-        slo_report=slo_report,
-        alerts_json=slo_report.to_json() if slo_report is not None else None,
-        sampling_stats=sampling_stats,
-    )

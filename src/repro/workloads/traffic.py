@@ -22,16 +22,27 @@ from ``SeedSequence(entropy=seed, spawn_key=(TRAFFIC_DOMAIN, u))`` —
 streams depend only on ``(seed, user)``, never on how many users exist
 or the order they are generated, so traffic is byte-identical across
 runs and stable under population growth.
+
+Weighted draws (endpoint, ballot option) search a cdf built once per
+scenario with ``bisect_right(cdf, rng.random())``: the cdf is the one
+``Generator.choice(k, p=...)`` builds, so each draw returns the index
+``choice`` would and consumes the same single double from the stream,
+at a fraction of ``choice``'s per-call cost.  ``choice`` used to reject
+NaN, infinite and negative weights at the first draw; with the bisect
+draw :class:`TrafficConfig` rejects them at construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+import math
+from bisect import bisect_right
+from dataclasses import dataclass
+from operator import attrgetter
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.obs.context import derive_trace_id
+from repro.obs.context import derive_trace_ids
 from repro.parallel.pool import make_pool
 from repro.serving.repository import HOT_SUBJECT_STRIDE, SERVING_CHANNELS
 from repro.serving.schemas import (
@@ -63,30 +74,36 @@ TRAFFIC_DOMAIN = 7
 @dataclass(frozen=True)
 class SpikeWindow:
     """A flash-crowd window: every user's rate × ``multiplier`` inside
-    ``[start, end)``."""
+    ``[start, end)``.  ``end`` may be infinite (the horizon clips it);
+    the multiplier must be finite."""
 
     start: float
     end: float
     multiplier: float
 
     def __post_init__(self) -> None:
-        if self.end <= self.start:
+        # Written so that NaN fails every check.
+        if not self.end > self.start:
             raise ValueError(
                 f"spike window must have end > start, got [{self.start}, {self.end})"
             )
-        if self.multiplier < 0:
-            raise ValueError(f"multiplier must be >= 0, got {self.multiplier}")
+        if not 0 <= self.multiplier < math.inf:
+            raise ValueError(
+                f"multiplier must be finite and >= 0, got {self.multiplier}"
+            )
 
 
 @dataclass(frozen=True)
 class TrafficConfig:
     """One open-loop traffic scenario.
 
-    ``endpoint_mix`` weights need not sum to 1 (they are normalised);
+    ``endpoint_mix`` weights need not sum to 1 (they are normalised) but
+    must be finite and non-negative with a positive sum;
     ``invalid_frac`` of write requests are deliberately malformed so the
     validation middleware carries real 400 traffic; ``pareto_shape``
     controls how heavy the per-user tail is (smaller = heavier; must be
-    > 1 so the mean exists).
+    > 1 so the mean exists).  ``horizon``, ``rate_per_user`` and
+    ``pareto_shape`` must be finite.
     """
 
     n_users: int
@@ -106,24 +123,37 @@ class TrafficConfig:
     )
 
     def __post_init__(self) -> None:
-        if self.n_users < 2:
+        # Written so that NaN fails every check.
+        if not self.n_users >= 2:
             raise ValueError(f"n_users must be >= 2, got {self.n_users}")
-        if self.horizon <= 0:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
-        if self.rate_per_user <= 0:
+        if not 0 < self.horizon < math.inf:
             raise ValueError(
-                f"rate_per_user must be positive, got {self.rate_per_user}"
+                f"horizon must be positive and finite, got {self.horizon}"
             )
-        if self.pareto_shape <= 1:
+        if not 0 < self.rate_per_user < math.inf:
             raise ValueError(
-                f"pareto_shape must be > 1 (finite mean), got {self.pareto_shape}"
+                f"rate_per_user must be positive and finite, got {self.rate_per_user}"
+            )
+        if not 1 < self.pareto_shape < math.inf:
+            raise ValueError(
+                f"pareto_shape must be > 1 (finite mean) and finite, "
+                f"got {self.pareto_shape}"
             )
         if not 0 <= self.invalid_frac <= 1:
             raise ValueError(
                 f"invalid_frac must be in [0, 1], got {self.invalid_frac}"
             )
+        weights = [weight for _, weight in self.endpoint_mix]
+        if not (
+            all(0 <= weight < math.inf for weight in weights)
+            and 0 < sum(weights) < math.inf
+        ):
+            raise ValueError(
+                "endpoint_mix weights must be finite and >= 0 with a "
+                f"positive finite sum, got {weights}"
+            )
         for spike in self.spikes:
-            if spike.start >= self.horizon:
+            if not spike.start < self.horizon:
                 raise ValueError(
                     f"spike at {spike.start} starts beyond horizon {self.horizon}"
                 )
@@ -134,7 +164,7 @@ class Arrival:
     """One scheduled request: who sends what, when.
 
     ``trace_id`` is the request's causal identity — a pure function of
-    ``(seed, user, seq)`` via :func:`repro.obs.context.derive_trace_id`,
+    ``(seed, user, seq)`` via :func:`repro.obs.context.derive_trace_ids`,
     assigned at generation time so every downstream consumer (gateway,
     sampler, exporters) sees the same id for the same logical request.
     """
@@ -204,18 +234,36 @@ def _arrival_times(
     return times
 
 
+def _choice_cdf(probabilities) -> List[float]:
+    """The cdf ``Generator.choice(k, p=probabilities)`` searches.
+
+    Built with numpy's own arithmetic (``cumsum``, then divide by the
+    last entry), so ``bisect_right(cdf, rng.random())`` returns the
+    index ``choice`` would and consumes the same one double.  A list of
+    Python floats, because bisecting it is cheaper than ``searchsorted``.
+    """
+    cdf = np.asarray(probabilities, dtype=float).cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
+#: Ballot options and the cdf of their 50/35/15 split.
+_BALLOT_OPTIONS = ("yes", "no", "abstain")
+_BALLOT_CDF = _choice_cdf([0.5, 0.35, 0.15])
+
+
 def _draw_request(
     rng: np.random.Generator,
     user: int,
     config: TrafficConfig,
     endpoints: Sequence[Endpoint],
-    probabilities: np.ndarray,
+    endpoint_cdf: Sequence[float],
     channels: Sequence[str],
     n_hot: int,
 ) -> Request:
     """One request for ``user``: endpoint from the mix, payload from the
     user's own stream, occasionally malformed on purpose."""
-    endpoint = endpoints[int(rng.choice(len(endpoints), p=probabilities))]
+    endpoint = endpoints[bisect_right(endpoint_cdf, rng.random())]
     invalid = (
         endpoint not in (Endpoint.GET_BALANCE, Endpoint.GET_TALLY)
         and config.invalid_frac > 0
@@ -246,9 +294,7 @@ def _draw_request(
             user=user, accused=accused, severity=severity, reason=reason
         )
     if endpoint == Endpoint.CAST_VOTE:
-        option = ("yes", "no", "abstain")[
-            int(rng.choice(3, p=[0.5, 0.35, 0.15]))
-        ]
+        option = _BALLOT_OPTIONS[bisect_right(_BALLOT_CDF, rng.random())]
         if invalid:
             option = "maybe"
         return CastVoteRequest(user=user, option=option)
@@ -267,35 +313,34 @@ def _scenario_tables(config: TrafficConfig) -> Tuple:
     segments = _rate_segments(config.horizon, config.spikes)
     endpoints = tuple(endpoint for endpoint, _ in config.endpoint_mix)
     weights = np.asarray([w for _, w in config.endpoint_mix], dtype=float)
-    if weights.sum() <= 0:
-        raise ValueError("endpoint_mix weights must sum to > 0")
-    probabilities = weights / weights.sum()
+    endpoint_cdf = _choice_cdf(weights / weights.sum())
     channels = tuple(channel for channel, _ in SERVING_CHANNELS)
     n_hot = max(1, (config.n_users + HOT_SUBJECT_STRIDE - 1) // HOT_SUBJECT_STRIDE)
     # Pareto(shape) + 1 has mean shape/(shape-1); dividing by it makes
     # the weights mean-1 in expectation while keeping the heavy tail.
     pareto_mean = config.pareto_shape / (config.pareto_shape - 1.0)
-    return segments, endpoints, probabilities, channels, n_hot, pareto_mean
+    return segments, endpoints, endpoint_cdf, channels, n_hot, pareto_mean
 
 
 def _user_arrivals(
     config: TrafficConfig, user: int, tables: Tuple
 ) -> List[Arrival]:
     """Every arrival of one user — a pure function of (config, user)."""
-    segments, endpoints, probabilities, channels, n_hot, pareto_mean = tables
+    segments, endpoints, endpoint_cdf, channels, n_hot, pareto_mean = tables
     rng = user_stream(config.seed, user)
     weight = (1.0 + float(rng.pareto(config.pareto_shape))) / pareto_mean
     times = _arrival_times(rng, config.rate_per_user * weight, segments)
-    arrivals: List[Arrival] = []
-    for seq, time in enumerate(times):
-        request = _draw_request(
-            rng, user, config, endpoints, probabilities, channels, n_hot
+    trace_ids = derive_trace_ids(config.seed, user, len(times))
+    return [
+        Arrival(
+            time, user, seq,
+            _draw_request(
+                rng, user, config, endpoints, endpoint_cdf, channels, n_hot
+            ),
+            trace_id,
         )
-        arrivals.append(Arrival(
-            time=time, user=user, seq=seq, request=request,
-            trace_id=derive_trace_id(config.seed, user, seq),
-        ))
-    return arrivals
+        for seq, (time, trace_id) in enumerate(zip(times, trace_ids))
+    ]
 
 
 class _UserRangeTask:
@@ -325,6 +370,10 @@ def generate_traffic(
     ``workers`` a pure scheduling knob: generation fans contiguous user
     ranges over a pool, the ordered reduction reassembles them in user
     order, and the final stable sort is identical for any worker count.
+    Arrivals are built in ``(user, seq)`` order and ``list.sort`` is
+    stable, so sorting on time alone yields the ``(time, user, seq)``
+    order.  Endpoint and ballot draws equal ``Generator.choice`` (see
+    the module docstring).
     """
     if workers is not None and workers > 1:
         pool = make_pool(workers)
@@ -344,5 +393,5 @@ def generate_traffic(
         arrivals = []
         for user in range(config.n_users):
             arrivals.extend(_user_arrivals(config, user, tables))
-    arrivals.sort(key=lambda a: (a.time, a.user, a.seq))
+    arrivals.sort(key=attrgetter("time"))
     return arrivals

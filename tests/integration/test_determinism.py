@@ -29,7 +29,7 @@ from repro.obs.exporters import load_trace_jsonl, request_breakdowns
 from repro.parallel.transport import SEGMENT_PREFIX, leaked_segments
 from repro.parallel.worker import CHUNK_PHASES
 from repro.serving.run import run_serving
-from repro.serving.schemas import Status
+from repro.serving.schemas import Endpoint, Status
 from repro.sim import MetricsRegistry, RngRegistry, Simulator, TraceLog
 from repro.workloads import (
     build_flat_dao,
@@ -38,6 +38,7 @@ from repro.workloads import (
     run_market_season,
     run_observability_scenario,
 )
+from repro.workloads.traffic import SpikeWindow, TrafficConfig, generate_traffic
 from tests.flash_crowd import FLASH_CROWD, FLASH_CROWD_SLO, HEAD_RATE
 
 BENCH = os.path.join(
@@ -136,6 +137,43 @@ def _load_equal_invariants(runs: Runs) -> None:
     for cell, result in runs:
         assert result.plan_mode == "equal"
         assert result.chunk_tasks_run == _chunks_expected(cell, result), cell
+
+
+# --- traffic: the arrival table every serving row starts from ---------
+
+# Every endpoint, a fifth of the writes malformed, two flash crowds that
+# overlap in [9, 12) and a heavy per-user tail.
+TRAFFIC = dict(
+    n_users=80,
+    horizon=20.0,
+    rate_per_user=1.5,
+    seed=2022,
+    spikes=(SpikeWindow(6.0, 12.0, 3.0), SpikeWindow(9.0, 15.0, 2.0)),
+    pareto_shape=1.3,
+    invalid_frac=0.2,
+)
+
+
+def _traffic(workers: int, **config) -> SimpleNamespace:
+    arrivals = generate_traffic(TrafficConfig(**config), workers=workers)
+    # By repr: malformed payloads carry NaN, and NaN != NaN.
+    return SimpleNamespace(
+        arrivals=arrivals,
+        arrivals_repr="\n".join(repr(arrival) for arrival in arrivals),
+    )
+
+
+def _traffic_invariants(runs: Runs) -> None:
+    writes = set(Endpoint) - {Endpoint.GET_BALANCE, Endpoint.GET_TALLY}
+    for _, result in runs:
+        requests = [arrival.request for arrival in result.arrivals]
+        assert {request.endpoint for request in requests} == set(Endpoint)
+        malformed = {
+            request.endpoint for request in requests
+            if request.validate() is not None
+        }
+        assert malformed == writes
+        assert any(9.0 <= arrival.time < 12.0 for arrival in result.arrivals)
 
 
 # --- serving: one flash crowd through the serving tier -----------------
@@ -308,6 +346,16 @@ ROWS = [
             trace_jsonl="394d85c3acde1e280533f6a20b2f16db9bc668a5189f6ed6f5ed550da5828918",
         ),
         _load_equal_invariants,
+    ),
+    Row(
+        "traffic",
+        _traffic,
+        TRAFFIC,
+        [dict(workers=1), dict(workers=2)],
+        dict(
+            arrivals_repr="86e4c2b28379577a3f9e967ec3ee76b2c4d1b41b82643c94fe41802c1a1944a4",
+        ),
+        _traffic_invariants,
     ),
     Row(
         "serving",

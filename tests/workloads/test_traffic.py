@@ -1,5 +1,6 @@
 """Tests for the open-loop traffic generator."""
 
+import math
 import os
 import subprocess
 import sys
@@ -166,6 +167,51 @@ class TestValidation:
             )
         with pytest.raises(ValueError):
             SpikeWindow(3.0, 2.0, 2.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["rate_per_user", "horizon", "pareto_shape"])
+    def test_non_finite_scalar_rejected(self, name, value):
+        # NaN passed the old `<=` checks and generated no arrivals; an
+        # infinite rate or horizon never finishes generating.
+        with pytest.raises(ValueError, match=name):
+            TrafficConfig(**{**BASE, name: value})
+
+    def test_infinite_spike_multiplier_rejected(self):
+        # Accepted, it made generate_traffic loop forever.
+        with pytest.raises(ValueError, match="multiplier"):
+            SpikeWindow(2.0, 4.0, math.inf)
+
+    def test_nan_spike_multiplier_rejected(self):
+        # Accepted, it silently dropped arrivals.
+        with pytest.raises(ValueError, match="multiplier"):
+            SpikeWindow(2.0, 4.0, math.nan)
+
+    @pytest.mark.parametrize("start, end", [(math.nan, 4.0), (2.0, math.nan)])
+    def test_nan_spike_bound_rejected(self, start, end):
+        with pytest.raises(ValueError, match="end > start"):
+            SpikeWindow(start, end, 2.0)
+
+    def test_infinite_spike_end_is_clipped_by_the_horizon(self):
+        def arrivals(end):
+            spike = SpikeWindow(2.0, end, 3.0)
+            return [repr(a) for a in generate_traffic(
+                TrafficConfig(spikes=(spike,), **BASE)
+            )]
+
+        assert arrivals(math.inf) == arrivals(BASE["horizon"])
+
+    @pytest.mark.parametrize("weight", [-0.1, math.nan, math.inf])
+    def test_bad_endpoint_weight_rejected(self, weight):
+        # Caught only at the first draw before, and not at all by the
+        # bisect draw: negative weights skewed the mix silently.
+        mix = ((Endpoint.GET_BALANCE, 1.0), (Endpoint.SUBMIT_TX, weight))
+        with pytest.raises(ValueError, match="endpoint_mix"):
+            TrafficConfig(endpoint_mix=mix, **BASE)
+
+    def test_zero_endpoint_weights_rejected_at_construction(self):
+        mix = ((Endpoint.GET_BALANCE, 0.0), (Endpoint.SUBMIT_TX, 0.0))
+        with pytest.raises(ValueError, match="endpoint_mix"):
+            TrafficConfig(endpoint_mix=mix, **BASE)
 
     def test_user_stream_is_pure_function_of_seed_and_user(self):
         a = user_stream(42, 7).random(4).tolist()
