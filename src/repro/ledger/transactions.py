@@ -19,8 +19,8 @@ address (see ``repro.ledger.wallet``).
 from __future__ import annotations
 
 import enum
+import sys
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import InvalidTransactionError
@@ -64,7 +64,12 @@ _RECIPIENT_KEY = canonical_encode("recipient")
 _SENDER_KEY = canonical_encode("sender")
 
 
-@dataclass(frozen=True)
+# Slotted where dataclasses can slot (Python 3.10+); older interpreters
+# keep a per-instance ``__dict__`` with the same fields.
+_SLOTS = {"slots": True} if sys.version_info >= (3, 10) else {}
+
+
+@dataclass(frozen=True, **_SLOTS)
 class Transaction:
     """An unsigned transaction.
 
@@ -96,6 +101,17 @@ class Transaction:
     nonce: int
     kind: TxKind
     payload: Dict[str, Any] = field(default_factory=dict)
+    # Caches behind ``tx_id`` and ``signing_bytes``: a transaction is
+    # immutable once constructed (the payload dict is treated as frozen
+    # by convention), yet its id is re-derived at mempool admission,
+    # block building, pruning, and auditing.  Slots, not a per-instance
+    # ``__dict__``; equality, ``repr`` and ``__init__`` ignore them.
+    _tx_id: Optional[str] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _signing_bytes: Optional[bytes] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.amount < 0:
@@ -119,23 +135,29 @@ class Transaction:
             "payload": self.payload,
         }
 
-    # Cached: a transaction is immutable once constructed (the payload
-    # dict is treated as frozen by convention), yet its id is re-derived
-    # at mempool admission, block building, pruning, and auditing.
-    @cached_property
+    @property
     def tx_id(self) -> str:
         """Hex transaction hash over the canonical encoding."""
-        return sha256(self.signing_bytes).hex()
+        tx_id = self._tx_id
+        if tx_id is None:
+            tx_id = sha256(self.signing_bytes).hex()
+            object.__setattr__(self, "_tx_id", tx_id)
+        return tx_id
 
-    @cached_property
+    @property
     def signing_bytes(self) -> bytes:
-        """The exact bytes a wallet signs: ``canonical_encode(self.to_dict())``.
+        """The exact bytes a wallet signs: ``canonical_encode(self.to_dict())``."""
+        encoded = self._signing_bytes
+        if encoded is None:
+            encoded = self._encode()
+            object.__setattr__(self, "_signing_bytes", encoded)
+        return encoded
 
-        Written straight from the fixed seven-key layout when every field
-        has its plain type; anything else (a ``bool`` or numpy amount, a
-        ``str`` subclass) takes the generic encoder, which encodes or
-        raises for it exactly as it always has.
-        """
+    def _encode(self) -> bytes:
+        """Written straight from the fixed seven-key layout when every
+        field has its plain type; anything else (a ``bool`` or numpy
+        amount, a ``str`` subclass) takes the generic encoder, which
+        encodes or raises for it exactly as it always has."""
         amount, fee, nonce = self.amount, self.fee, self.nonce
         sender, recipient, kind = self.sender, self.recipient, self.kind
         if not (

@@ -19,10 +19,12 @@ What is shard-local (runs here, in parallel):
 * **abuse classification + report willingness** — the vectorized
   Bernoulli passes over the shard's interaction batch;
 * **privacy frame synthesis + budget admission** — hot subjects are
-  shard-partitioned, so each worker charges a private snapshot of its
-  subjects' spends and *predicts* exactly what the authoritative
-  pipeline will decide at the barrier (the parent asserts the match —
-  the "local apply" half of the two-phase protocol);
+  shard-partitioned, so each worker synthesizes its frames as one
+  columnar :class:`~repro.privacy.sensors.FrameBatch`, charges a
+  private snapshot of its subjects' spends and *predicts* exactly what
+  the authoritative pipeline will decide at the barrier (the parent
+  asserts the match — the "local apply" half of the two-phase
+  protocol);
 * **cascade rounds over shard-interior edges** — each shard owns a
   social subgraph; cross-shard edges are withheld from the cascade and
   exchanged at the epoch barrier by the parent.
@@ -50,7 +52,7 @@ from repro.obs.context import derive_trace_id
 from repro.ledger.transactions import Transaction, TxKind
 from repro.parallel.plan import DEFAULT_COST_MODEL, Phase, ShardPlan
 from repro.parallel.transport import ColumnDescriptor, resolve_descriptor
-from repro.privacy.sensors import SensorFrame
+from repro.privacy.sensors import FrameBatch
 from repro.social.graph import SocialGraph
 from repro.social.misinformation import MisinformationModel
 from repro.world.interactions import InteractionBatch
@@ -162,7 +164,7 @@ class ShardEpochResult:
     report_rows: Optional[np.ndarray] = None
     # Privacy: synthesized frames plus the shard-local admission
     # prediction the parent validates against the real pipeline.
-    frames: List[SensorFrame] = field(default_factory=list)
+    frames: FrameBatch = field(default_factory=FrameBatch)
     predicted_outcomes: Dict[str, int] = field(default_factory=dict)
     # Cascade over shard-interior edges.
     cascade_reach: int = 0
@@ -599,18 +601,14 @@ def _privacy_prepass(
     """Synthesize the shard's sensor frames and charge a local budget.
 
     The worker replays the authoritative pipeline's admission logic —
-    per-channel grouping, consent gate, then sequential budget charges
-    against the shipped spend snapshot — so its predicted outcome counts
-    must match the parent's ``PrivacyPipeline.ingest_all`` exactly.  A
-    mismatch means the two-phase protocol lost determinism and the
-    parent raises.
+    consent gate, then budget charges in offered order against the
+    shipped spend snapshot — so its predicted outcome counts must match
+    the parent's ``PrivacyPipeline.ingest_all`` exactly.  A mismatch
+    means the two-phase protocol lost determinism and the parent raises.
 
-    Each hot subject streams on exactly **one** channel (fixed by hot
-    rank).  That pins the relative order of a subject's charges to its
-    offered order alone, so the parent's channel grouping over the
-    *merged* frame list — whose channel first-occurrence order the
-    worker cannot see — can never reorder any subject's budget
-    accumulation relative to this prediction.
+    Hot subjects are shard-owned and the parent meters the merged batch
+    in offered order (shard order, then this burst's order), so each
+    subject's charges accumulate in the same order here as there.
     """
     hot = task.plan.hot_subjects_of(task.shard)
     if task.frame_count <= 0 or not hot or not task.channels:
@@ -626,11 +624,11 @@ def _privacy_prepass(
         time=now,
         rng=rng,
         channel_of=lambda subject: channel_of(task, subject),
-        subject_id_of=lambda subject: addresses[subject],
+        subject_id_of=addresses.__getitem__,
         value_dims=FRAME_VALUE_DIMS,
     )
 
-    # --- local apply: replicate ingest_all's admission, stage by stage.
+    # --- local apply: replicate ingest_all's admission, frame by frame.
     if task.spent_desc is not None:
         # Shared-memory transport: fancy-index the shard's hot subjects
         # out of the attached spent column — the same float64 values the
@@ -644,27 +642,25 @@ def _privacy_prepass(
         agent: float(used)
         for agent, used in zip(hot, hot_spent)
     }
-    by_channel: Dict[str, List[int]] = {}
-    for i, frame in enumerate(frames):
-        by_channel.setdefault(frame.channel, []).append(i)
-
-    outcomes = {"released": 0, "blocked_consent": 0, "blocked_budget": 0}
-    for channel, idxs in by_channel.items():
+    released = blocked_consent = blocked_budget = 0
+    for subject, channel in zip(subject_indices, frames.channels):
+        if not _consented(task, subject):
+            blocked_consent += 1
+            continue
         eps = channel_eps[channel]
-        for i in idxs:
-            subject = subject_indices[i]
-            if not _consented(task, subject):
-                outcomes["blocked_consent"] += 1
-                continue
-            used = spent.get(subject, 0.0)
-            if eps > max(0.0, task.privacy_cap - used) + 1e-12:
-                outcomes["blocked_budget"] += 1
-                continue
-            spent[subject] = used + eps
-            outcomes["released"] += 1
+        used = spent.get(subject, 0.0)
+        if eps > max(0.0, task.privacy_cap - used) + 1e-12:
+            blocked_budget += 1
+            continue
+        spent[subject] = used + eps
+        released += 1
 
     result.frames = frames
-    result.predicted_outcomes = outcomes
+    result.predicted_outcomes = {
+        "released": released,
+        "blocked_consent": blocked_consent,
+        "blocked_budget": blocked_budget,
+    }
 
 
 def channel_of(task: ShardTask, subject: int) -> str:

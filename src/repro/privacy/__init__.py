@@ -42,6 +42,7 @@ from repro.privacy.profiles import (
     generate_population,
 )
 from repro.privacy.sensors import (
+    FrameBatch,
     GaitSensor,
     GazeSensor,
     HeartRateSensor,
@@ -82,6 +83,7 @@ __all__ = [
     "PREFERENCE_CATEGORIES",
     "UserProfile",
     "generate_population",
+    "FrameBatch",
     "GaitSensor",
     "GazeSensor",
     "HeartRateSensor",

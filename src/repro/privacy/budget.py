@@ -9,8 +9,10 @@ spent, further DP releases about them raise
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from array import array
+from dataclasses import dataclass
+from itertools import compress, repeat
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -26,6 +28,11 @@ _VECTOR_MIN_BATCH = 8
 __all__ = ["BudgetLedgerEntry", "PrivacyBudget"]
 
 
+def _per_entry(value: object) -> bool:
+    """A ``channel``/``time`` argument given per entry, not once."""
+    return isinstance(value, (Sequence, np.ndarray)) and not isinstance(value, str)
+
+
 @dataclass(frozen=True)
 class BudgetLedgerEntry:
     """One metered release."""
@@ -38,6 +45,11 @@ class BudgetLedgerEntry:
 
 class PrivacyBudget:
     """Hard per-subject epsilon caps with a spend ledger.
+
+    The ledger is kept as columns (subjects, ε, channels, times; ε and
+    times read back as floats) and :attr:`ledger` builds its
+    :class:`BudgetLedgerEntry` rows on demand, so a long run keeps no
+    object per metered release.
 
     Examples
     --------
@@ -53,7 +65,10 @@ class PrivacyBudget:
         self._default_cap = float(default_cap)
         self._caps: Dict[str, float] = {}
         self._spent: Dict[str, float] = {}
-        self._ledger: List[BudgetLedgerEntry] = []
+        self._ledger_subjects: List[str] = []
+        self._ledger_epsilons = array("d")
+        self._ledger_channels: List[str] = []
+        self._ledger_times = array("d")
         self._table: Optional["AgentTable"] = None  # columnar backing
 
     @classmethod
@@ -132,16 +147,17 @@ class PrivacyBudget:
                 f"ε={self.remaining(subject):g} (cap {self.cap_of(subject):g})"
             )
         self._spent[subject] = self.spent(subject) + epsilon
-        self._ledger.append(
-            BudgetLedgerEntry(subject=subject, epsilon=epsilon, channel=channel, time=time)
-        )
+        self._ledger_subjects.append(subject)
+        self._ledger_epsilons.append(epsilon)
+        self._ledger_channels.append(channel)
+        self._ledger_times.append(time)
 
     def charge_many(
         self,
         subjects: Sequence[str],
         epsilons: Sequence[float],
-        channel: str = "",
-        time: float = 0.0,
+        channel: Union[str, Sequence[str]] = "",
+        time: Union[float, Sequence[float]] = 0.0,
         record_ledger: bool = True,
     ) -> List[bool]:
         """Meter a batch of releases; returns per-entry acceptance.
@@ -150,7 +166,9 @@ class PrivacyBudget:
         with :meth:`charge` and skipping the entries that raise
         :class:`PrivacyBudgetExceeded` — refused entries spend nothing
         and write no ledger row, while later entries for the same
-        subject may still fit (order matters).  ``record_ledger=False``
+        subject may still fit (order matters).  ``channel`` and ``time``
+        are either one value for every entry or a sequence with one per
+        entry (the ledger row's channel and time).  ``record_ledger=False``
         keeps only the accumulator updates, for population-scale runs
         where a per-release ledger would dominate memory.
 
@@ -172,6 +190,11 @@ class PrivacyBudget:
             raise PrivacyError(
                 f"subjects length {len(subjects)} != epsilons length {len(epsilons)}"
             )
+        for name, value in (("channel", channel), ("time", time)):
+            if _per_entry(value) and len(value) != len(subjects):
+                raise PrivacyError(
+                    f"{name} length {len(value)} != subjects length {len(subjects)}"
+                )
         table = self._table
         if table is not None and len(subjects) >= _VECTOR_MIN_BATCH:
             indices = table.interner.bulk_indices(subjects)
@@ -188,20 +211,9 @@ class PrivacyBudget:
                     raise PrivacyError(  # pragma: no cover - loop raises
                         "invalid epsilon in batch"
                     )
-                mask = table.charge_spent(indices, eps_arr)
-                accepted = mask.tolist()
+                accepted = table.charge_spent(indices, eps_arr).tolist()
                 if record_ledger:
-                    append = self._ledger.append
-                    for ok, subject, epsilon in zip(accepted, subjects, epsilons):
-                        if ok:
-                            append(
-                                BudgetLedgerEntry(
-                                    subject=subject,
-                                    epsilon=epsilon,
-                                    channel=channel,
-                                    time=time,
-                                )
-                            )
+                    self._log(accepted, subjects, epsilons, channel, time)
                 return accepted
         for epsilon in epsilons:
             self._check_epsilon(epsilon)
@@ -216,18 +228,43 @@ class PrivacyBudget:
                 accepted.append(False)
                 continue
             spent[subject] = used + epsilon
-            if record_ledger:
-                self._ledger.append(
-                    BudgetLedgerEntry(
-                        subject=subject, epsilon=epsilon, channel=channel, time=time
-                    )
-                )
             accepted.append(True)
+        if record_ledger:
+            self._log(accepted, subjects, epsilons, channel, time)
         return accepted
+
+    def _log(
+        self,
+        accepted: List[bool],
+        subjects: Sequence[str],
+        epsilons: Sequence[float],
+        channel: Union[str, Sequence[str]],
+        time: Union[float, Sequence[float]],
+    ) -> None:
+        """Append the accepted entries' ledger rows."""
+        count = sum(accepted)
+        self._ledger_subjects.extend(compress(subjects, accepted))
+        self._ledger_epsilons.extend(compress(epsilons, accepted))
+        self._ledger_channels.extend(
+            compress(channel, accepted)
+            if _per_entry(channel)
+            else repeat(channel, count)
+        )
+        self._ledger_times.extend(
+            compress(time, accepted) if _per_entry(time) else repeat(time, count)
+        )
 
     @property
     def ledger(self) -> List[BudgetLedgerEntry]:
-        return list(self._ledger)
+        return [
+            BudgetLedgerEntry(subject=s, epsilon=e, channel=c, time=t)
+            for s, e, c, t in zip(
+                self._ledger_subjects,
+                self._ledger_epsilons,
+                self._ledger_channels,
+                self._ledger_times,
+            )
+        ]
 
     def reset(self, subject: str) -> None:
         """New accounting period for ``subject``."""

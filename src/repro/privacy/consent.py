@@ -14,8 +14,8 @@ device) when personal data is collected or transmitted."
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from array import array
+from typing import Dict, List, Set, Tuple
 
 from repro.errors import ConsentError
 
@@ -78,39 +78,37 @@ class ConsentRegistry:
         return {c for (s, c) in self._granted if s == subject}
 
 
-@dataclass
-class _IndicatorEvent:
-    time: float
-    on: bool
-    active_channels: Tuple[str, ...]
-
-
 class DisclosureIndicator:
     """The device LED: on iff any channel is actively collecting.
 
     :meth:`collection_started` / :meth:`collection_stopped` are called by
     the pipeline around every forwarded frame; the history lets tests
     assert the §II-D property "the LED is on whenever personal data is
-    collected or transmitted".
+    collected or transmitted".  The history is two columns — each
+    on/off transition's time (read back as a float) and new state — not
+    an object per transition.
     """
 
     def __init__(self) -> None:
         self._active: Dict[str, int] = {}
-        self._history: List[_IndicatorEvent] = []
+        self._collecting = 0  # sum of the per-channel counts
+        self._times = array("d")
+        self._states = bytearray()
 
     @property
     def is_on(self) -> bool:
-        return any(count > 0 for count in self._active.values())
+        return self._collecting > 0
 
     @property
     def active_channels(self) -> Tuple[str, ...]:
         return tuple(sorted(c for c, n in self._active.items() if n > 0))
 
     def collection_started(self, channel: str, time: float) -> None:
-        was_on = self.is_on
         self._active[channel] = self._active.get(channel, 0) + 1
-        if not was_on:
-            self._record(time)
+        self._collecting += 1
+        if self._collecting == 1:
+            self._times.append(time)
+            self._states.append(True)
 
     def collection_stopped(self, channel: str, time: float) -> None:
         if self._active.get(channel, 0) <= 0:
@@ -118,23 +116,20 @@ class DisclosureIndicator:
                 f"collection_stopped({channel!r}) without matching start"
             )
         self._active[channel] -= 1
-        if not self.is_on:
-            self._record(time)
-
-    def _record(self, time: float) -> None:
-        self._history.append(
-            _IndicatorEvent(time=time, on=self.is_on, active_channels=self.active_channels)
-        )
+        self._collecting -= 1
+        if not self._collecting:
+            self._times.append(time)
+            self._states.append(False)
 
     def was_on_at(self, time: float) -> bool:
         """Replay the history: was the LED on at ``time``?"""
         state = False
-        for event in self._history:
-            if event.time > time:
+        for at, on in zip(self._times, self._states):
+            if at > time:
                 break
-            state = event.on
-        return state
+            state = on
+        return bool(state)
 
     @property
     def transitions(self) -> List[Tuple[float, bool]]:
-        return [(e.time, e.on) for e in self._history]
+        return [(at, bool(on)) for at, on in zip(self._times, self._states)]

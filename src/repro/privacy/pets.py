@@ -6,7 +6,10 @@ from the sensors before being shared with cloud services."
 
 Every PET maps a :class:`~repro.privacy.sensors.SensorFrame` to a new
 frame (never mutating the input) and appends its name to the frame's
-PET provenance.  Differential-privacy mechanisms report an ``epsilon``
+PET provenance.  Each mechanism is written once, over a block of frame
+values with one frame per row (:meth:`PET.apply_block`, which the batch
+pipeline calls with a whole channel's frames); :meth:`PET.apply` is the
+one-row case.  Differential-privacy mechanisms report an ``epsilon``
 consumed per frame so the budget accountant can meter them.
 
 Mechanisms:
@@ -24,7 +27,7 @@ Mechanisms:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,7 +48,7 @@ __all__ = [
 
 
 class PET:
-    """Base mechanism.
+    """Base mechanism: subclasses implement :meth:`apply_block`.
 
     ``epsilon`` is the differential-privacy cost charged per processed
     frame (0 for non-DP mechanisms — they still transform, but consume
@@ -55,9 +58,34 @@ class PET:
     name = "abstract"
     epsilon = 0.0
 
+    @property
+    def provenance(self) -> Tuple[str, ...]:
+        """The names :meth:`apply` appends to a frame's ``pet_applied``."""
+        return (self.name,)
+
+    def apply_block(self, values: np.ndarray) -> Optional[np.ndarray]:
+        """Transform a block of frame values, one frame per row (axis 0).
+
+        Row ``i`` of the result is what the mechanism makes of the frame
+        whose values are ``values[i]``, and random mechanisms draw in row
+        order, so one ``(k, d)`` block consumes their generator exactly
+        as ``k`` frames applied one by one.  None suppresses every row.
+        """
+        raise NotImplementedError
+
     def apply(self, frame: SensorFrame) -> Optional[SensorFrame]:
         """Transform ``frame``; None means the frame is suppressed."""
-        raise NotImplementedError
+        block = self.apply_block(np.asarray(frame.values)[np.newaxis])
+        if block is None:
+            return None
+        return SensorFrame(
+            channel=frame.channel,
+            subject=frame.subject,
+            time=frame.time,
+            values=np.asarray(block[0], dtype=float),
+            metadata=dict(frame.metadata),
+            pet_applied=frame.pet_applied + list(self.provenance),
+        )
 
 
 class Passthrough(PET):
@@ -65,8 +93,8 @@ class Passthrough(PET):
 
     name = "passthrough"
 
-    def apply(self, frame: SensorFrame) -> Optional[SensorFrame]:
-        return frame.copy_with(frame.values, pet_name=self.name)
+    def apply_block(self, values: np.ndarray) -> Optional[np.ndarray]:
+        return values
 
 
 class LaplaceMechanism(PET):
@@ -90,10 +118,9 @@ class LaplaceMechanism(PET):
         self._sensitivity = float(sensitivity)
         self._rng = rng
 
-    def apply(self, frame: SensorFrame) -> Optional[SensorFrame]:
+    def apply_block(self, values: np.ndarray) -> Optional[np.ndarray]:
         scale = self._sensitivity / self.epsilon
-        noise = self._rng.laplace(0.0, scale, size=frame.values.shape)
-        return frame.copy_with(frame.values + noise, pet_name=self.name)
+        return values + self._rng.laplace(0.0, scale, size=values.shape)
 
 
 class GaussianMechanism(PET):
@@ -121,9 +148,8 @@ class GaussianMechanism(PET):
     def sigma(self) -> float:
         return float(self._sigma)
 
-    def apply(self, frame: SensorFrame) -> Optional[SensorFrame]:
-        noise = self._rng.normal(0.0, self._sigma, size=frame.values.shape)
-        return frame.copy_with(frame.values + noise, pet_name=self.name)
+    def apply_block(self, values: np.ndarray) -> Optional[np.ndarray]:
+        return values + self._rng.normal(0.0, self._sigma, size=values.shape)
 
 
 class TemporalDownsampler(PET):
@@ -137,11 +163,11 @@ class TemporalDownsampler(PET):
             raise PrivacyError(f"factor must be >= 1, got {factor}")
         self._factor = factor
 
-    def apply(self, frame: SensorFrame) -> Optional[SensorFrame]:
-        kept = frame.values[:: self._factor]
+    def apply_block(self, values: np.ndarray) -> Optional[np.ndarray]:
+        kept = values[:, :: self._factor]
         if kept.size == 0:
-            kept = frame.values[:1]
-        return frame.copy_with(kept, pet_name=self.name)
+            kept = values[:, :1]
+        return kept
 
 
 class SpatialGeneralizer(PET):
@@ -155,9 +181,8 @@ class SpatialGeneralizer(PET):
             raise PrivacyError(f"cell_size must be positive, got {cell_size}")
         self._cell = float(cell_size)
 
-    def apply(self, frame: SensorFrame) -> Optional[SensorFrame]:
-        snapped = np.floor(frame.values / self._cell) * self._cell + self._cell / 2.0
-        return frame.copy_with(snapped, pet_name=self.name)
+    def apply_block(self, values: np.ndarray) -> Optional[np.ndarray]:
+        return np.floor(values / self._cell) * self._cell + self._cell / 2.0
 
 
 class Aggregator(PET):
@@ -166,10 +191,11 @@ class Aggregator(PET):
 
     name = "aggregate"
 
-    def apply(self, frame: SensorFrame) -> Optional[SensorFrame]:
-        return frame.copy_with(
-            np.array([float(frame.values.mean())]), pet_name=self.name
-        )
+    def apply_block(self, values: np.ndarray) -> Optional[np.ndarray]:
+        # Row by row: one frame's own mean, summed as it always was.
+        return np.array(
+            [float(row.mean()) for row in values], dtype=float
+        ).reshape(len(values), 1)
 
 
 class Suppressor(PET):
@@ -177,7 +203,7 @@ class Suppressor(PET):
 
     name = "suppress"
 
-    def apply(self, frame: SensorFrame) -> Optional[SensorFrame]:
+    def apply_block(self, values: np.ndarray) -> Optional[np.ndarray]:
         return None
 
 
@@ -200,10 +226,21 @@ class PETChain(PET):
     def members(self) -> List[PET]:
         return list(self._pets)
 
-    def apply(self, frame: SensorFrame) -> Optional[SensorFrame]:
-        current: Optional[SensorFrame] = frame
+    @property
+    def provenance(self) -> Tuple[str, ...]:
+        return tuple(name for pet in self._pets for name in pet.provenance)
+
+    def apply_block(self, values: np.ndarray) -> Optional[np.ndarray]:
+        if len(values) > 1 and sum(pet.epsilon > 0 for pet in self._pets) > 1:
+            # Two noise-drawing members may share a generator: one frame
+            # at a time keeps the per-frame draw order.
+            rows = [self.apply_block(values[i : i + 1]) for i in range(len(values))]
+            if any(row is None for row in rows):
+                return None
+            return np.concatenate(rows)
+        current = values
         for pet in self._pets:
+            current = pet.apply_block(current)
             if current is None:
                 return None
-            current = pet.apply(current)
         return current

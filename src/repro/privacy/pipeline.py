@@ -20,15 +20,18 @@ Consumers subscribe per channel and only ever see sanitised frames.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from itertools import groupby
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+
+import numpy as np
 
 from repro.errors import ConsentError, PrivacyBudgetExceeded, PrivacyError
 from repro.obs.instrument import NULL_OBS, Instrumentation
 from repro.privacy.budget import PrivacyBudget
 from repro.privacy.consent import ConsentRegistry, DisclosureIndicator
 from repro.privacy.pets import PET, Passthrough
-from repro.privacy.sensors import SensorFrame
+from repro.privacy.sensors import FrameBatch, SensorFrame
 
 __all__ = ["PipelineStats", "PrivacyPipeline"]
 
@@ -196,109 +199,212 @@ class PrivacyPipeline:
         )
         return protected, "released"
 
-    def ingest_all(self, frames: List[SensorFrame]) -> List[SensorFrame]:
-        """Ingest a batch; returns only the released frames, in offered order.
+    def ingest_all(
+        self, frames: Union[Sequence[SensorFrame], FrameBatch]
+    ) -> Union[List[SensorFrame], np.ndarray]:
+        """Ingest a batch; each frame meets the fate :meth:`ingest` gives it.
 
-        The batched path runs the stages per *channel* instead of per
-        frame: the PET is resolved once, consent verdicts are cached per
-        subject, and all surviving frames of a channel are metered with
-        one :meth:`PrivacyBudget.charge_many` call.  Within a channel
-        frames are processed in offered order, so outcomes match the
-        per-frame :meth:`ingest` loop; the whole batch emits one span
-        with aggregate counters instead of a span per frame.  Stage-4
-        disclosure (LED, audit hook, consumer delivery) stays per frame.
+        ``frames`` is a list of :class:`SensorFrame` or a columnar
+        :class:`FrameBatch`.  A list returns the released frames in
+        offered order.  A batch returns the indices of its released
+        rows, ascending, and builds a :class:`SensorFrame` only for an
+        audit hook or a consumer.
+
+        Consent and PET run one channel at a time, channels in order of
+        first appearance: consent verdicts are cached per subject (a
+        refused subject counts one denial per channel and batch), and
+        the PET transforms all of the channel's consented frames as one
+        block of values, so DP mechanisms draw one ``(k, d)`` noise
+        block — the stream of ``k`` per-frame draws.  Two channels whose
+        PETs share one generator therefore draw in channel order, not
+        offered order.  The DP survivors of every channel are then
+        metered in offered order by one
+        :meth:`PrivacyBudget.charge_many` call, each at its own frame's
+        ε, channel and time, and disclosure (LED, audit hook, consumer
+        delivery) runs per released frame, in offered order.  The whole
+        batch emits one span with aggregate counters instead of a span
+        per frame.
         """
-        if not frames:
-            return []
-        self.stats.offered += len(frames)
+        batch = frames if isinstance(frames, FrameBatch) else None
+        if not len(frames):
+            return [] if batch is None else np.empty(0, dtype=np.intp)
+        listed: Optional[List[SensorFrame]] = None
+        if batch is not None:
+            subjects, channels = batch.subjects, batch.channels
+            times = batch.times.tolist()
+            metadata = batch.metadata
 
+            def blocks(rows: List[int]):
+                yield rows, batch.values[rows]
+
+        else:
+            listed = list(frames)
+            subjects = [frame.subject for frame in listed]
+            channels = [frame.channel for frame in listed]
+            times = [frame.time for frame in listed]
+            metadata = [frame.metadata for frame in listed]
+
+            def blocks(rows: List[int]):
+                # A block needs one width: split at every width change.
+                for _, run in groupby(rows, key=lambda i: listed[i].values.shape):
+                    run = list(run)
+                    yield run, np.stack([listed[i].values for i in run])
+
+        n = len(subjects)
+        stats = self.stats
+        stats.offered += n
         by_channel: Dict[str, List[int]] = {}
-        for i, frame in enumerate(frames):
-            by_channel.setdefault(frame.channel, []).append(i)
-
-        released: List[Optional[SensorFrame]] = [None] * len(frames)
-        outcomes: Dict[str, int] = {}
+        for i, channel in enumerate(channels):
+            by_channel.setdefault(channel, []).append(i)
 
         with self._obs.span(
             "privacy.pipeline",
             "batch.ingest",
-            time=frames[0].time,
-            frames=len(frames),
+            time=times[0],
+            frames=n,
             channels=len(by_channel),
         ) as span:
-            for channel, idxs in by_channel.items():
-                pet = self.pet_for(channel)
-                consent_cache: Dict[str, bool] = {}
-                survivors: List[Tuple[int, SensorFrame, SensorFrame]] = []
-
-                for i in idxs:
-                    frame = frames[i]
-                    allowed = consent_cache.get(frame.subject)
+            # Stages 1-2, per channel: consent gate, bystander scrub, PET.
+            # ``passed`` holds (channel, pet, rows, block) for every
+            # unsuppressed block, channels in first-appearance order.
+            passed: List[Tuple[str, PET, List[int], np.ndarray]] = []
+            scrubbed: Dict[int, Dict] = {}
+            blocked_consent = suppressed = 0
+            for channel, rows in by_channel.items():
+                verdicts: Dict[str, bool] = {}
+                consented = []
+                for i in rows:
+                    subject = subjects[i]
+                    allowed = verdicts.get(subject)
                     if allowed is None:
                         try:
-                            self.consent.check(frame.subject, channel)
+                            self.consent.check(subject, channel)
                             allowed = True
                         except ConsentError:
                             allowed = False
-                        consent_cache[frame.subject] = allowed
-                    if not allowed:
-                        self.stats.blocked_consent += 1
-                        outcomes["blocked_consent"] = outcomes.get("blocked_consent", 0) + 1
-                        continue
-                    protected = pet.apply(self._scrub_bystanders(frame))
-                    if protected is None:
-                        self.stats.suppressed += 1
-                        outcomes["suppressed"] = outcomes.get("suppressed", 0) + 1
-                        continue
-                    survivors.append((i, frame, protected))
+                        verdicts[subject] = allowed
+                    if allowed:
+                        consented.append(i)
+                blocked_consent += len(rows) - len(consented)
+                if not consented:
+                    continue
+                if metadata is not None:
+                    for i in consented:
+                        clean = _without_bystanders(metadata[i])
+                        if clean is not None:
+                            scrubbed[i] = clean
+                pet = self.pet_for(channel)
+                for run, values in blocks(consented):
+                    block = pet.apply_block(values)
+                    if block is None:
+                        suppressed += len(run)
+                    else:
+                        passed.append((channel, pet, run, block))
+            stats.blocked_consent += blocked_consent
+            stats.suppressed += suppressed
+            stats.bystander_scrubbed += len(scrubbed)
 
-                if pet.epsilon > 0 and survivors:
-                    accepted = self.budget.charge_many(
-                        [f.subject for _, f, _ in survivors],
-                        [pet.epsilon] * len(survivors),
-                        channel=channel,
-                        time=survivors[0][1].time,
-                    )
-                else:
-                    accepted = [True] * len(survivors)
+            # Stage 3: meter every DP survivor in offered order.
+            metered = sorted(
+                (i, pet.epsilon)
+                for _, pet, run, _ in passed
+                if pet.epsilon > 0
+                for i in run
+            )
+            refused: Set[int] = set()
+            if metered:
+                accepted = self.budget.charge_many(
+                    [subjects[i] for i, _ in metered],
+                    [epsilon for _, epsilon in metered],
+                    channel=[channels[i] for i, _ in metered],
+                    time=[times[i] for i, _ in metered],
+                )
+                refused = {i for (i, _), ok in zip(metered, accepted) if not ok}
+                if self._obs.enabled:
+                    self._report_spend(passed, refused, times)
+            stats.blocked_budget += len(refused)
 
-                refused = len(survivors) - sum(accepted)
-                if refused:
-                    self._obs.event(
-                        "privacy.pipeline",
-                        "budget.exhausted",
-                        time=survivors[0][1].time,
-                        channel=channel,
-                        refused=refused,
-                        epsilon=pet.epsilon,
-                    )
-
-                for (i, frame, protected), ok in zip(survivors, accepted):
-                    if not ok:
-                        self.stats.blocked_budget += 1
-                        outcomes["blocked_budget"] = outcomes.get("blocked_budget", 0) + 1
-                        continue
-                    if pet.epsilon > 0:
-                        self._obs.histogram(
-                            "privacy.pipeline.epsilon_spent"
-                        ).observe(pet.epsilon)
-                    self.indicator.collection_started(channel, frame.time)
-                    try:
-                        if self._audit_hook is not None:
-                            self._audit_hook(protected, pet.name)
-                        for consumer in self._consumers.get(channel, []):
+            # Stage 4: disclosure + audit + delivery, in offered order.
+            indicator = self.indicator
+            hook = self._audit_hook
+            released = sorted(
+                (i, pet, block, r)
+                for _, pet, run, block in passed
+                for r, i in enumerate(run)
+                if i not in refused
+            )
+            out: List[SensorFrame] = []
+            for i, pet, block, r in released:
+                channel, time = channels[i], times[i]
+                consumers = self._consumers.get(channel)
+                indicator.collection_started(channel, time)
+                try:
+                    if listed is not None or hook is not None or consumers:
+                        protected = SensorFrame(
+                            channel=channel,
+                            subject=subjects[i],
+                            time=time,
+                            values=np.asarray(block[r], dtype=float),
+                            metadata=dict(
+                                scrubbed.get(i)
+                                or (metadata[i] if metadata is not None else {})
+                            ),
+                            pet_applied=(
+                                listed[i].pet_applied if listed is not None else []
+                            )
+                            + list(pet.provenance),
+                        )
+                        if hook is not None:
+                            hook(protected, pet.name)
+                        for consumer in consumers or ():
                             consumer(protected)
-                    finally:
-                        self.indicator.collection_stopped(channel, frame.time)
-                    self.stats.released += 1
-                    outcomes["released"] = outcomes.get("released", 0) + 1
-                    released[i] = protected
+                        out.append(protected)
+                finally:
+                    indicator.collection_stopped(channel, time)
+            stats.released += len(released)
 
-            for outcome, count in outcomes.items():
-                self._obs.counter(f"privacy.pipeline.{outcome}").inc(count)
-            span.set_attribute("released", outcomes.get("released", 0))
+            for outcome, count in (
+                ("blocked_consent", blocked_consent),
+                ("suppressed", suppressed),
+                ("blocked_budget", len(refused)),
+                ("released", len(released)),
+            ):
+                if count:
+                    self._obs.counter(f"privacy.pipeline.{outcome}").inc(count)
+            span.set_attribute("released", len(released))
 
-        return [f for f in released if f is not None]
+        if listed is not None:
+            return out
+        return np.array([i for i, _, _, _ in released], dtype=np.intp)
+
+    def _report_spend(
+        self,
+        passed: List[Tuple[str, PET, List[int], np.ndarray]],
+        refused: Set[int],
+        times: List[float],
+    ) -> None:
+        """Per DP channel, in first-appearance order: one
+        ``budget.exhausted`` event if the meter refused any of its
+        frames (at the channel's first survivor's time), then one
+        ``epsilon_spent`` observation per accepted frame."""
+        survivors: Dict[str, Tuple[PET, List[int]]] = {}
+        for channel, pet, run, _ in passed:
+            if pet.epsilon > 0:
+                survivors.setdefault(channel, (pet, []))[1].extend(run)
+        spent = self._obs.histogram("privacy.pipeline.epsilon_spent")
+        for channel, (pet, rows) in survivors.items():
+            denied = sum(i in refused for i in rows)
+            if denied:
+                self._obs.event(
+                    "privacy.pipeline",
+                    "budget.exhausted",
+                    time=times[rows[0]],
+                    channel=channel,
+                    refused=denied,
+                    epsilon=pet.epsilon,
+                )
+            for _ in range(len(rows) - denied):
+                spent.observe(pet.epsilon)
 
     # ------------------------------------------------------------------
     # Internals
@@ -307,13 +413,21 @@ class PrivacyPipeline:
         """Remove bystander captures from spatial scans before any
         release (bystanders cannot consent, so their data never leaves
         the device)."""
-        if frame.metadata.get("bystanders_captured", 0):
-            scrubbed = frame.copy_with(frame.values, pet_name=None)
-            scrubbed.metadata["bystanders_captured"] = 0
-            scrubbed.metadata["bystanders_scrubbed"] = True
-            self.stats.bystander_scrubbed += 1
-            return scrubbed
-        return frame
+        metadata = _without_bystanders(frame.metadata)
+        if metadata is None:
+            return frame
+        scrubbed = frame.copy_with(frame.values, pet_name=None)
+        scrubbed.metadata = metadata
+        self.stats.bystander_scrubbed += 1
+        return scrubbed
+
+
+def _without_bystanders(metadata: Dict) -> Optional[Dict]:
+    """A frame's metadata with its bystander captures scrubbed, or None
+    if it captured no bystanders."""
+    if not metadata.get("bystanders_captured", 0):
+        return None
+    return {**metadata, "bystanders_captured": 0, "bystanders_scrubbed": True}
 
 
 _PASSTHROUGH = Passthrough()

@@ -19,7 +19,7 @@ Channels and what they leak:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from repro.privacy.profiles import PREFERENCE_CATEGORIES, UserProfile
 
 __all__ = [
     "SensorFrame",
+    "FrameBatch",
     "Sensor",
     "GazeSensor",
     "GaitSensor",
@@ -63,6 +64,62 @@ class SensorFrame:
             values=np.asarray(values, dtype=float),
             metadata=dict(self.metadata),
             pet_applied=self.pet_applied + ([pet_name] if pet_name else []),
+        )
+
+
+@dataclass
+class FrameBatch:
+    """Raw sensor frames of one width as columns: row ``i`` is one frame.
+
+    ``subjects``, ``channels`` and ``times`` hold one entry per row and
+    ``values`` is an ``(n, d)`` float64 block, so a burst costs a few
+    containers instead of a :class:`SensorFrame` (with its dict and
+    list) per frame.  ``metadata`` is None when no row carries extras,
+    else one dict per row (e.g. a spatial scan's bystander hits).  Rows
+    are raw: they carry no PET provenance.
+    """
+
+    subjects: List[str] = field(default_factory=list)
+    channels: List[str] = field(default_factory=list)
+    times: np.ndarray = field(default_factory=lambda: np.empty(0))
+    values: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
+    metadata: Optional[List[Dict[str, Any]]] = None
+
+    def __post_init__(self) -> None:
+        n = len(self.subjects)
+        if not (
+            len(self.channels) == len(self.times) == len(self.values) == n
+        ) or (self.metadata is not None and len(self.metadata) != n):
+            raise PrivacyError("every FrameBatch column needs one entry per row")
+
+    def __len__(self) -> int:
+        return len(self.subjects)
+
+    @classmethod
+    def concat(cls, batches: Sequence["FrameBatch"]) -> "FrameBatch":
+        """The rows of ``batches`` in order (empty batches are skipped)."""
+        parts = [batch for batch in batches if len(batch)]
+        if not parts:
+            return cls()
+        if len(parts) == 1:
+            return parts[0]
+        metadata = None
+        if any(part.metadata is not None for part in parts):
+            metadata = [
+                meta
+                for part in parts
+                for meta in (
+                    part.metadata
+                    if part.metadata is not None
+                    else [{} for _ in range(len(part))]
+                )
+            ]
+        return cls(
+            subjects=[s for part in parts for s in part.subjects],
+            channels=[c for part in parts for c in part.channels],
+            times=np.concatenate([part.times for part in parts]),
+            values=np.concatenate([part.values for part in parts]),
+            metadata=metadata,
         )
 
 

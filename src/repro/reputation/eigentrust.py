@@ -178,9 +178,15 @@ class EigenTrust:
 
     @property
     def identities(self) -> List[str]:
+        return list(self._ids())
+
+    def _ids(self) -> List[str]:
+        """The cached sorted identity list itself (callers must not
+        mutate it): internal reads skip :attr:`identities`' copy, which
+        at population scale is a fresh 100k-entry list per call."""
         if self._sorted_ids is None:
             self._sorted_ids = sorted(self._identities)
-        return list(self._sorted_ids)
+        return self._sorted_ids
 
     # ------------------------------------------------------------------
     # Global trust
@@ -211,7 +217,7 @@ class EigenTrust:
             else:
                 self._cached_trust = {
                     identity: float(trust[i])
-                    for i, identity in enumerate(self.identities)
+                    for i, identity in enumerate(self._ids())
                 }
         return dict(self._cached_trust)
 
@@ -235,7 +241,7 @@ class EigenTrust:
         return index
 
     def _solve(self, max_iterations: int, tolerance: float) -> None:
-        ids = self.identities
+        ids = self._ids()
         if not ids:
             self._prev_trust_np = None
             self._prev_ids = []
@@ -440,7 +446,7 @@ class EigenTrust:
         trust = self._prev_trust_np
         if trust is None:
             return 0.0
-        i = self._index(self.identities).get(identity)
+        i = self._index(self._ids()).get(identity)
         return float(trust[i]) if i is not None else 0.0
 
     def max_trust(self, **kwargs) -> float:

@@ -13,6 +13,7 @@ RECORD transaction, so reputations are auditable and tamper-evident.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional
 
@@ -61,6 +62,10 @@ class ReputationSystem:
         their refinement-sweep counts are exported as counters
         (``reputation.trust.computes`` / ``reputation.trust.sweeps``),
         so the cost of every write is measurable at population scale.
+
+    The feedback history is kept as columns (time and weight read back
+    as floats); :attr:`events` builds its :class:`FeedbackEvent` rows on
+    demand, so a long run keeps no object per rating.
     """
 
     def __init__(
@@ -78,7 +83,12 @@ class ReputationSystem:
         self._blend = blend
         self._anchor = anchor
         self._obs = obs if obs is not None else NULL_OBS
-        self._events: List[FeedbackEvent] = []
+        self._times = array("d")
+        self._raters: List[str] = []
+        self._targets: List[str] = []
+        self._positives = bytearray()
+        self._weights = array("d")
+        self._contexts: List[str] = []
         self._global_cache: Optional[Dict[str, float]] = None
 
     # ------------------------------------------------------------------
@@ -104,7 +114,12 @@ class ReputationSystem:
             weight=weight,
             context=context,
         )
-        self._events.append(event)
+        self._times.append(time)
+        self._raters.append(rater)
+        self._targets.append(target)
+        self._positives.append(bool(positive))
+        self._weights.append(weight)
+        self._contexts.append(context)
         self._beta.record(target, positive, weight)
         self._eigentrust.record_interaction(
             rater, target, weight if positive else -weight
@@ -211,9 +226,26 @@ class ReputationSystem:
 
     @property
     def events(self) -> List[FeedbackEvent]:
-        return list(self._events)
+        return [
+            FeedbackEvent(
+                time=time,
+                rater=rater,
+                target=target,
+                positive=bool(positive),
+                weight=weight,
+                context=context,
+            )
+            for time, rater, target, positive, weight, context in zip(
+                self._times,
+                self._raters,
+                self._targets,
+                self._positives,
+                self._weights,
+                self._contexts,
+            )
+        ]
 
     def feedback_count(self, target: Optional[str] = None) -> int:
         if target is None:
-            return len(self._events)
-        return sum(1 for event in self._events if event.target == target)
+            return len(self._targets)
+        return self._targets.count(target)

@@ -10,7 +10,6 @@ measurements: same seed, same bytes, on any host.
 
 from __future__ import annotations
 
-import gc
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
@@ -31,6 +30,7 @@ from repro.serving.gateway import ServingConfig, ServingGateway
 from repro.serving.loop import EventLoop, PRIORITY_ARRIVAL
 from repro.serving.repository import ServingRepository
 from repro.serving.schemas import Endpoint, Response, Status
+from repro.sim.heap import FrozenSetup
 from repro.sim.metrics import MetricsRegistry
 from repro.workloads.traffic import Arrival, TrafficConfig, generate_traffic
 
@@ -131,41 +131,6 @@ def schedule_arrivals(
         schedule(time, partial(submit, arrival.request, ctx), PRIORITY_ARRIVAL)
 
 
-class _FrozenArrivalTable:
-    """Keeps the cyclic collector off the arrival table.
-
-    Set-up builds several long-lived, acyclic tracked objects per
-    arrival; without this, full collections re-traverse all of them
-    during set-up and the run.
-    Entering turns the collector off; :meth:`loaded` freezes everything
-    built so far and restores the caller's enabled flag; leaving
-    unfreezes and restores the flag again.  A caller's own frozen
-    objects are never unfrozen: then nothing is frozen.
-    """
-
-    def __enter__(self) -> "_FrozenArrivalTable":
-        self._enabled = gc.isenabled()
-        self._may_freeze = gc.get_freeze_count() == 0
-        self._frozen = False
-        gc.disable()
-        return self
-
-    def loaded(self) -> None:
-        if self._may_freeze:
-            gc.freeze()
-            self._frozen = True
-        if self._enabled:
-            gc.enable()
-
-    def __exit__(self, *exc_info) -> None:
-        if self._frozen:
-            gc.unfreeze()
-        if self._enabled:
-            gc.enable()
-        else:
-            gc.disable()
-
-
 def run_serving(
     traffic: TrafficConfig,
     serving: Optional[ServingConfig] = None,
@@ -234,7 +199,7 @@ def run_serving(
         telemetry=telemetry, sampler=sampler,
     )
 
-    with _FrozenArrivalTable() as table:
+    with FrozenSetup() as setup:
         arrivals = generate_traffic(traffic, workers=workers)
         schedule_arrivals(
             loop,
@@ -243,7 +208,7 @@ def run_serving(
             sampling.head_rate if sampling is not None else None,
         )
         gateway.start(horizon=traffic.horizon)
-        table.loaded()
+        setup.loaded()
         loop.run()
         if sampler is not None:
             sampler.finalize()  # flush tail keeps before the trace export

@@ -23,7 +23,14 @@ import numpy as np
 
 from repro.privacy.avatars import AvatarIdentityManager, SessionObservation
 from repro.privacy.profiles import UserProfile, generate_population
-from repro.privacy.sensors import GaitSensor, GazeSensor, HeartRateSensor, Sensor, SensorFrame
+from repro.privacy.sensors import (
+    FrameBatch,
+    GaitSensor,
+    GazeSensor,
+    HeartRateSensor,
+    Sensor,
+    SensorFrame,
+)
 from repro.world.interactions import InteractionBatch, InteractionKind
 
 __all__ = [
@@ -252,36 +259,38 @@ def synthetic_frame_burst(
     channel_of,
     subject_id_of,
     value_dims: int = 4,
-) -> Tuple[List[SensorFrame], List[int]]:
+) -> Tuple[FrameBatch, List[int]]:
     """One epoch burst of sensor frames over a hot subject set.
 
     Each frame picks a subject uniformly from ``subjects`` (so caps on a
     small hot set genuinely exhaust), streams on the subject's fixed
     ``channel_of(subject)``, and carries ``value_dims`` standard-normal
-    values for the PET stage to obfuscate.  Returns the frames plus the
-    picked subject indices (callers that predict budget admission need
-    the indices, not just the hashed subject ids).  Deterministic given
-    ``rng``; exactly ``2 * n_frames`` generator draws.
+    values for the PET stage to obfuscate.  Returns the frames as one
+    :class:`~repro.privacy.sensors.FrameBatch` plus the picked subject
+    indices (callers that predict budget admission need the indices,
+    not just the hashed subject ids).  Deterministic given ``rng``;
+    exactly ``2 * n_frames`` generator draws, a subject pick then that
+    frame's values.
     """
     if n_frames < 0:
         raise ValueError(f"n_frames must be >= 0, got {n_frames}")
     if not subjects and n_frames:
         raise ValueError("subjects must be non-empty when n_frames > 0")
-    frames: List[SensorFrame] = []
+    values = np.empty((n_frames, value_dims))
     picks: List[int] = []
-    for _ in range(n_frames):
-        subject = subjects[int(rng.integers(len(subjects)))]
-        values = rng.normal(0.0, 1.0, size=value_dims)
-        frames.append(
-            SensorFrame(
-                channel=channel_of(subject),
-                subject=subject_id_of(subject),
-                time=time,
-                values=values,
-            )
-        )
-        picks.append(subject)
-    return frames, picks
+    pick, normal, count = rng.integers, rng.normal, len(subjects)
+    for row in values:
+        picks.append(subjects[int(pick(count))])
+        row[:] = normal(0.0, 1.0, size=value_dims)
+    return (
+        FrameBatch(
+            subjects=[subject_id_of(subject) for subject in picks],
+            channels=[channel_of(subject) for subject in picks],
+            times=np.full(n_frames, float(time)),
+            values=values,
+        ),
+        picks,
+    )
 
 
 def dao_proposal_load(

@@ -18,10 +18,11 @@ epochs —
   through the batched moderation pipeline (vectorized classification,
   reports, capacity-bounded review, graduated sanctions without a
   ``World``);
-* **privacy** — full :class:`~repro.privacy.sensors.SensorFrame`
-  streams through :meth:`PrivacyPipeline.ingest_all` (consent gate,
-  per-channel Laplace PETs, DP budget metering, disclosure), on a hot
-  subject subset so caps genuinely exhaust;
+* **privacy** — one columnar :class:`~repro.privacy.sensors.FrameBatch`
+  per epoch (each shard's burst, merged in shard order) through
+  :meth:`PrivacyPipeline.ingest_all` (consent gate, per-channel Laplace
+  PETs on whole value blocks, DP budget metering in offered order,
+  disclosure), on a hot subject subset so caps genuinely exhaust;
 * **cascades** — one misinformation cascade per shard per epoch over
   shard-interior social edges, cross-shard activations exchanged at the
   epoch barrier.
@@ -67,6 +68,7 @@ paths at full population scale.
 from __future__ import annotations
 
 import pickle
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple, Union
 
@@ -124,7 +126,9 @@ from repro.privacy.budget import PrivacyBudget
 from repro.privacy.consent import ConsentRegistry
 from repro.privacy.pets import LaplaceMechanism
 from repro.privacy.pipeline import PrivacyPipeline
+from repro.privacy.sensors import FrameBatch
 from repro.reputation.system import ReputationSystem
+from repro.sim.heap import FrozenSetup
 from repro.sim.metrics import MetricsRegistry
 from repro.sim.rng import RngRegistry
 from repro.sim.tracing import TraceLog
@@ -375,6 +379,13 @@ def run_load(
     ``workers`` and ``steal``, the transport never changes a metrics or
     trace byte (``tests/integration/test_determinism.py`` pins it); the
     measured ship bytes land in ``LoadRunResult.ship_cost``.
+
+    Everything built before the first epoch — address table, agent
+    columns, trust index, DAO electorate — is frozen (``gc.freeze``) for
+    the epoch loop, so full collections do not re-traverse it.  On
+    return or on an exception the heap is unfrozen and the caller's
+    collector flag restored.  If the caller has frozen objects of its
+    own, nothing is frozen or unfrozen.
     """
     if workers < 0:
         raise ValueError(f"workers must be >= 0, got {workers}")
@@ -698,9 +709,15 @@ def run_load(
     warm_caches(epoch_plan_for(None), agents, cascade_members)
     # Persistent worker runtime: shared pools outlive this run, so the
     # processes (with their warmed caches and plane attachments) are
-    # reused by the next run; close() below is a no-op for them.
+    # reused by the next run; their close() is a no-op.
     pool = shared_pool(workers)
-    try:
+    with ExitStack() as cleanup:
+        if plane is not None:
+            cleanup.callback(plane.close)
+        cleanup.callback(pool.close)
+        # Everything built so far lives for the whole run: frozen, the
+        # epoch loop's full collections skip it.
+        cleanup.enter_context(FrozenSetup()).loaded()
         for epoch in range(epochs):
             now = float(epoch)
             if plane is not None and epoch > 0:
@@ -847,7 +864,7 @@ def run_load(
                         )
                         # Seed the hash cache with the worker-computed id
                         # so admission never re-hashes on the barrier.
-                        tx.__dict__["tx_id"] = tx_id
+                        object.__setattr__(tx, "_tx_id", tx_id)
                         if not chain.mempool.submit(
                             SyntheticSignedTransaction(tx), chain.state,
                             time=now,
@@ -959,10 +976,10 @@ def run_load(
 
                 # -- privacy barrier: authoritative ingest, then validate
                 # the workers' two-phase admission predictions.
-                frames = [
-                    frame for result in results for frame in result.frames
-                ]
-                if frames:
+                frames = FrameBatch.concat(
+                    [result.frames for result in results]
+                )
+                if len(frames):
                     before = (
                         pipeline.stats.released,
                         pipeline.stats.blocked_consent,
@@ -1023,10 +1040,6 @@ def run_load(
             finally:
                 if epoch_span is not None:
                     epoch_span.__exit__(None, None, None)
-    finally:
-        pool.close()
-        if plane is not None:
-            plane.close()
 
     return LoadRunResult(
         n_agents=n_agents,

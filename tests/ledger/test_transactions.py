@@ -1,9 +1,16 @@
 """Tests for transactions and signed transactions."""
 
+import dataclasses
+import pickle
+import sys
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from repro.errors import InvalidTransactionError
 from repro.ledger import Transaction, TxKind
+from repro.ledger.crypto import sha256
+from repro.ledger.encoding import canonical_encode
 
 
 def make_tx(**overrides):
@@ -52,6 +59,54 @@ class TestHashing:
         tx_id = make_tx().tx_id
         assert len(tx_id) == 64
         int(tx_id, 16)  # must parse as hex
+
+
+class TestSlottedRecord:
+    """The id and signing-bytes caches are slots, invisible to equality,
+    repr, construction and pickling."""
+
+    def test_id_and_bytes_match_the_canonical_encoding(self):
+        tx = make_tx(payload={"k": [1, "v"]})
+        assert tx.signing_bytes == canonical_encode(tx.to_dict())
+        assert tx.tx_id == sha256(canonical_encode(tx.to_dict())).hex()
+        assert tx.tx_id is tx.tx_id  # computed once
+
+    @pytest.mark.skipif(
+        sys.version_info < (3, 10), reason="dataclass slots need Python 3.10"
+    )
+    def test_no_instance_dict(self):
+        assert not hasattr(make_tx(), "__dict__")
+
+    def test_caches_do_not_enter_equality_or_repr(self):
+        warm, cold = make_tx(), make_tx()
+        warm.tx_id
+        assert warm == cold
+        assert repr(warm) == repr(cold)
+        assert "_tx_id" not in repr(warm)
+        assert warm != make_tx(fee=2)
+        with pytest.raises(TypeError):
+            make_tx(_tx_id="forged")
+
+    def test_still_frozen(self):
+        tx = make_tx()
+        with pytest.raises(FrozenInstanceError):
+            tx.amount = 11
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_pickle_round_trip(self, warm):
+        tx = make_tx(payload={"k": 1})
+        if warm:
+            tx.tx_id
+        copy = pickle.loads(pickle.dumps(tx))
+        assert copy == tx
+        assert copy.tx_id == make_tx(payload={"k": 1}).tx_id
+        assert copy.signing_bytes == tx.signing_bytes
+
+    def test_replace_recomputes_the_id(self):
+        tx = make_tx()
+        tx.tx_id
+        bumped = dataclasses.replace(tx, nonce=5)
+        assert bumped.tx_id == make_tx(nonce=5).tx_id != tx.tx_id
 
 
 class TestSignedTransactions:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.privacy import (
     ConsentRegistry,
+    GaitSensor,
     GazeSensor,
     LaplaceMechanism,
     PrivacyBudget,
@@ -217,3 +218,50 @@ class TestBatchedIngest:
         pipeline = consenting_pipeline(user)
         assert pipeline.ingest_all([]) == []
         assert pipeline.stats.offered == 0
+
+
+class TestBatchMetering:
+    """ingest_all meters DP survivors as the per-frame ingest does."""
+
+    def test_ledger_rows_keep_each_frames_time(self, user, rngs):
+        def build():
+            pipeline = consenting_pipeline(user)
+            pipeline.set_pet("gaze", LaplaceMechanism(0.5, rngs.fresh("meter-t")))
+            return pipeline
+
+        sensor = GazeSensor(rngs.fresh("meter-t-gaze"))
+        frames = [sensor.sample(user, float(t)) for t in (1, 2, 3)]
+        seq, bat = build(), build()
+        for frame in frames:
+            seq.ingest(frame)
+        bat.ingest_all(frames)
+        assert [e.time for e in seq.budget.ledger] == [1.0, 2.0, 3.0]
+        assert bat.budget.ledger == seq.budget.ledger
+
+    def test_two_dp_channels_meter_in_offered_order(self, user, rngs):
+        def build():
+            pipeline = consenting_pipeline(
+                user,
+                channels=("gait", "gaze"),
+                budget=PrivacyBudget(default_cap=1.1),
+            )
+            pipeline.set_pet("gait", LaplaceMechanism(0.5, rngs.fresh("oo-gait")))
+            pipeline.set_pet("gaze", LaplaceMechanism(0.6, rngs.fresh("oo-gaze")))
+            return pipeline
+
+        gait = GaitSensor(rngs.fresh("oo-gait-sensor"))
+        gaze = GazeSensor(rngs.fresh("oo-gaze-sensor"))
+        frames = [
+            gait.sample(user, 0.0),
+            gaze.sample(user, 1.0),
+            gait.sample(user, 2.0),
+        ]
+        seq, bat = build(), build()
+        seq_released = [f for f in map(seq.ingest, frames) if f is not None]
+        bat_released = bat.ingest_all(frames)
+        assert [f.channel for f in seq_released] == ["gait", "gaze"]
+        assert [(f.channel, f.time) for f in bat_released] == [
+            (f.channel, f.time) for f in seq_released
+        ]
+        assert bat.budget.ledger == seq.budget.ledger
+        assert vars(bat.stats) == vars(seq.stats)

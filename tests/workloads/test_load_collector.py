@@ -1,0 +1,121 @@
+"""run_load's collector handling: the set-up heap is frozen for the epoch
+loop, and the caller's collector state is restored however the run ends."""
+
+import gc
+
+import pytest
+
+from repro.privacy.pipeline import PrivacyPipeline
+from repro.reputation.system import ReputationSystem
+from repro.workloads.load import run_load
+
+TINY = dict(
+    n_agents=400,
+    epochs=2,
+    seed=41,
+    txs_per_epoch=30,
+    ratings_per_epoch=20,
+    reports_per_epoch=10,
+    votes_per_epoch=10,
+    electorate_size=100,
+    interactions_per_epoch=40,
+    frames_per_epoch=40,
+    cascade_members=40,
+)
+
+
+@pytest.fixture(autouse=True)
+def restore_collector():
+    """Whatever a test does to the collector flag, the next test starts
+    with the flag it had."""
+    enabled = gc.isenabled()
+    yield
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+def _state():
+    return gc.isenabled(), gc.get_freeze_count()
+
+
+class _Boom(RuntimeError):
+    pass
+
+
+def _raising_trust_top(self):
+    raise _Boom("trust solve failed")
+
+
+class TestRestored:
+    def test_after_return(self):
+        before = _state()
+        result = run_load(**TINY)
+        assert result.frames_offered > 0
+        assert _state() == before
+
+    def test_after_raise_inside_the_epoch_loop(self, monkeypatch):
+        monkeypatch.setattr(
+            ReputationSystem, "global_trust_top", _raising_trust_top
+        )
+        before = _state()
+        with pytest.raises(_Boom):
+            run_load(**TINY)
+        assert _state() == before
+
+    def test_disabled_caller_stays_disabled(self, monkeypatch):
+        gc.disable()
+        run_load(**TINY)
+        assert _state() == (False, 0)
+        monkeypatch.setattr(
+            ReputationSystem, "global_trust_top", _raising_trust_top
+        )
+        with pytest.raises(_Boom):
+            run_load(**TINY)
+        assert _state() == (False, 0)
+
+    def test_frozen_caller_stays_frozen(self):
+        sentinel = [object()]
+        gc.freeze()
+        try:
+            assert gc.get_freeze_count() > 0
+            run_load(**TINY)
+            assert gc.isenabled()
+            assert gc.get_freeze_count() > 0
+            # Frozen objects are in no generation gc.get_objects() lists.
+            assert not any(obj is sentinel for obj in gc.get_objects())
+        finally:
+            gc.unfreeze()
+
+
+class TestFrozenDuringTheEpochs:
+    def _record_ingests(self, monkeypatch):
+        seen = []
+        ingest_all = PrivacyPipeline.ingest_all
+
+        def recording_ingest_all(self, frames):
+            # The pipeline is built during set-up.
+            frozen = not any(obj is self for obj in gc.get_objects())
+            seen.append((gc.isenabled(), gc.get_freeze_count(), frozen))
+            return ingest_all(self, frames)
+
+        monkeypatch.setattr(PrivacyPipeline, "ingest_all", recording_ingest_all)
+        return seen
+
+    def test_setup_heap_frozen_and_collector_on(self, monkeypatch):
+        seen = self._record_ingests(monkeypatch)
+        before = _state()
+        run_load(**TINY)
+        assert len(seen) == TINY["epochs"]
+        for enabled, frozen_count, pipeline_frozen in seen:
+            assert enabled
+            assert frozen_count > TINY["electorate_size"]  # a DAO member each
+            assert pipeline_frozen
+        assert _state() == before
+
+    def test_disabled_caller_is_not_enabled_for_the_loop(self, monkeypatch):
+        seen = self._record_ingests(monkeypatch)
+        gc.disable()
+        run_load(**TINY)
+        assert seen and not any(enabled for enabled, _, _ in seen)
