@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test perfbench-tests bench bench-smoke bench-regression bench-baseline bench-scaling bench-parallel bench-serving bench-columnar bench-transport determinism ci
+.PHONY: test perfbench-tests import-check bench bench-smoke bench-regression bench-baseline bench-scaling bench-parallel bench-serving bench-columnar bench-transport determinism ci
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -10,6 +10,13 @@ test:
 # tier-1's testpaths do not collect them.
 perfbench-tests:
 	$(PYTHON) -m pytest perfbench/tests -q
+
+# Import every repro.* module on its own, each in a fresh interpreter,
+# and fail at the first error: an import cycle only breaks when a module
+# on it is imported first.  One interpreter per module (~30 s), so it is
+# not part of tier-1.
+import-check:
+	$(PYTHON) -m tests.import_check
 
 # The golden-digest determinism matrix alone (part of `test`): every
 # seeded scenario, under every knob cell, reproduces committed sha256s.
@@ -86,5 +93,5 @@ bench-scaling:
 # shard-balance tier (equal vs weighted plans, steal on/off
 # equivalence); bench-columnar pins the columnar/object
 # byte-equivalence contract; perfbench-tests runs the repository
-# benchmark's own tests.
-ci: test perfbench-tests bench-smoke bench-scaling bench-columnar
+# benchmark's own tests; import-check imports every module alone.
+ci: test perfbench-tests import-check bench-smoke bench-scaling bench-columnar

@@ -201,7 +201,10 @@ class DAO:
         direct_voters = set(record.ballots)
         weights: Dict[str, float] = {option: 0.0 for option in proposal.options}
         carried_voters = 0
-        for address in self.members.addresses():
+        # With no delegation edges every member resolves to themselves
+        # and carries no one's voice: the walk would add nothing.
+        members = self.members.addresses() if len(self.delegations) else ()
+        for address in members:
             if address in direct_voters:
                 continue
             terminal = self.delegations.resolve(address)

@@ -22,14 +22,15 @@ Sampling is split the way production tracers split it:
   deterministically at :meth:`RequestTraceSampler.finalize`).
 
 Span ids inside a request tree are pure functions of the trace id
-(``sha256(trace_id : part)``), so two runs — or a run and its
-``workers=2`` twin — export byte-identical request forests.
+(``sha256(trace_id : part)``), so two runs of one seed export
+byte-identical request forests.
 """
 
 from __future__ import annotations
 
 import hashlib
 import heapq
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -205,6 +206,7 @@ class RequestTraceSampler:
         # walk on the hot drop path.
         self._top_k = self.policy.top_k_latency
         self._tail_heap: List[_TailEntry] = []
+        self._tail_floor = self._empty_floor()
         self._emitted_ids: set = set()
         self.kept_head = 0
         self.kept_status = 0
@@ -254,31 +256,31 @@ class RequestTraceSampler:
                 kept_by="status",
             )
             return
-        k = self._top_k
-        if k <= 0:
+        latency = completed - arrived
+        if latency < self._tail_floor:
+            # Fast drop: almost every response loses to the current
+            # top-k floor — one compare, no payload tuple.
             return
         heap = self._tail_heap
-        latency = completed - arrived
-        if len(heap) >= k:
-            # Fast drop: almost every response loses to the current
-            # top-k floor — decide before building the payload tuple.
+        entry = (
+            latency,
+            ctx.trace_id,
+            (ctx, endpoint, status, arrived, completed, stages, cached),
+        )
+        if len(heap) >= self._top_k:
             floor = heap[0]
-            floor_latency = floor[0]
-            if latency < floor_latency or (
-                latency == floor_latency and ctx.trace_id <= floor[1]
-            ):
+            if latency == floor[0] and ctx.trace_id <= floor[1]:
                 return
-            heapq.heapreplace(heap, (
-                latency,
-                ctx.trace_id,
-                (ctx, endpoint, status, arrived, completed, stages, cached),
-            ))
+            heapq.heapreplace(heap, entry)
         else:
-            heapq.heappush(heap, (
-                latency,
-                ctx.trace_id,
-                (ctx, endpoint, status, arrived, completed, stages, cached),
-            ))
+            heapq.heappush(heap, entry)
+        if len(heap) >= self._top_k:
+            self._tail_floor = heap[0][0]
+
+    def _empty_floor(self) -> float:
+        """The tail floor of an empty heap: no response enters it when
+        ``top_k`` is 0, every response does until it fills."""
+        return -math.inf if self._top_k > 0 else math.inf
 
     def finalize(self) -> int:
         """Emit the buffered top-latency traces; returns how many.
@@ -291,6 +293,7 @@ class RequestTraceSampler:
             self._tail_heap, key=lambda e: (-e[0], e[1])
         )
         self._tail_heap = []
+        self._tail_floor = self._empty_floor()
         for _latency, _tid, payload in ordered:
             self.kept_tail += 1
             self._emit_tree(*payload, kept_by="tail_latency")

@@ -64,10 +64,10 @@ def trace_to_jsonl(trace: Union[TraceLog, Iterable[TraceRecord]]) -> str:
     (which is what every built-in instrumentation point emits);
     anything else is stringified via ``default=str`` as a last resort.
     """
-    lines = [
-        json.dumps(_record_to_dict(r), sort_keys=True, default=str)
-        for r in trace
-    ]
+    # One encoder for every record: json.dumps would build a new one
+    # per call with these same settings.
+    encode = json.JSONEncoder(sort_keys=True, default=str).encode
+    lines = [encode(_record_to_dict(r)) for r in trace]
     return "\n".join(lines) + ("\n" if lines else "")
 
 

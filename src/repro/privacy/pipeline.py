@@ -211,9 +211,10 @@ class PrivacyPipeline:
         audit hook or a consumer.
 
         Consent and PET run one channel at a time, channels in order of
-        first appearance: consent verdicts are cached per subject (a
-        refused subject counts one denial per channel and batch), and
-        the PET transforms all of the channel's consented frames as one
+        first appearance: consent verdicts are cached per subject, and
+        every refused frame counts one denial in
+        :attr:`ConsentRegistry.denied_count`, as through :meth:`ingest`.
+        The PET transforms all of the channel's consented frames as one
         block of values, so DP mechanisms draw one ``(k, d)`` noise
         block — the stream of ``k`` per-frame draws.  Two channels whose
         PETs share one generator therefore draw in channel order, not
@@ -277,15 +278,14 @@ class PrivacyPipeline:
                     subject = subjects[i]
                     allowed = verdicts.get(subject)
                     if allowed is None:
-                        try:
-                            self.consent.check(subject, channel)
-                            allowed = True
-                        except ConsentError:
-                            allowed = False
-                        verdicts[subject] = allowed
+                        allowed = verdicts[subject] = self.consent.is_granted(
+                            subject, channel
+                        )
                     if allowed:
                         consented.append(i)
-                blocked_consent += len(rows) - len(consented)
+                denied = len(rows) - len(consented)
+                self.consent.denied_count += denied
+                blocked_consent += denied
                 if not consented:
                     continue
                 if metadata is not None:

@@ -6,8 +6,10 @@ tier in a service-per-substrate deployment: arrivals enter through
 :class:`~repro.serving.loop.EventLoop`), walk the middleware chain
 (validation → read cache → token bucket + bounded queue), occupy one of
 ``n_servers`` simulated workers for a deterministic service time, and
-complete with a :class:`~repro.serving.schemas.Response` stamped
-entirely in simulated seconds.
+complete with a response stamped entirely in simulated seconds.
+Responses land in a :class:`ResponseLog`, one column per
+:class:`~repro.serving.schemas.Response` field; rows are built as
+``Response`` objects only when read.
 
 Platform work that a batch loop would do per epoch happens here as
 *periodic loop events*: block production drains the mempool every
@@ -19,13 +21,19 @@ workload, but interleaved with live request traffic.
 Per-endpoint latency histograms, queue-wait histograms, queue-depth
 gauges, and status counters land in the shared
 :class:`~repro.sim.metrics.MetricsRegistry`; with observability wired,
-every response and platform tick also emits trace events/spans.
+every response and platform tick also emits trace events/spans.  Each
+endpoint's instruments, token bucket, repository method, service time
+and read surface are resolved once, on the endpoint's first request,
+into a route that every later request of the endpoint reads.
 """
 
 from __future__ import annotations
 
+import collections
+from array import array
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from functools import partial
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -48,7 +56,7 @@ from repro.serving.repository import ServingRepository
 from repro.serving.schemas import Endpoint, Request, Response, Status
 from repro.sim.metrics import MetricsRegistry
 
-__all__ = ["ServingConfig", "ServingGateway"]
+__all__ = ["ServingConfig", "ServingGateway", "ResponseLog"]
 
 
 #: Which repository surface (version namespace) each read endpoint
@@ -57,7 +65,6 @@ _READ_SURFACE = {
     Endpoint.GET_BALANCE: "ledger",
     Endpoint.GET_TALLY: "tally",
 }
-
 
 @dataclass(frozen=True)
 class ServingConfig:
@@ -107,6 +114,120 @@ class ServingConfig:
     )
 
 
+#: Service-time draws taken from the gateway's stream at a time.
+_DRAW_BLOCK = 1024
+
+
+def _exponential_draws(rng: np.random.Generator, block: int) -> Iterator[float]:
+    """Unit exponential draws from ``rng``, taken ``block`` at a time.
+
+    numpy fills ``exponential(1.0, block)`` element by element, so the
+    values, in order, are the ones ``exponential(1.0)`` would return one
+    call at a time; the stream runs at most one block ahead of them.
+    """
+    while True:
+        yield from rng.exponential(1.0, block).tolist()
+
+
+class ResponseLog(Sequence[Response]):
+    """The gateway's responses, stored as one column per field.
+
+    Appending stores six values and builds no object: the endpoint, the
+    integer status code, the arrival and completion times, the cached
+    flag and the body.  Reading by index (negative too), slice or
+    iteration builds :class:`Response` rows equal to the ones a list of
+    responses would hold, and :meth:`status_counts` counts the status
+    column without building any.  A log equals another log, or a list
+    or tuple of responses, holding the same rows in the same order.
+    """
+
+    __slots__ = (
+        "_endpoints", "_statuses", "_arrived", "_completed", "_cached",
+        "_bodies",
+    )
+
+    def __init__(self) -> None:
+        self._endpoints: List[Endpoint] = []
+        self._statuses = array("H")
+        self._arrived = array("d")
+        self._completed = array("d")
+        self._cached = bytearray()
+        self._bodies: List[Dict[str, Any]] = []
+
+    def append(
+        self,
+        endpoint: Endpoint,
+        status: int,
+        arrived: float,
+        completed: float,
+        cached: bool,
+        body: Dict[str, Any],
+    ) -> None:
+        self._endpoints.append(endpoint)
+        self._statuses.append(status)
+        self._arrived.append(arrived)
+        self._completed.append(completed)
+        self._cached.append(cached)
+        self._bodies.append(body)
+
+    def __len__(self) -> int:
+        return len(self._endpoints)
+
+    def _row(self, i: int) -> Response:
+        return Response(
+            self._endpoints[i],
+            Status(self._statuses[i]),
+            self._arrived[i],
+            self._completed[i],
+            bool(self._cached[i]),
+            self._bodies[i],
+        )
+
+    def __getitem__(
+        self, index: Union[int, slice]
+    ) -> Union[Response, List[Response]]:
+        if isinstance(index, slice):
+            return [self._row(i) for i in range(*index.indices(len(self)))]
+        return self._row(index)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (ResponseLog, list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def status_counts(self) -> Dict[int, int]:
+        """Responses per integer status code, codes in first-seen order."""
+        return dict(collections.Counter(self._statuses))
+
+
+class _Route:
+    """One endpoint's request path, resolved on its first request.
+
+    Every request of the endpoint reads its name, ``serving.offered``
+    counter, token bucket, repository method, base service time and read
+    surface (None for writes).  The queue-wait and latency histograms
+    and the per-status counters are resolved when a request first takes
+    the path that feeds them, so the registry holds the same instruments
+    that lookups by name per request would create.
+    """
+
+    __slots__ = (
+        "endpoint", "name", "offered", "bucket", "dispatch", "service_time",
+        "surface", "queue_wait", "latency", "latency_all", "statuses",
+    )
+
+    def __init__(self, gateway: "ServingGateway", endpoint: Endpoint):
+        self.endpoint = endpoint
+        self.name = name = endpoint.value
+        self.offered = gateway.registry.counter(f"serving.offered.{name}")
+        self.bucket = gateway._buckets[endpoint]
+        self.dispatch = gateway._dispatch[endpoint]
+        self.service_time = gateway.config.service_times[endpoint]
+        self.surface = _READ_SURFACE.get(endpoint)
+        self.queue_wait = self.latency = self.latency_all = None
+        self.statuses: Dict[int, Any] = {}  # status code -> its counter
+
+
 class ServingGateway:
     """Routes requests through middleware into the repository.
 
@@ -121,8 +242,11 @@ class ServingGateway:
     registry:
         Metrics sink (latency histograms, queue gauges, status counters).
     service_rng:
-        Seeded generator for service-time draws — consumed in
-        service-start order, which the deterministic loop fixes.
+        Seeded generator for service-time draws.  The gateway owns it:
+        it draws ``exponential(1.0)`` in blocks of ``_DRAW_BLOCK`` and
+        consumes the values in service-start order, which the
+        deterministic loop fixes.  Each value equals the one a per-call
+        draw would give; the stream itself runs up to a block ahead.
     obs:
         Optional observability; responses and ticks emit trace events.
     telemetry:
@@ -132,6 +256,8 @@ class ServingGateway:
         Optional :class:`RequestTraceSampler`; requests arriving with a
         :class:`RequestContext` are offered for trace export under its
         head/status/tail keep rules.
+
+    Responses are kept in :attr:`responses`, a :class:`ResponseLog`.
     """
 
     def __init__(
@@ -151,7 +277,8 @@ class ServingGateway:
         self.loop = loop
         self.config = config
         self.registry = registry
-        self._rng = service_rng
+        self._draws = _exponential_draws(service_rng, _DRAW_BLOCK)
+        self._jitter = config.service_jitter
         self._obs = obs if obs is not None else NULL_OBS
         self._telemetry = telemetry
         self._sampler = sampler
@@ -162,7 +289,7 @@ class ServingGateway:
             for endpoint, (rate, burst) in config.rate_limits.items()
         }
         self._busy = 0
-        self.responses: List[Response] = []
+        self.responses = ResponseLog()
         self._horizon: Optional[float] = None
         self._dispatch = {
             Endpoint.SUBMIT_TX: repo.submit_tx,
@@ -172,6 +299,7 @@ class ServingGateway:
             Endpoint.GET_BALANCE: repo.get_balance,
             Endpoint.GET_TALLY: repo.get_tally,
         }
+        self._routes: Dict[Endpoint, _Route] = {}
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -236,7 +364,10 @@ class ServingGateway:
         """
         now = self.loop.now
         endpoint = request.endpoint
-        self.registry.counter(f"serving.offered.{endpoint.value}").inc()
+        route = self._routes.get(endpoint)
+        if route is None:
+            route = self._routes[endpoint] = _Route(self, endpoint)
+        route.offered.inc()
         if ctx is not None:
             ctx.arrived = now
 
@@ -245,48 +376,40 @@ class ServingGateway:
         if error is not None:
             completed = now + self.config.validation_cost
             self._respond(
-                request, Status.INVALID, now, completed,
-                body={"error": error}, ctx=ctx,
-                stages=(
-                    (("validation", now, completed),)
-                    if ctx is not None else ()
-                ),
+                route, Status.INVALID, now, completed, False,
+                {"error": error}, ctx,
+                (("validation", now, completed),) if ctx is not None else (),
             )
             return
 
         # Stage 2: TTL+version read cache.
-        key = request.cache_key()
+        key = request.cache_key() if route.surface is not None else None
         if key is not None:
-            surface = _READ_SURFACE[endpoint]
-            body = self.cache.lookup(key, now, self.repo.version(surface))
+            body = self.cache.lookup(
+                key, now, self.repo.version(route.surface)
+            )
             if body is not None:
                 self.registry.counter("serving.cache.hit").inc()
                 completed = now + self.config.cache_hit_cost
                 self._respond(
-                    request, Status.OK, now, completed,
-                    cached=True, body=body, ctx=ctx,
-                    stages=(
-                        (("cache", now, completed),)
-                        if ctx is not None else ()
-                    ),
+                    route, Status.OK, now, completed, True, body, ctx,
+                    (("cache", now, completed),) if ctx is not None else (),
                 )
                 return
             self.registry.counter("serving.cache.miss").inc()
 
         # Stage 3: admission — token bucket, then bounded queue.
-        if not self._buckets[endpoint].try_take(now):
+        if not route.bucket.try_take(now):
             self.registry.counter("serving.shed.rate_limit").inc()
             self._respond(
-                request, Status.SHED, now, now,
-                body={"error": "rate limit"}, ctx=ctx,
-                stages=(
-                    (("admission", now, now),) if ctx is not None else ()
-                ),
+                route, Status.SHED, now, now, False,
+                {"error": "rate limit"}, ctx,
+                (("admission", now, now),) if ctx is not None else (),
             )
             return
         if self._busy < self.config.n_servers:
-            self._start_service(request, arrived=now, ctx=ctx)
-        elif self.queue.offer((request, now, ctx)):
+            self._start_service(route, request, now, ctx)
+        elif self.queue.offer((route, request, now, ctx)):
             depth = len(self.queue)
             self.registry.gauge("serving.queue.depth").set(float(depth))
             self.registry.histogram("serving.queue.depth_at_enqueue").observe(
@@ -297,45 +420,52 @@ class ServingGateway:
         else:
             self.registry.counter("serving.shed.queue_full").inc()
             self._respond(
-                request, Status.SHED, now, now,
-                body={"error": "queue full"}, ctx=ctx,
-                stages=(
-                    (("admission", now, now),) if ctx is not None else ()
-                ),
+                route, Status.SHED, now, now, False,
+                {"error": "queue full"}, ctx,
+                (("admission", now, now),) if ctx is not None else (),
             )
 
     def _start_service(
         self,
+        route: _Route,
         request: Request,
         arrived: float,
-        ctx: Optional[RequestContext] = None,
+        ctx: Optional[RequestContext],
     ) -> None:
         now = self.loop.now
         self._busy += 1
-        endpoint = request.endpoint
-        base = self.config.service_times[endpoint]
-        jitter = self.config.service_jitter
-        service_time = base * (0.75 + jitter * float(self._rng.exponential(1.0)))
-        self.registry.histogram(
-            f"serving.queue_wait_ms.{endpoint.value}"
-        ).observe((now - arrived) * 1e3)
+        service_time = route.service_time * (
+            0.75 + self._jitter * next(self._draws)
+        )
+        queue_wait = route.queue_wait
+        if queue_wait is None:
+            queue_wait = route.queue_wait = self.registry.histogram(
+                f"serving.queue_wait_ms.{route.name}"
+            )
+        queue_wait.observe((now - arrived) * 1e3)
         if ctx is not None:
             ctx.service_start = now
         self.loop.schedule(
             now + service_time,
-            lambda: self._complete(request, arrived, ctx),
-            priority=PRIORITY_COMPLETION,
+            partial(self._complete, route, request, arrived, ctx),
+            PRIORITY_COMPLETION,
         )
 
     def _complete(
         self,
+        route: _Route,
         request: Request,
         arrived: float,
-        ctx: Optional[RequestContext] = None,
+        ctx: Optional[RequestContext],
     ) -> None:
         now = self.loop.now
-        endpoint = request.endpoint
-        if ctx is not None and ctx.sampled and self._obs.enabled:
+        dispatch = route.dispatch
+        if ctx is None or not self._obs.enabled:
+            try:
+                status, body = dispatch(request, now)
+            except Exception as exc:  # a healthy run serves zero of these
+                status, body = Status.ERROR, {"error": repr(exc)}
+        elif ctx.sampled:
             # Head-sampled request: wrap the substrate dispatch in a
             # live span with forced ids, so the substrate's own spans
             # become children of this request's tree.
@@ -350,11 +480,11 @@ class ServingGateway:
             )
             with span:
                 try:
-                    status, body = self._dispatch[endpoint](request, now)
+                    status, body = dispatch(request, now)
                 except Exception as exc:
                     status, body = Status.ERROR, {"error": repr(exc)}
                     span.set_status("error")
-        elif ctx is not None and self._obs.enabled:
+        else:
             # Sampled-out request: sampling gates the tracing *cost*,
             # not just the export — substrate span emission is muted
             # for this dispatch (metrics stay live).  The suppression
@@ -363,81 +493,74 @@ class ServingGateway:
             obs = self._obs
             obs._suppressed += 1
             try:
-                status, body = self._dispatch[endpoint](request, now)
+                status, body = dispatch(request, now)
             except Exception as exc:
                 status, body = Status.ERROR, {"error": repr(exc)}
             finally:
                 obs._suppressed -= 1
-        else:
-            try:
-                status, body = self._dispatch[endpoint](request, now)
-            except Exception as exc:  # a healthy run serves zero of these
-                status, body = Status.ERROR, {"error": repr(exc)}
-        key = request.cache_key()
-        if key is not None and status == Status.OK:
-            surface = _READ_SURFACE[endpoint]
-            self.cache.store(key, body, now, self.repo.version(surface))
+        if status == Status.OK and route.surface is not None:
+            key = request.cache_key()
+            if key is not None:
+                self.cache.store(
+                    key, body, now, self.repo.version(route.surface)
+                )
         # stages=None is the served-path marker: the sampler derives the
         # standard admission/queue/substrate decomposition lazily, only
         # for traces it actually keeps.
         self._respond(
-            request, status, arrived, now, body=body, ctx=ctx,
-            stages=None if ctx is not None else (),
+            route, status, arrived, now, False, body, ctx,
+            None if ctx is not None else (),
         )
         self._busy -= 1
         if len(self.queue) > 0:
-            queued_request, queued_arrival, queued_ctx = self.queue.take()
+            queued = self.queue.take()
             depth = len(self.queue)
             self.registry.gauge("serving.queue.depth").set(float(depth))
             if self._telemetry is not None:
                 self._telemetry.observe_queue_depth(now, float(depth))
-            self._start_service(queued_request, queued_arrival, queued_ctx)
+            self._start_service(*queued)
 
     def _respond(
         self,
-        request: Request,
+        route: _Route,
         status: Status,
         arrived: float,
         completed: float,
-        cached: bool = False,
-        body: Optional[Dict] = None,
-        ctx: Optional[RequestContext] = None,
-        stages: Optional[Tuple[Tuple[str, float, float], ...]] = (),
+        cached: bool,
+        body: Optional[Dict],
+        ctx: Optional[RequestContext],
+        stages: Optional[Tuple[Tuple[str, float, float], ...]],
     ) -> None:
-        endpoint = request.endpoint
-        # One enum-descriptor walk, reused below: ``endpoint.value`` is
-        # a property behind ``DynamicClassAttribute`` and costs real
-        # time on this per-response path.
-        endpoint_name = endpoint.value
+        name = route.name
         status_code = int(status)
-        response = Response(
-            endpoint=endpoint,
-            status=status,
-            arrived=arrived,
-            completed=completed,
-            cached=cached,
-            body=body if body is not None else {},
+        self.responses.append(
+            route.endpoint, status_code, arrived, completed, cached,
+            body if body is not None else {},
         )
-        self.responses.append(response)
-        self.registry.counter(
-            f"serving.status.{endpoint_name}.{status_code}"
-        ).inc()
-        if status != Status.SHED:
-            latency_ms = response.latency * 1e3
-            self.registry.histogram(
-                f"serving.latency_ms.{endpoint_name}"
-            ).observe(latency_ms)
-            self.registry.histogram("serving.latency_ms.all").observe(
-                latency_ms
+        counter = route.statuses.get(status_code)
+        if counter is None:
+            counter = route.statuses[status_code] = self.registry.counter(
+                f"serving.status.{name}.{status_code}"
             )
+        counter.inc()
+        if status != Status.SHED:
+            latency_ms = (completed - arrived) * 1e3
+            if route.latency is None:
+                route.latency = self.registry.histogram(
+                    f"serving.latency_ms.{name}"
+                )
+                route.latency_all = self.registry.histogram(
+                    "serving.latency_ms.all"
+                )
+            route.latency.observe(latency_ms)
+            route.latency_all.observe(latency_ms)
         if self._telemetry is not None:
             self._telemetry.record_response(
-                endpoint_name, status_code, arrived, completed, cached
+                name, status_code, arrived, completed, cached
             )
         if self._sampler is not None and ctx is not None:
             self._sampler.on_response(
-                ctx, endpoint_name, status_code, arrived, completed,
-                stages, cached,
+                ctx, name, status_code, arrived, completed, stages, cached,
             )
         if ctx is None or ctx.sampled:
             # With sampling active, per-request trace events follow the
@@ -446,7 +569,7 @@ class ServingGateway:
                 "serving",
                 "request.served",
                 time=completed,
-                endpoint=endpoint_name,
+                endpoint=name,
                 status=status_code,
                 cached=cached,
                 arrived=arrived,

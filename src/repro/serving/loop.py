@@ -76,11 +76,13 @@ class EventLoop:
         follow-up ``run`` can continue them, which is how the bench
         drains in-flight requests after the arrival window closes.
         """
+        heap = self._heap
+        pop = heapq.heappop
         fired = 0
-        while self._heap:
-            if horizon is not None and self._heap[0][0] > horizon:
+        while heap:
+            if horizon is not None and heap[0][0] > horizon:
                 break
-            time, _priority, _seq, callback = heapq.heappop(self._heap)
+            time, _priority, _seq, callback = pop(heap)
             self.now = time
             callback()
             fired += 1

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -26,10 +26,10 @@ from repro.obs.exporters import trace_to_jsonl
 from repro.obs.instrument import Instrumentation
 from repro.obs.slo import SLOEngine, SLOReport, SLOSpec, thresholds_for
 from repro.obs.timeseries import WindowedTelemetry
-from repro.serving.gateway import ServingConfig, ServingGateway
+from repro.serving.gateway import ResponseLog, ServingConfig, ServingGateway
 from repro.serving.loop import EventLoop, PRIORITY_ARRIVAL
 from repro.serving.repository import ServingRepository
-from repro.serving.schemas import Endpoint, Response, Status
+from repro.serving.schemas import Endpoint, Status
 from repro.sim.heap import FrozenSetup
 from repro.sim.metrics import MetricsRegistry
 from repro.workloads.traffic import Arrival, TrafficConfig, generate_traffic
@@ -81,7 +81,7 @@ class ServingRunResult:
     cases_reviewed: int
     metrics: Dict[str, Any] = field(repr=False)
     registry: MetricsRegistry = field(repr=False)
-    responses: List[Response] = field(repr=False)
+    responses: ResponseLog = field(repr=False)
     trace_jsonl: Optional[str] = field(repr=False, default=None)
     telemetry: Optional[WindowedTelemetry] = field(repr=False, default=None)
     timeseries_json: Optional[str] = field(repr=False, default=None)
@@ -139,7 +139,6 @@ def run_serving(
     slos: Optional[Sequence[SLOSpec]] = None,
     telemetry_window: Optional[float] = None,
     sampling: Optional[SamplingPolicy] = None,
-    workers: Optional[int] = None,
 ) -> ServingRunResult:
     """Run one seeded open-loop scenario against the serving tier.
 
@@ -157,8 +156,11 @@ def run_serving(
       rollup (defaults to 1.0 when only ``slos`` is given).
     * ``sampling`` — a :class:`SamplingPolicy`; implies ``trace`` and
       exports per-request span trees under its head/status/tail rules.
-    * ``workers`` — parallelize *traffic generation* over a process
-      pool; a pure scheduling knob (results byte-identical for any K).
+
+    The result's ``responses`` is the gateway's :class:`ResponseLog`
+    (one column per :class:`~repro.serving.schemas.Response` field, rows
+    built on read), and ``status_counts`` is counted from its status
+    column.
 
     The cyclic collector is off while the arrival table is built; the
     table is then frozen (``gc.freeze``) until the result, exports
@@ -200,7 +202,7 @@ def run_serving(
     )
 
     with FrozenSetup() as setup:
-        arrivals = generate_traffic(traffic, workers=workers)
+        arrivals = generate_traffic(traffic)
         schedule_arrivals(
             loop,
             gateway.submit,
@@ -214,10 +216,7 @@ def run_serving(
             sampler.finalize()  # flush tail keeps before the trace export
 
         responses = gateway.responses
-        status_counts: Dict[int, int] = {}
-        for response in responses:
-            code = int(response.status)
-            status_counts[code] = status_counts.get(code, 0) + 1
+        status_counts = responses.status_counts()
 
         counters = registry.counters()
         endpoint_stats: Dict[str, Dict[str, float]] = {}

@@ -5,14 +5,20 @@ the serving arrival table, the society's address table, agent columns
 and trust index.  Left in the collector's generations, every full
 collection re-traverses all of them during set-up and again during the
 loop.  :class:`FrozenSetup` builds them with the collector off and
-freezes them (``gc.freeze``) for the loop.
+freezes them (``gc.freeze``) for the loop; :func:`frozen_setup` runs a
+whole function inside one.
 """
 
 from __future__ import annotations
 
+import functools
 import gc
+import inspect
+from typing import Any, Callable, TypeVar
 
-__all__ = ["FrozenSetup"]
+__all__ = ["FrozenSetup", "frozen_setup"]
+
+T = TypeVar("T")
 
 
 class FrozenSetup:
@@ -46,3 +52,25 @@ class FrozenSetup:
             gc.enable()
         else:
             gc.disable()
+
+
+def frozen_setup(run: Callable[..., T]) -> Callable[..., T]:
+    """Decorator: call ``run(setup, ...)`` inside a fresh
+    :class:`FrozenSetup`.
+
+    The decorated function takes ``run``'s parameters after ``setup``
+    (its signature says so), and ``run`` calls ``setup.loaded()`` once
+    its set-up is built: everything before that is built with the
+    collector off, whatever ``run`` does first.
+    """
+    signature = inspect.signature(run)
+
+    @functools.wraps(run)
+    def wrapper(*args: Any, **kwargs: Any) -> T:
+        with FrozenSetup() as setup:
+            return run(setup, *args, **kwargs)
+
+    wrapper.__signature__ = signature.replace(  # type: ignore[attr-defined]
+        parameters=list(signature.parameters.values())[1:]
+    )
+    return wrapper

@@ -128,7 +128,7 @@ from repro.privacy.pets import LaplaceMechanism
 from repro.privacy.pipeline import PrivacyPipeline
 from repro.privacy.sensors import FrameBatch
 from repro.reputation.system import ReputationSystem
-from repro.sim.heap import FrozenSetup
+from repro.sim.heap import FrozenSetup, frozen_setup
 from repro.sim.metrics import MetricsRegistry
 from repro.sim.rng import RngRegistry
 from repro.sim.tracing import TraceLog
@@ -297,7 +297,9 @@ class LoadRunResult:
     ship_cost: Optional[Dict[str, Any]] = field(default=None, compare=False)
 
 
+@frozen_setup
 def run_load(
+    setup: FrozenSetup,
     n_agents: int = 100_000,
     epochs: int = 5,
     seed: int = 2022,
@@ -381,11 +383,14 @@ def run_load(
     measured ship bytes land in ``LoadRunResult.ship_cost``.
 
     Everything built before the first epoch — address table, agent
-    columns, trust index, DAO electorate — is frozen (``gc.freeze``) for
-    the epoch loop, so full collections do not re-traverse it.  On
-    return or on an exception the heap is unfrozen and the caller's
-    collector flag restored.  If the caller has frozen objects of its
-    own, nothing is frozen or unfrozen.
+    columns, trust index, DAO electorate — is built with the collector
+    off and frozen (``gc.freeze``) for the epoch loop, so full
+    collections do not re-traverse it.  On return or on an exception,
+    set-up's included, the heap is unfrozen and the caller's collector
+    flag restored.  If the caller has frozen objects of its own, nothing
+    is frozen or unfrozen.  ``setup`` is supplied by
+    :func:`~repro.sim.heap.frozen_setup`; callers pass the parameters
+    after it.
     """
     if workers < 0:
         raise ValueError(f"workers must be >= 0, got {workers}")
@@ -717,7 +722,7 @@ def run_load(
         cleanup.callback(pool.close)
         # Everything built so far lives for the whole run: frozen, the
         # epoch loop's full collections skip it.
-        cleanup.enter_context(FrozenSetup()).loaded()
+        setup.loaded()
         for epoch in range(epochs):
             now = float(epoch)
             if plane is not None and epoch > 0:

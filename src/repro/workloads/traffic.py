@@ -38,12 +38,11 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from repro.obs.context import derive_trace_ids
-from repro.parallel.pool import make_pool
 from repro.serving.repository import HOT_SUBJECT_STRIDE, SERVING_CHANNELS
 from repro.serving.schemas import (
     CastVoteRequest,
@@ -343,55 +342,20 @@ def _user_arrivals(
     ]
 
 
-class _UserRangeTask:
-    """Picklable 'generate users [lo, hi)' callable for the pool path."""
-
-    def __init__(self, config: TrafficConfig):
-        self._config = config
-
-    def __call__(self, bounds: Tuple[int, int]) -> List[Arrival]:
-        lo, hi = bounds
-        tables = _scenario_tables(self._config)
-        out: List[Arrival] = []
-        for user in range(lo, hi):
-            out.extend(_user_arrivals(self._config, user, tables))
-        return out
-
-
-def generate_traffic(
-    config: TrafficConfig, workers: Optional[int] = None
-) -> List[Arrival]:
+def generate_traffic(config: TrafficConfig) -> List[Arrival]:
     """All arrivals for the scenario, sorted by ``(time, user, seq)``.
 
     Each user's stream yields, in order: the Pareto weight, then for
     each arrival one exponential target, then that arrival's endpoint
     and payload draws — so user ``u``'s requests are identical no matter
-    what any other user does.  That per-user independence is what makes
-    ``workers`` a pure scheduling knob: generation fans contiguous user
-    ranges over a pool, the ordered reduction reassembles them in user
-    order, and the final stable sort is identical for any worker count.
-    Arrivals are built in ``(user, seq)`` order and ``list.sort`` is
-    stable, so sorting on time alone yields the ``(time, user, seq)``
-    order.  Endpoint and ballot draws equal ``Generator.choice`` (see
-    the module docstring).
+    what any other user does.  Arrivals are built in ``(user, seq)``
+    order and ``list.sort`` is stable, so sorting on time alone yields
+    the ``(time, user, seq)`` order.  Endpoint and ballot draws equal
+    ``Generator.choice`` (see the module docstring).
     """
-    if workers is not None and workers > 1:
-        pool = make_pool(workers)
-        try:
-            n_ranges = min(workers * 4, config.n_users)
-            step = -(-config.n_users // n_ranges)  # ceil division
-            bounds = [
-                (lo, min(lo + step, config.n_users))
-                for lo in range(0, config.n_users, step)
-            ]
-            chunks = pool.map_ordered(_UserRangeTask(config), bounds)
-        finally:
-            pool.close()
-        arrivals = [arrival for chunk in chunks for arrival in chunk]
-    else:
-        tables = _scenario_tables(config)
-        arrivals = []
-        for user in range(config.n_users):
-            arrivals.extend(_user_arrivals(config, user, tables))
+    tables = _scenario_tables(config)
+    arrivals: List[Arrival] = []
+    for user in range(config.n_users):
+        arrivals.extend(_user_arrivals(config, user, tables))
     arrivals.sort(key=attrgetter("time"))
     return arrivals

@@ -1,11 +1,13 @@
 """Tests for the DAO engine."""
 
+import numpy as np
 import pytest
 
 from repro.dao import (
     DAO,
     Member,
     ProposalStatus,
+    Tally,
     TokenWeighted,
     TurnoutQuorum,
 )
@@ -201,3 +203,72 @@ class TestExecutionAndAnchor:
         dao.delegations.delegate("m1", "m2")
         dao.remove_member("m1")
         assert dao.delegations.delegate_of("m1") is None
+
+
+def _member_walk_tally(dao, proposal_id):
+    """The tally as a walk over every member: each non-voter's terminal
+    delegate carries their weight if that delegate voted, then every
+    direct ballot adds its caster's weight, in casting order."""
+    ballots = {b.voter: b for b in dao.ballots_of(proposal_id)}
+    weights = {option: 0.0 for option in dao.proposal(proposal_id).options}
+    carried = 0
+    for address in dao.members.addresses():
+        if address in ballots:
+            continue
+        terminal = dao.delegations.resolve(address)
+        if terminal != address and terminal in ballots:
+            weights[ballots[terminal].option] += dao.scheme.weight_of(address)
+            carried += 1
+    for ballot in ballots.values():
+        weights[ballot.option] += dao.scheme.weight_of(ballot.voter)
+    return Tally(
+        weights=weights, voters=len(ballots) + carried, eligible=len(dao.members)
+    )
+
+
+def _seeded_program(seed, token_weights, delegations):
+    """A DAO of 40 members with seeded holdings, delegation edges and
+    ballots on one proposal."""
+    rng = np.random.default_rng(seed)
+    dao = DAO(f"program-{seed}")
+    if token_weights:
+        dao.scheme = TokenWeighted(dao.members.tokens_of)
+    addresses = [f"m{i:02d}" for i in range(40)]
+    for address in addresses:
+        dao.add_member(
+            Member(address=address, tokens=float(rng.uniform(0.1, 50.0)))
+        )
+    for _ in range(delegations):
+        member, delegate = rng.choice(addresses, size=2, replace=False)
+        try:
+            dao.delegations.delegate(str(member), str(delegate))
+        except VotingError:
+            pass  # would close a cycle
+    proposal = dao.submit_proposal(
+        "p", addresses[0], "x", created_at=0.0, voting_period=10.0
+    )
+    for address in rng.permutation(addresses)[: int(rng.integers(1, 30))]:
+        dao.cast_ballot(
+            proposal.proposal_id, str(address),
+            str(rng.choice(["yes", "no", "abstain"])), time=1.0,
+        )
+    return dao, proposal.proposal_id
+
+
+class TestTallyAgainstMemberWalk:
+    @pytest.mark.parametrize("token_weights", [False, True])
+    @pytest.mark.parametrize("delegations", [0, 25])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equal_on_seeded_programs(self, seed, token_weights, delegations):
+        dao, proposal_id = _seeded_program(seed, token_weights, delegations)
+        assert (len(dao.delegations) > 0) == (delegations > 0)
+        tally = dao.tally(proposal_id)
+        assert tally == _member_walk_tally(dao, proposal_id)
+
+    def test_programs_with_edges_carry_votes(self):
+        carried = 0
+        for seed in range(6):
+            dao, proposal_id = _seeded_program(seed, False, 25)
+            tally = dao.tally(proposal_id)
+            carried += tally.voters - len(dao.ballots_of(proposal_id))
+        assert carried > 0  # the delegation walk mattered somewhere

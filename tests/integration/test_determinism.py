@@ -154,8 +154,8 @@ TRAFFIC = dict(
 )
 
 
-def _traffic(workers: int, **config) -> SimpleNamespace:
-    arrivals = generate_traffic(TrafficConfig(**config), workers=workers)
+def _traffic(**config) -> SimpleNamespace:
+    arrivals = generate_traffic(TrafficConfig(**config))
     # By repr: malformed payloads carry NaN, and NaN != NaN.
     return SimpleNamespace(
         arrivals=arrivals,
@@ -351,7 +351,7 @@ ROWS = [
         "traffic",
         _traffic,
         TRAFFIC,
-        [dict(workers=1), dict(workers=2)],
+        [{}],
         dict(
             arrivals_repr="86e4c2b28379577a3f9e967ec3ee76b2c4d1b41b82643c94fe41802c1a1944a4",
         ),
@@ -372,7 +372,7 @@ ROWS = [
         "serving-slo",
         run_serving,
         FLASH_CROWD_SLO,
-        [dict(workers=1), dict(workers=2)],
+        [{}],
         dict(
             metrics=FLASH_CROWD_METRICS,
             trace_jsonl="6a9bb59622e823fc4abdb554357aa9ed1be5f1a2e6f88599eaaea14d14aaf69b",

@@ -1,5 +1,8 @@
-"""Tests for the exporters: Prometheus text, transparency report,
-hot-handler report."""
+"""Tests for the exporters: JSONL traces, Prometheus text, transparency
+report, hot-handler report."""
+
+import json
+from fractions import Fraction
 
 import pytest
 
@@ -10,6 +13,7 @@ from repro.obs import (
     prometheus_text,
     transparency_report,
 )
+from repro.obs.exporters import trace_to_jsonl
 from repro.sim import MetricsRegistry, Simulator, TraceLog
 
 
@@ -18,6 +22,41 @@ def obs():
     return Instrumentation(
         trace=TraceLog(), metrics=MetricsRegistry(), run_id="t"
     )
+
+
+class TestTraceJsonl:
+    """The export against one ``json.dumps`` call per record."""
+
+    @staticmethod
+    def _reference(trace):
+        lines = [
+            json.dumps(
+                {"time": r.time, "source": r.source, "kind": r.kind,
+                 "payload": r.payload},
+                sort_keys=True, default=str,
+            )
+            for r in trace
+        ]
+        return "\n".join(lines) + ("\n" if lines else "")
+
+    def test_equals_per_record_dumps(self):
+        trace = TraceLog()
+        trace.emit(0.5, "serving", "request.served", status=200, cached=False,
+                   endpoint="get_tally", arrived=0.25)
+        # Keys out of order, nested, and a value JSON cannot encode.
+        trace.emit(1.0, "ledger", "block", zeta=1, alpha={"b": 2, "a": [1.5]},
+                   share=Fraction(1, 3))
+        # Non-ASCII text in the source, the kind and the payload.
+        trace.emit(2.0, "privacy.pipeline", "frame.bloqué", subject="Zoë",
+                   note="€ — ✓", nan=float("nan"), inf=float("inf"))
+        trace.emit(3.0, "empty", "payload")
+        text = trace_to_jsonl(trace)
+        assert text == self._reference(trace)
+        assert '"share": "1/3"' in text
+        assert "\\u20ac" in text  # ASCII-escaped, as json.dumps does
+
+    def test_empty_trace(self):
+        assert trace_to_jsonl(TraceLog()) == "" == self._reference([])
 
 
 class TestPrometheusText:

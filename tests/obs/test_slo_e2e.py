@@ -1,11 +1,10 @@
 """End-to-end SLO/alerting: a seeded flash crowd through the full
 serving stack with tracing, windowed telemetry, and burn-rate alerts.
 
-The availability alert fires inside the spike and clears after it,
-sampled traces attribute >=95% of latency, and the whole observability
-export replays byte-identically at any worker count.  The
-``serving-slo`` row of ``tests/integration/test_determinism.py`` pins
-the same scenario's exports to committed digests.
+The availability alert fires inside the spike and clears after it, and
+sampled traces attribute >=95% of latency.  The ``serving-slo`` row of
+``tests/integration/test_determinism.py`` pins the same scenario's
+exports to committed digests.
 """
 
 import pytest
@@ -15,13 +14,9 @@ from repro.serving.run import run_serving
 from tests.flash_crowd import AVAILABILITY, FLASH_CROWD_SLO, SPIKE
 
 
-def _run(workers=1):
-    return run_serving(**FLASH_CROWD_SLO, workers=workers)
-
-
 @pytest.fixture(scope="module")
 def result():
-    return _run()
+    return run_serving(**FLASH_CROWD_SLO)
 
 
 class TestAlertTimeline:
@@ -63,10 +58,3 @@ class TestSampledTraces:
             stats["kept_head"] + stats["kept_status"] + stats["kept_tail"]
         )
 
-
-class TestReplayDeterminism:
-    def test_workers_are_a_pure_scheduling_knob(self, result):
-        sharded = _run(workers=2)
-        assert result.timeseries_json == sharded.timeseries_json
-        assert result.alerts_json == sharded.alerts_json
-        assert result.trace_jsonl == sharded.trace_jsonl

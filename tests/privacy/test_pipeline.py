@@ -1,5 +1,6 @@
 """Tests for the Fig.-2 data-centric privacy pipeline."""
 
+import numpy as np
 import pytest
 
 from repro.privacy import (
@@ -13,6 +14,7 @@ from repro.privacy import (
     Suppressor,
     UserProfile,
 )
+from repro.privacy.sensors import FrameBatch
 
 
 @pytest.fixture
@@ -146,6 +148,53 @@ class TestConsumersAndAudit:
         released = pipeline.ingest_all(frames)
         assert len(released) == 1
         assert pipeline.stats.offered == 2
+
+
+class TestConsentDenialCount:
+    """Every refused frame counts one denial, whichever path ingests it."""
+
+    @staticmethod
+    def _frames(user, gaze):
+        # Five gaze frames of a subject who never consented, around two
+        # of a consenting one.
+        other = UserProfile("u2", preference=0, fitness=0.5, stress=0.5)
+        return (
+            [gaze.sample(other, float(t)) for t in range(3)]
+            + [gaze.sample(user, 3.0)]
+            + [gaze.sample(other, float(t)) for t in range(4, 6)]
+            + [gaze.sample(user, 6.0)]
+        )
+
+    def _by_path(self, user, gaze):
+        frames = self._frames(user, gaze)
+        one_by_one = consenting_pipeline(user)
+        for frame in frames:
+            one_by_one.ingest(frame)
+        listed = consenting_pipeline(user)
+        listed.ingest_all(frames)
+        batched = consenting_pipeline(user)
+        batched.ingest_all(
+            FrameBatch(
+                subjects=[f.subject for f in frames],
+                channels=[f.channel for f in frames],
+                times=np.array([f.time for f in frames]),
+                values=np.stack([f.values for f in frames]),
+            )
+        )
+        return one_by_one, listed, batched
+
+    def test_denied_count_per_frame_on_every_path(self, user, gaze):
+        for pipeline in self._by_path(user, gaze):
+            assert pipeline.consent.denied_count == 5
+            assert pipeline.stats.blocked_consent == 5
+            assert pipeline.stats.released == 2
+
+    def test_counts_add_up_over_batches(self, user, gaze):
+        _, listed, _ = self._by_path(user, gaze)
+        frames = self._frames(user, gaze)
+        listed.ingest_all(frames)  # cached verdicts are per batch
+        listed.ingest(frames[0])
+        assert listed.consent.denied_count == 11
 
 
 class TestBatchedIngest:

@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.serving.gateway import ServingConfig, ServingGateway
+from repro.serving.gateway import (
+    _DRAW_BLOCK,
+    ServingConfig,
+    ServingGateway,
+    _exponential_draws,
+)
 from repro.serving.loop import EventLoop, PRIORITY_ARRIVAL
 from repro.serving.repository import ServingRepository
 from repro.serving.schemas import (
@@ -171,3 +176,49 @@ class TestPlatformTicks:
     def test_config_rejects_zero_servers(self):
         with pytest.raises(ValueError):
             build_gateway(ServingConfig(n_servers=0))
+
+
+class TestServiceDraws:
+    """Service times come from blocks of ``exponential(1.0)`` draws; the
+    reference is one ``exponential(1.0)`` call per draw."""
+
+    @staticmethod
+    def _streams():
+        return [np.random.default_rng(np.random.SeedSequence(2022)) for _ in range(2)]
+
+    @pytest.mark.parametrize("block", [_DRAW_BLOCK, 7])
+    def test_blocks_equal_per_call_draws(self, block):
+        blocked, per_call = self._streams()
+        draws = _exponential_draws(blocked, block)
+        n = 3 * block + 2  # crosses three block boundaries
+        got = [next(draws) for _ in range(n)]
+        assert got == [float(per_call.exponential(1.0)) for _ in range(n)]
+        # The draw after them opens no new block early: it is the
+        # per-call stream's next draw too.
+        assert next(draws) == float(per_call.exponential(1.0))
+
+    def test_stream_runs_at_most_one_block_ahead(self):
+        blocked, per_call = self._streams()
+        draws = _exponential_draws(blocked, 5)
+        for _ in range(10):  # exactly two blocks
+            next(draws)
+            per_call.exponential(1.0)
+        assert blocked.random() == per_call.random()
+
+    def test_gateway_service_times_follow_the_per_call_stream(self):
+        config = ServingConfig(n_servers=1, queue_limit=50)
+        gateway, loop, registry = build_gateway(config)
+        for i in range(12):
+            offer(loop, gateway, 0.5, SubmitTxRequest(user=i, recipient=i + 1))
+        gateway.start(horizon=1.0)
+        loop.run()
+        served = [r for r in gateway.responses if r.status == Status.OK]
+        assert len(served) == 12
+        # One server: each service starts when the previous one ends.
+        starts = [0.5] + [r.completed for r in served[:-1]]
+        reference = np.random.default_rng(np.random.SeedSequence(SEED))
+        base = config.service_times[Endpoint.SUBMIT_TX]
+        for start, response in zip(starts, served):
+            draw = float(reference.exponential(1.0))
+            expected = base * (0.75 + config.service_jitter * draw)
+            assert response.completed == start + expected

@@ -1,5 +1,6 @@
-"""run_load's collector handling: the set-up heap is frozen for the epoch
-loop, and the caller's collector state is restored however the run ends."""
+"""run_load's collector handling: the set-up heap is built with the
+collector off and frozen for the epoch loop, and the caller's collector
+state is restored however the run ends."""
 
 import gc
 
@@ -46,6 +47,10 @@ class _Boom(RuntimeError):
 
 def _raising_trust_top(self):
     raise _Boom("trust solve failed")
+
+
+def _raising_registration(self, identities):
+    raise _Boom("registration failed")
 
 
 class TestRestored:
@@ -119,3 +124,41 @@ class TestFrozenDuringTheEpochs:
         gc.disable()
         run_load(**TINY)
         assert seen and not any(enabled for enabled, _, _ in seen)
+
+
+class TestCollectorOffDuringSetup:
+    def test_setup_is_built_with_the_collector_off(self, monkeypatch):
+        seen = []
+        register = ReputationSystem.register_identities
+
+        def recording_register(self, identities):
+            seen.append(gc.isenabled())
+            return register(self, identities)
+
+        monkeypatch.setattr(
+            ReputationSystem, "register_identities", recording_register
+        )
+        before = _state()
+        assert before[0]
+        run_load(**TINY)
+        assert seen == [False]
+        assert _state() == before
+
+    @pytest.mark.parametrize("caller_enabled", [True, False])
+    def test_raise_inside_setup_restores(self, monkeypatch, caller_enabled):
+        if not caller_enabled:
+            gc.disable()
+        monkeypatch.setattr(
+            ReputationSystem, "register_identities", _raising_registration
+        )
+        before = _state()
+        with pytest.raises(_Boom):
+            run_load(**TINY)
+        assert _state() == before == (caller_enabled, 0)
+
+    def test_rejected_config_restores(self):
+        before = _state()
+        with pytest.raises(ValueError, match="block_size"):
+            run_load(**{**TINY, "block_size": 0})
+        assert _state() == before
+        assert gc.isenabled()
