@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test perfbench-tests import-check bench bench-smoke bench-regression bench-baseline bench-scaling bench-parallel bench-serving bench-columnar bench-transport determinism ci
+.PHONY: test perfbench-tests import-check bench bench-smoke bench-regression bench-baseline bench-scaling bench-parallel bench-serving bench-columnar determinism ci
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -52,8 +52,8 @@ bench-serving:
 # the 100k tier with equivalence asserted and >=2x speedup gated where
 # >=4 usable cores exist (loudly recorded-but-skipped on smaller
 # hosts), plus the shard-balance tier — equal vs cost-weighted plans
-# with the weighted whole-run imbalance gated <=1.25x at 100k and a
-# steal-on/steal-off wall-clock pair.  Writes BENCH_PR9.json.
+# with the weighted whole-run imbalance gated <=1.25x at 100k.  Writes
+# BENCH_PR9.json.
 bench-parallel:
 	$(PYTHON) -m benchmarks.scaling --parallel-only
 
@@ -66,12 +66,6 @@ bench-parallel:
 bench-columnar:
 	mkdir -p .bench_build
 	$(PYTHON) -m benchmarks.scaling --columnar-only --report .bench_build/BENCH_columnar.json
-
-# Transport tier only: per-epoch ship bytes and wall clock for pickle
-# vs shm vs shm-full at the gate tier, with the >=10x ship-bytes
-# reduction gate.  Writes BENCH_PR10.json.
-bench-transport:
-	$(PYTHON) -m benchmarks.scaling --transport-only
 
 # Population-scale gate (smoke: 1k/10k tiers, <90s): indexed mempool
 # selection, warm reputation writes, vectorized cascade rounds, and
@@ -90,8 +84,8 @@ bench-scaling:
 # Everything a merge must pass, in one target.  `test` runs the
 # determinism matrix; bench-scaling's smoke mode includes the workers
 # tier (10k agents, workers={2,4} equivalence asserts) and the
-# shard-balance tier (equal vs weighted plans, steal on/off
-# equivalence); bench-columnar pins the columnar/object
-# byte-equivalence contract; perfbench-tests runs the repository
-# benchmark's own tests; import-check imports every module alone.
+# shard-balance tier (equal vs weighted plans); bench-columnar pins the
+# columnar/object byte-equivalence contract; perfbench-tests runs the
+# repository benchmark's own tests; import-check imports every module
+# alone.
 ci: test perfbench-tests import-check bench-smoke bench-scaling bench-columnar

@@ -4,12 +4,10 @@ Times a fixed set of tracked operations (sim event dispatch with
 observability hooks on, ``Histogram.summary()`` at 10k samples, repeated
 ``EigenTrust.trust_of`` lookups, ledger block appends with and without
 transactions, indexed mempool selection, warm reputation writes, cached
-contract dispatch, sketch-histogram streaming, the shared-memory
-transport's plane publish and per-epoch delta-republish cycle at the
-100k tier, and the serving tier's request path / read cache / admission
-control) against the committed baseline in
-``benchmarks/baseline.json`` and fails if any tracked op regresses more
-than the gate threshold (default 25%).
+contract dispatch, sketch-histogram streaming, and the serving tier's
+request path / read cache / admission control) against the committed
+baseline in ``benchmarks/baseline.json`` and fails if any tracked op
+regresses more than the gate threshold (default 25%).
 
 Alongside wall-time, every tracked op records the process peak RSS
 high-water mark (``ru_maxrss``) and how much the op grew it.  Like the
@@ -69,10 +67,8 @@ RSS_WARN_FACTOR = 1.5
 SEED = 2022
 
 # Each kernel returns (n_ops, seconds) for the timed section only
-# (setup cost is excluded), optionally with a third dict of extra
-# deterministic observables (e.g. ``ship_bytes`` for the transport
-# kernels) that are recorded alongside and compared warn-only.
-Kernel = Callable[[], tuple]
+# (setup cost is excluded).
+Kernel = Callable[[], Tuple[int, float]]
 
 
 def _peak_rss_kib() -> int:
@@ -601,131 +597,6 @@ def kernel_plan_build_weighted() -> Tuple[int, float]:
     return reps, elapsed
 
 
-def kernel_chunked_fold() -> Tuple[int, float]:
-    """Chunk, execute, and fold one 4-shard epoch of the load substrate.
-
-    The work-stealing layer's full overhead path: task slimming and
-    chunk identity, the per-phase chunk executions, exactly-once
-    verification, and the (shard, chunk)-ordered merge back into whole
-    shard results.
-    """
-    from repro.parallel import ShardPlan
-    from repro.parallel.steal import (
-        fold_chunk_results,
-        make_chunk_tasks,
-        run_shard_chunk,
-    )
-    from repro.parallel.worker import ShardTask
-    from repro.workloads.load import CONSENT_DENIED_MOD, DEFAULT_CHANNELS
-
-    n_shards = 4
-    plan = ShardPlan(
-        seed=SEED,
-        n_agents=800,
-        n_shards=n_shards,
-        n_members=200,
-        hot_stride=100,
-    )
-    tasks = [
-        ShardTask(
-            plan=plan,
-            shard=shard,
-            epoch=1,
-            tx_count=20,
-            rating_count=10,
-            report_count=5,
-            vote_count=8,
-            interaction_count=25,
-            frame_count=15,
-            hot_spent=tuple(0.0 for _ in plan.hot_subjects_of(shard)),
-            channels=DEFAULT_CHANNELS,
-            consent_denied_mod=CONSENT_DENIED_MOD,
-            cascade_members=40,
-            cascade_boundary=4,
-            trace=False,
-        )
-        for shard in range(n_shards)
-    ]
-    t0 = time.perf_counter()
-    chunks = make_chunk_tasks(tasks)
-    results = [run_shard_chunk(chunk) for chunk in chunks]
-    folded = fold_chunk_results(tasks, results)
-    elapsed = time.perf_counter() - t0
-    assert len(folded) == n_shards
-    return len(chunks), elapsed
-
-
-def kernel_plane_publish_100k() -> tuple:
-    """Publish the load workload's two hot columns at the 100k tier.
-
-    The shared-memory transport's one-time setup cost: allocate the
-    ``/dev/shm`` segments and copy the nonce and privacy-spent columns
-    in.  This happens once per ``run_load``, so it must stay far below
-    a single epoch's work; ``ship_bytes`` (the segment bytes written)
-    is deterministic and recorded alongside the timing.
-    """
-    import numpy as np
-
-    from repro.parallel.transport import ColumnPlane
-
-    n_agents = 100_000
-    nonces = np.zeros(n_agents, dtype=np.int64)
-    spent = np.zeros(n_agents, dtype=np.float64)
-    reps = 20
-    ship_bytes = 0
-    t0 = time.perf_counter()
-    for _ in range(reps):
-        with ColumnPlane() as plane:
-            ship_bytes = plane.publish("nonces", nonces) + plane.publish(
-                "privacy_spent", spent
-            )
-    elapsed = time.perf_counter() - t0
-    assert ship_bytes == n_agents * 16
-    return reps, elapsed, {"ship_bytes": ship_bytes}
-
-
-def kernel_delta_republish_epoch() -> tuple:
-    """One epoch's delta ship cycle at the 100k tier, producer+consumer.
-
-    The shared-memory transport's recurring cost: diff the live column
-    against its shadow (``np.flatnonzero``), republish the ~1k changed
-    entries as a new-generation delta segment, then attach worker-side
-    and catch the cached copy up onto the new generation.  This runs at
-    every epoch barrier in ``run_load(transport="shm")``; the pickle
-    path it replaces ships the whole 800 KiB column instead.
-    """
-    import numpy as np
-
-    from repro.parallel.transport import (
-        ColumnPlane,
-        attach_column,
-        clear_attach_cache,
-    )
-
-    rng = np.random.default_rng(SEED)
-    n_agents = 100_000
-    nonces = np.zeros(n_agents, dtype=np.int64)
-    shadow = nonces.copy()
-    reps = 20
-    ship_bytes = 0
-    with ColumnPlane() as plane:
-        plane.publish("nonces", nonces)
-        t0 = time.perf_counter()
-        for _ in range(reps):
-            touched = rng.integers(0, n_agents, size=1_000)
-            nonces[touched] += 1
-            changed = np.flatnonzero(nonces != shadow)
-            ship_bytes += plane.republish_delta(
-                "nonces", changed, nonces[changed]
-            )
-            shadow[changed] = nonces[changed]
-            column = attach_column(plane.descriptor("nonces"))
-            assert column[changed[-1]] == nonces[changed[-1]]
-        elapsed = time.perf_counter() - t0
-        clear_attach_cache()
-    return reps, elapsed, {"ship_bytes": ship_bytes}
-
-
 def kernel_serving_request_path() -> Tuple[int, float]:
     """A full seeded serving run, timed from the first loop event.
 
@@ -1028,9 +899,6 @@ TRACKED_OPS: Dict[str, Kernel] = {
     "moderation_batch_classify_20k": kernel_moderation_batch_classify,
     "privacy_batch_charge_20k": kernel_privacy_batch_charge,
     "plan_build_weighted_200": kernel_plan_build_weighted,
-    "chunked_fold_epoch_28": kernel_chunked_fold,
-    "plane_publish_100k": kernel_plane_publish_100k,
-    "delta_republish_epoch": kernel_delta_republish_epoch,
     "serving_request_path": kernel_serving_request_path,
     "serving_read_cache_50k": kernel_read_cache_lookup,
     "serving_admission_100k": kernel_admission_control,
@@ -1045,13 +913,10 @@ def run_tracked_ops(reps: int) -> Dict[str, Dict[str, float]]:
     for name, kernel in TRACKED_OPS.items():
         best = float("inf")
         ops = 0
-        extras: Dict[str, float] = {}
         rss_before = _peak_rss_kib()
         for _ in range(reps):
-            ops, seconds, *rest = kernel()
+            ops, seconds = kernel()
             best = min(best, seconds)
-            if rest:
-                extras = dict(rest[0])
         rss_after = _peak_rss_kib()
         per_op = best / ops if ops else float("inf")
         results[name] = {
@@ -1065,9 +930,6 @@ def run_tracked_ops(reps: int) -> Dict[str, Dict[str, float]]:
             # memory (ru_maxrss is monotonic, so ordering matters).
             "peak_rss_kib": rss_after,
             "rss_growth_kib": rss_after - rss_before,
-            # Deterministic observables the kernel chose to record
-            # (e.g. ship_bytes) ride along and are compared warn-only.
-            **extras,
         }
         print(
             f"  {name:<40s} {per_op * 1e6:>10.1f} us/op   "
@@ -1081,11 +943,10 @@ def compare(
     current: Dict[str, Dict[str, float]],
     baseline: Dict[str, Dict[str, float]],
     threshold: float,
-) -> Tuple[Dict[str, Dict[str, float]], List[str], List[str], List[str]]:
+) -> Tuple[Dict[str, Dict[str, float]], List[str], List[str]]:
     comparison: Dict[str, Dict[str, float]] = {}
     regressions: List[str] = []
     rss_warnings: List[str] = []
-    ship_warnings: List[str] = []
     for name, entry in current.items():
         base = baseline.get(name)
         if base is None:
@@ -1114,21 +975,7 @@ def compare(
                     f"{name}: peak RSS {cur_rss / 1024:.0f} MiB vs baseline "
                     f"{base_rss / 1024:.0f} MiB (>{RSS_WARN_FACTOR:.1f}x)"
                 )
-        # Ship bytes: warn-only, like RSS — but unlike RSS they are
-        # deterministic, so *any* drift from the baseline means the
-        # transport genuinely ships different bytes now and the change
-        # deserves a look (and a --update-baseline if intentional).
-        base_ship = base.get("ship_bytes")
-        cur_ship = entry.get("ship_bytes")
-        if base_ship is not None and cur_ship is not None:
-            comparison[name]["baseline_ship_bytes"] = base_ship
-            comparison[name]["current_ship_bytes"] = cur_ship
-            if cur_ship != base_ship:
-                ship_warnings.append(
-                    f"{name}: ships {cur_ship:,} bytes vs baseline "
-                    f"{base_ship:,}"
-                )
-    return comparison, regressions, rss_warnings, ship_warnings
+    return comparison, regressions, rss_warnings
 
 
 def run_smoke_suites() -> int:
@@ -1263,13 +1110,12 @@ def main(argv: List[str] = None) -> int:
                 print(f"  {diff}")
             print("  (gate still applies; re-record with --update-baseline "
                   "if this machine is the new reference)")
-        comparison, regressions, rss_warnings, ship_warnings = compare(
+        comparison, regressions, rss_warnings = compare(
             current, baseline, args.threshold
         )
         report["comparison"] = comparison
         report["regressions"] = regressions
         report["rss_warnings"] = rss_warnings
-        report["ship_warnings"] = ship_warnings
         print("\nvs committed baseline:")
         for name, row in comparison.items():
             flag = "  REGRESSED" if row["regressed"] else ""
@@ -1278,12 +1124,6 @@ def main(argv: List[str] = None) -> int:
             # Memory drift informs but never gates (see RSS_WARN_FACTOR).
             print("\nWARNING: peak RSS grew beyond the baseline:")
             for warning in rss_warnings:
-                print(f"  {warning}")
-        if ship_warnings:
-            # Transport bytes inform but never gate; the >=10x reduction
-            # bar lives in the scaling suite's transport tier.
-            print("\nWARNING: transport ship bytes drifted from the baseline:")
-            for warning in ship_warnings:
                 print(f"  {warning}")
         if regressions and not args.no_gate:
             print(f"\nFAIL: {len(regressions)} tracked op(s) regressed >"

@@ -44,31 +44,13 @@ one-time setup, reported but not gated).  The optional 1,000,000-agent tier (ful
 population the object path cannot reasonably host, and reports column
 bytes/agent (gated at <= 64) plus peak RSS.
 
-The **transport tier** (new with the zero-copy shard transport) runs
-the load workload at the gate tier under all three transports —
-``pickle`` (materialized per-shard snapshots in every task), ``shm``
-(shared-memory column plane + per-epoch delta republish), and
-``shm-full`` (the whole-column republish ablation) — asserts the three
-metrics payloads byte-identical, and compares the **steady-state
-per-epoch ship bytes** each transport moves across the process
-boundary (:class:`repro.obs.ShipCost`; measured identically at
-``workers=1``, where the bytes are the ones that *would* cross).  At
-the 100k tier the shm plane must cut per-epoch ship bytes by >= 10x
-versus pickle and its wall clock must stay within a small tolerance of
-the pickle run; delta republishing must also move fewer plane bytes
-than the full-republish ablation.  ``--transport-only`` runs just this
-tier and writes ``BENCH_PR10.json`` (the ``make bench-transport``
-target).
-
 The **shard balance tier** (new with the elastic-sharding layer) runs
 the load workload under the equal-range and cost-weighted shard plans
 and reports the wall-clock shard imbalance — max/mean per-shard seconds
 over the epoch, from the per-phase timings the workers record — for
 both.  At the 100k tier the weighted plan's epoch-level imbalance is
 gated at <= 1.25x while the equal-range plan's measured skew is
-reported alongside for contrast; the tier also times a 2-worker pool
-with chunked work stealing on and off (byte-equivalence asserted on
-every run) and reports the steal-on vs steal-off speedup.
+reported alongside for contrast.
 
 Results land in ``BENCH_PR9.json`` at the repo root.  Speedup numbers
 are optimised-vs-naive on the same machine and the same data, so they
@@ -94,11 +76,6 @@ Usage
     Just the columnar 10k equivalence tier: columnar-vs-object byte
     equality on load metrics plus the bytes/agent ceiling (the
     ``make bench-columnar`` target).
-
-``python -m benchmarks.scaling --transport-only``
-    Just the transport tier: pickle vs shm vs shm-full ship bytes and
-    wall clock at the gate tier, written to ``BENCH_PR10.json`` (the
-    ``make bench-transport`` target).
 """
 
 from __future__ import annotations
@@ -137,12 +114,10 @@ from repro.workloads.load import (
     run_load,
     synthetic_transfer,
 )
-from repro.parallel.transport import leaked_segments, shm_available
 from repro.world.columnar import AgentTable
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 REPORT_PATH = REPO_ROOT / "BENCH_PR9.json"
-TRANSPORT_REPORT_PATH = REPO_ROOT / "BENCH_PR10.json"
 SEED = 2022
 TIERS = (1_000, 10_000, 100_000)
 # The acceptance bar: indexed paths at the 10k tier must beat the naive
@@ -154,13 +129,6 @@ BLOCK_PICKS = 200
 REQUIRED_PARALLEL_SPEEDUP = 2.0
 PARALLEL_GATE_CORES = 4
 PARALLEL_GATE_TIER = 100_000
-# The transport acceptance bar: at the 100k tier the shared-memory
-# plane must move <= 1/10 the steady-state per-epoch bytes the pickle
-# path ships, without costing wall clock (a small tolerance absorbs
-# single-run timer noise; ship bytes are exact and deterministic).
-REQUIRED_SHIP_REDUCTION = 10.0
-TRANSPORT_WALL_TOLERANCE = 1.15
-TRANSPORT_GATE_TIER = 100_000
 # The balance acceptance bar: under the cost-weighted plan the
 # epoch-level shard imbalance (max/mean per-shard wall seconds) must
 # stay within 1.25x at the 100k tier.  The equal-range plan's skew is
@@ -627,11 +595,10 @@ def bench_workers(n_agents: int, smoke: bool) -> Dict[str, Any]:
 
 
 # ----------------------------------------------------------------------
-# Elastic sharding: weighted-plan balance + deterministic work stealing
+# Elastic sharding: weighted-plan balance
 # ----------------------------------------------------------------------
 def bench_balance(n_agents: int, smoke: bool) -> Dict[str, Any]:
-    """Measure shard balance under equal vs cost-weighted plans, plus a
-    steal-on vs steal-off wall-clock pair on a 2-worker pool.
+    """Measure shard balance under equal vs cost-weighted plans.
 
     The imbalance number is max/mean per-shard wall seconds summed over
     the run, taken from the per-phase timings the workers record (see
@@ -643,10 +610,7 @@ def bench_balance(n_agents: int, smoke: bool) -> Dict[str, Any]:
     single phases.  The weighted plan's whole-run ``epoch`` imbalance
     (four epochs summed — single-epoch snapshots are too noisy at
     ~0.1s/shard) is the gated number at the 100k tier; the final-epoch
-    row and the equal-range plan's skew are reported alongside.  Every
-    run here is additionally byte-compared against the weighted
-    single-worker payload — plan replans and stealing are scheduling
-    knobs, never semantics.
+    row and the equal-range plan's skew are reported alongside.
     """
     import gc
 
@@ -665,36 +629,16 @@ def bench_balance(n_agents: int, smoke: bool) -> Dict[str, Any]:
     )
 
     plans: Dict[str, Any] = {}
-    payloads: Dict[str, str] = {}
     for mode in ("equal", "weighted"):
         gc.collect()
         t0 = time.perf_counter()
         result = run_load(workers=1, plan_mode=mode, **kwargs)
         seconds = time.perf_counter() - t0
-        payloads[mode] = json.dumps(result.metrics, sort_keys=True)
         plans[mode] = {
             "seconds": seconds,
             "n_shards": result.n_shards,
             "imbalance": result.imbalance,
         }
-
-    gc.collect()
-    t0 = time.perf_counter()
-    steal_off = run_load(workers=2, plan_mode="weighted", **kwargs)
-    steal_off_seconds = time.perf_counter() - t0
-    gc.collect()
-    t0 = time.perf_counter()
-    steal_on = run_load(
-        workers=2, plan_mode="weighted", steal=True, **kwargs
-    )
-    steal_on_seconds = time.perf_counter() - t0
-    for name, result in (("steal-off", steal_off), ("steal-on", steal_on)):
-        if json.dumps(result.metrics, sort_keys=True) != payloads["weighted"]:
-            raise AssertionError(
-                f"{name} diverged from the weighted single-worker payload "
-                f"at n_agents={n_agents} — stealing is not a pure "
-                "scheduling knob"
-            )
 
     return {
         "n_agents": n_agents,
@@ -712,124 +656,7 @@ def bench_balance(n_agents: int, smoke: bool) -> Dict[str, Any]:
         "equal_final_epoch_imbalance": (
             plans["equal"]["imbalance"]["final_epoch"]["imbalance"]
         ),
-        "steal": {
-            "off_seconds": steal_off_seconds,
-            "on_seconds": steal_on_seconds,
-            "speedup_on_vs_off": (
-                steal_off_seconds / steal_on_seconds
-                if steal_on_seconds > 0
-                else math.inf
-            ),
-            "chunk_tasks_run": steal_on.chunk_tasks_run,
-        },
         "gate_enforced": n_agents >= BALANCE_GATE_TIER,
-        "byte_identical": True,
-    }
-
-
-# ----------------------------------------------------------------------
-# Zero-copy shard transport: ship bytes + wall clock, pickle vs shm
-# ----------------------------------------------------------------------
-def bench_transport(n_agents: int, smoke: bool) -> Dict[str, Any]:
-    """Measure what each transport ships per epoch, byte-identically.
-
-    Three ``workers=1`` runs on identical config — ``pickle`` (every
-    task carries a materialized per-shard nonce slice and hot-spent
-    snapshot), ``shm`` (tasks carry column descriptors; changed entries
-    republish as deltas each epoch), and ``shm-full`` (the ablation
-    that republishes whole columns instead of deltas).  All three
-    metrics payloads must match byte for byte, and no ``/dev/shm``
-    plane segment may outlive its run.
-
-    The headline number is ``steady_state_epoch_bytes`` — the mean
-    bytes shipped per post-warmup epoch (task pickles plus plane
-    writes), recorded by :class:`repro.obs.ShipCost` for every run
-    including inline ones, where they are the bytes that *would* cross
-    the process boundary.  That makes the reduction gate exact and
-    deterministic even on a single-core host; the wall-clock bar
-    (shm must stay within ``TRANSPORT_WALL_TOLERANCE`` of pickle at
-    ``workers=1``) rides along to prove descriptor resolution and
-    delta republishing are not paid for in time.  Runs warm up with
-    ``gc.collect()`` so earlier tiers cannot inject collection pauses.
-    """
-    import gc
-
-    if not shm_available():
-        return {"n_agents": n_agents, "skipped": "no shared_memory"}
-
-    epochs = 4
-    # bench_load-scale per-epoch volumes: the point of this tier is the
-    # *population-proportional* snapshot cost (the pickle path ships
-    # every shard's nonce slice — the whole column — every epoch) vs
-    # the *activity-proportional* delta cost, so activity stays modest
-    # relative to population.
-    kwargs = dict(
-        n_agents=n_agents,
-        epochs=epochs,
-        seed=SEED,
-        txs_per_epoch=500 if smoke else 1_000,
-        ratings_per_epoch=250 if smoke else 500,
-        reports_per_epoch=100 if smoke else 200,
-        votes_per_epoch=150 if smoke else 300,
-        interactions_per_epoch=1_000 if smoke else 2_000,
-        frames_per_epoch=1_000 if smoke else 2_000,
-        cascade_members=min(n_agents, 1_000 if smoke else 2_000),
-    )
-
-    leaked_before = set(leaked_segments())
-    runs: Dict[str, Any] = {}
-    payloads: Dict[str, str] = {}
-    for transport in ("pickle", "shm", "shm-full"):
-        gc.collect()
-        t0 = time.perf_counter()
-        result = run_load(workers=1, transport=transport, **kwargs)
-        seconds = time.perf_counter() - t0
-        payloads[transport] = json.dumps(result.metrics, sort_keys=True)
-        ship = result.ship_cost
-        runs[transport] = {
-            "seconds": seconds,
-            "seconds_per_epoch": seconds / epochs,
-            "steady_state_epoch_bytes": ship["steady_state_epoch_bytes"],
-            "task_bytes_total": ship["task_bytes_total"],
-            "plane_bytes_total": ship["plane_bytes_total"],
-            "base_plane_bytes": ship["base_plane_bytes"],
-            "ship_bytes_total": ship["ship_bytes_total"],
-        }
-
-    for transport in ("shm", "shm-full"):
-        if payloads[transport] != payloads["pickle"]:
-            raise AssertionError(
-                f"transport={transport} diverged from pickle at "
-                f"n_agents={n_agents} — transport is not a pure knob"
-            )
-    leaked = sorted(set(leaked_segments()) - leaked_before)
-    if leaked:
-        raise AssertionError(f"leaked /dev/shm plane segments: {leaked}")
-
-    pickle_epoch = runs["pickle"]["steady_state_epoch_bytes"]
-    shm_epoch = runs["shm"]["steady_state_epoch_bytes"]
-    full_epoch = runs["shm-full"]["steady_state_epoch_bytes"]
-    if runs["shm"]["plane_bytes_total"] >= runs["shm-full"]["plane_bytes_total"]:
-        raise AssertionError(
-            "delta republish moved more plane bytes than the "
-            "full-republish ablation"
-        )
-    return {
-        "n_agents": n_agents,
-        "epochs": epochs,
-        "transports": runs,
-        "ship_reduction_shm_vs_pickle": (
-            pickle_epoch / shm_epoch if shm_epoch > 0 else math.inf
-        ),
-        "ship_reduction_full_vs_pickle": (
-            pickle_epoch / full_epoch if full_epoch > 0 else math.inf
-        ),
-        "wall_ratio_shm_vs_pickle": (
-            runs["shm"]["seconds"] / runs["pickle"]["seconds"]
-        ),
-        "gate_enforced": n_agents >= TRANSPORT_GATE_TIER,
-        "byte_identical": True,
-        "leaked_segments": 0,
     }
 
 
@@ -1184,7 +1011,6 @@ def run_suite(
     smoke: bool,
     parallel_only: bool = False,
     columnar_only: bool = False,
-    transport_only: bool = False,
     million: bool = False,
 ) -> Dict[str, Any]:
     report: Dict[str, Any] = {
@@ -1193,13 +1019,6 @@ def run_suite(
         "smoke": smoke,
         "tiers": {},
     }
-    if transport_only:
-        # The make bench-transport gate: ship bytes + wall clock for
-        # pickle vs shm vs shm-full at the gate tier (10k in smoke).
-        transport_tier = 10_000 if smoke else TRANSPORT_GATE_TIER
-        print(f"transport tier {transport_tier} ...", flush=True)
-        report["transport"] = bench_transport(transport_tier, smoke)
-        return report
     if columnar_only:
         # The make bench-columnar gate: 10k-tier exact equivalence
         # (kernels + run_load metrics bytes) and the bytes/agent ceiling.
@@ -1236,8 +1055,6 @@ def run_suite(
     report["parallel"] = bench_workers(parallel_tier, smoke)
     print(f"shard balance tier {parallel_tier} ...", flush=True)
     report["balance"] = bench_balance(parallel_tier, smoke)
-    print(f"transport tier {parallel_tier} ...", flush=True)
-    report["transport"] = bench_transport(parallel_tier, smoke)
     return report
 
 
@@ -1308,31 +1125,6 @@ def check_gates(report: Dict[str, Any]) -> List[str]:
                 f"usable core(s) on this host, need >= {PARALLEL_GATE_CORES} "
                 "(byte-equivalence still enforced)"
             )
-    transport = report.get("transport")
-    if transport is not None and "skipped" not in transport:
-        reduction = transport["ship_reduction_shm_vs_pickle"]
-        wall_ratio = transport["wall_ratio_shm_vs_pickle"]
-        if transport["gate_enforced"]:
-            if reduction < REQUIRED_SHIP_REDUCTION:
-                failures.append(
-                    f"shm ship-bytes reduction at {transport['n_agents']} "
-                    f"agents: {reduction:.1f}x < "
-                    f"{REQUIRED_SHIP_REDUCTION}x required"
-                )
-            if wall_ratio > TRANSPORT_WALL_TOLERANCE:
-                failures.append(
-                    f"shm wall clock at {transport['n_agents']} agents: "
-                    f"{wall_ratio:.2f}x pickle > "
-                    f"{TRANSPORT_WALL_TOLERANCE}x tolerance"
-                )
-        else:
-            print(
-                f"  SKIPPED transport >={REQUIRED_SHIP_REDUCTION}x gate: "
-                f"smoke tier {transport['n_agents']} agents < "
-                f"{TRANSPORT_GATE_TIER} gate tier (measured "
-                f"{reduction:.1f}x reduction, wall {wall_ratio:.2f}x; "
-                "byte-equivalence still enforced)"
-            )
     balance = report.get("balance")
     if balance is not None:
         weighted = balance["weighted_epoch_imbalance"]
@@ -1369,30 +1161,20 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="run only the columnar 10k equivalence tier",
     )
     parser.add_argument(
-        "--transport-only",
-        action="store_true",
-        help="run only the transport tier (writes BENCH_PR10.json)",
-    )
-    parser.add_argument(
         "--million",
         action="store_true",
         help="include the 1M-agent columnar tier (implied by full mode)",
     )
     parser.add_argument(
-        "--report", type=Path, default=None, help="output JSON path"
+        "--report", type=Path, default=REPORT_PATH, help="output JSON path"
     )
     args = parser.parse_args(argv)
-    if args.report is None:
-        args.report = (
-            TRANSPORT_REPORT_PATH if args.transport_only else REPORT_PATH
-        )
 
     t0 = time.perf_counter()
     report = run_suite(
         smoke=args.smoke,
         parallel_only=args.parallel_only,
         columnar_only=args.columnar_only,
-        transport_only=args.transport_only,
         million=args.million,
     )
     report["wall_seconds"] = time.perf_counter() - t0
@@ -1464,30 +1246,14 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"{worker_cols} (byte-identical, "
             f"{par.get('usable_cores', par['cpu_count'])} usable core(s))"
         )
-    tra = report.get("transport")
-    if tra is not None and "skipped" not in tra:
-        per_transport = " | ".join(
-            f"{name} {stats['steady_state_epoch_bytes']:,.0f} B/epoch "
-            f"({stats['seconds']:.1f}s)"
-            for name, stats in tra["transports"].items()
-        )
-        print(
-            f"  transport {tra['n_agents']:>7,} agents: {per_transport} | "
-            f"shm cuts ship bytes {tra['ship_reduction_shm_vs_pickle']:.1f}x, "
-            f"wall {tra['wall_ratio_shm_vs_pickle']:.2f}x pickle "
-            "(byte-identical, no leaked segments)"
-        )
     bal = report.get("balance")
     if bal is not None:
-        st = bal["steal"]
         print(
             f"  balance {bal['n_agents']:>8,} agents: shard imbalance "
             f"weighted {bal['weighted_epoch_imbalance']:.2f}x vs equal "
             f"{bal['equal_epoch_imbalance']:.2f}x "
             f"(final epoch {bal['weighted_final_epoch_imbalance']:.2f}x/"
-            f"{bal['equal_final_epoch_imbalance']:.2f}x) | steal on/off "
-            f"{st['on_seconds']:.1f}s/{st['off_seconds']:.1f}s "
-            f"({st['speedup_on_vs_off']:.2f}x, {st['chunk_tasks_run']} chunks)"
+            f"{bal['equal_final_epoch_imbalance']:.2f}x)"
         )
 
     failures = check_gates(report)

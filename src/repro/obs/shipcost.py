@@ -1,26 +1,9 @@
 """Ship-cost metric: bytes crossing the process boundary per epoch.
 
-The transport layer's whole point is shrinking what the parent ships to
-shard workers; this report measures it.  Two byte streams are recorded:
-
-* **task bytes** — the pickled size of every dispatch unit (a monolithic
-  ``ShardTask``, or one phase chunk under stealing).  Under the pickle
-  transport this includes the materialized nonce/spend snapshots; under
-  the shared-memory transport the tasks carry descriptors instead, so
-  these shrink to near-constant size.  Recorded for *every* run,
-  including inline ``workers=1`` execution, where they are the bytes
-  that *would* cross a process boundary — which is what lets the
-  scaling suite gate the reduction on a 1-core host.
-* **plane bytes** — bytes written into shared-memory segments by the
-  plane publisher, split by kind: the one-time ``"base"`` publish,
-  per-epoch ``"delta"`` republishes, and ``"full"`` republishes (the
-  ``shm-full`` ablation).
-
-The gate figure is :meth:`ShipCost.steady_state_epoch_bytes`: the mean
-per-epoch ship bytes over epochs after the first, excluding the
-one-time base publish — i.e. what an additional epoch costs at steady
-state.  The scaling suite's transport tier requires the pickle/shm
-ratio of this figure to be >= 10x at the 100k tier.
+Records the pickled size of every shard task the parent dispatches,
+the shard's nonce-column slice and hot-subject spend snapshot included.
+Recorded for *every* run, including inline ``workers=1`` execution,
+where they are the bytes that *would* cross a process boundary.
 
 This is *observability only*, the same contract as
 :class:`~repro.obs.imbalance.ShardImbalance`: measured byte counts must
@@ -37,93 +20,26 @@ __all__ = ["ShipCost"]
 
 
 class ShipCost:
-    """Accumulates shipped bytes per epoch, phase, and plane column."""
+    """Accumulates pickled task bytes per epoch."""
 
-    def __init__(self, transport: str) -> None:
-        self.transport = transport
+    def __init__(self) -> None:
         self._task_epoch: Dict[int, int] = {}
-        self._task_phase: Dict[str, int] = {}
         self._task_units = 0
-        self._plane_epoch: Dict[int, int] = {}
-        self._plane_column: Dict[str, Dict[str, int]] = {}
-        self._base_bytes = 0
 
-    # -- recording -----------------------------------------------------
-
-    def record_task(self, epoch: int, phase: str, nbytes: int) -> None:
-        """One dispatch unit's pickled size (``phase`` is a phase name,
-        or ``"epoch_task"`` for a monolithic shard task)."""
+    def record_task(self, epoch: int, nbytes: int) -> None:
+        """One shard task's pickled size."""
         self._task_units += 1
         self._task_epoch[epoch] = self._task_epoch.get(epoch, 0) + nbytes
-        self._task_phase[phase] = self._task_phase.get(phase, 0) + nbytes
-
-    def record_plane(
-        self, epoch: int, column: str, kind: str, nbytes: int
-    ) -> None:
-        """Bytes published into a plane segment (``kind`` is ``"base"``,
-        ``"delta"``, or ``"full"``)."""
-        if kind not in ("base", "delta", "full"):
-            raise ValueError(f"unknown plane publish kind {kind!r}")
-        if nbytes <= 0:
-            return
-        self._plane_epoch[epoch] = self._plane_epoch.get(epoch, 0) + nbytes
-        per_column = self._plane_column.setdefault(column, {})
-        per_column[kind] = per_column.get(kind, 0) + nbytes
-        if kind == "base":
-            self._base_bytes += nbytes
-
-    # -- derived figures ----------------------------------------------
-
-    @property
-    def epochs(self) -> int:
-        recorded = set(self._task_epoch) | set(self._plane_epoch)
-        return (max(recorded) + 1) if recorded else 0
-
-    def epoch_ship_bytes(self, epoch: int) -> int:
-        """Task + plane bytes attributed to ``epoch``."""
-        return self._task_epoch.get(epoch, 0) + self._plane_epoch.get(
-            epoch, 0
-        )
-
-    def steady_state_epoch_bytes(self) -> float:
-        """Mean per-epoch ship bytes once the base publish is paid.
-
-        Averages epochs after the first (where the pickle and shm paths
-        both run their per-epoch regime: full snapshots vs deltas); a
-        single-epoch run falls back to epoch 0 minus the one-time base
-        publish.
-        """
-        n = self.epochs
-        if n <= 1:
-            return float(max(0, self.epoch_ship_bytes(0) - self._base_bytes))
-        later = [self.epoch_ship_bytes(e) for e in range(1, n)]
-        return float(sum(later)) / len(later)
 
     def report(self) -> Dict[str, object]:
-        """The full breakdown, JSON-ready (timing/size data only)."""
-        n = self.epochs
-        task_total = sum(self._task_epoch.values())
-        plane_total = sum(self._plane_epoch.values())
+        """The breakdown, JSON-ready (size data only)."""
+        n = (max(self._task_epoch) + 1) if self._task_epoch else 0
         return {
-            "transport": self.transport,
             "epochs": n,
             "task_units": self._task_units,
-            "task_bytes_total": task_total,
-            "plane_bytes_total": plane_total,
-            "base_plane_bytes": self._base_bytes,
-            "ship_bytes_total": task_total + plane_total,
-            "steady_state_epoch_bytes": self.steady_state_epoch_bytes(),
+            "ship_bytes_total": sum(self._task_epoch.values()),
             "per_epoch": {
-                str(epoch): {
-                    "task_bytes": self._task_epoch.get(epoch, 0),
-                    "plane_bytes": self._plane_epoch.get(epoch, 0),
-                    "ship_bytes": self.epoch_ship_bytes(epoch),
-                }
+                str(epoch): self._task_epoch.get(epoch, 0)
                 for epoch in range(n)
-            },
-            "task_bytes_by_phase": dict(sorted(self._task_phase.items())),
-            "plane_bytes_by_column": {
-                column: dict(sorted(kinds.items()))
-                for column, kinds in sorted(self._plane_column.items())
             },
         }

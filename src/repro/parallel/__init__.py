@@ -15,8 +15,11 @@ Determinism is structural, not best-effort:
 * every random stream is a pure function of
   ``(seed, shard, epoch, phase)`` — never of process identity;
 * workers are pure functions of their task (all mutable cross-epoch
-  state ships as explicit snapshots);
+  state ships pickled inside it, as explicit snapshots);
 * results are consumed in shard order, never completion order.
+
+Shard boundaries are cost-weighted by default (:mod:`~repro.parallel.plan`),
+so shards carry near-equal work and every worker takes whole shards.
 """
 
 from repro.parallel.plan import (
@@ -38,25 +41,6 @@ from repro.parallel.pool import (
     parallel_map,
     shared_pool,
     shutdown_shared_pools,
-)
-from repro.parallel.steal import (
-    ChunkResult,
-    ChunkTask,
-    fold_chunk_results,
-    make_chunk_tasks,
-    run_epoch_chunks,
-    run_shard_chunk,
-)
-from repro.parallel.transport import (
-    ColumnDescriptor,
-    ColumnPlane,
-    DeltaDescriptor,
-    StaleDescriptorError,
-    TransportError,
-    attach_column,
-    leaked_segments,
-    resolve_descriptor,
-    shm_available,
 )
 from repro.parallel.worker import (
     CHUNK_PHASES,
@@ -82,23 +66,8 @@ __all__ = [
     "shared_pool",
     "shutdown_shared_pools",
     "parallel_map",
-    "ColumnPlane",
-    "ColumnDescriptor",
-    "DeltaDescriptor",
-    "TransportError",
-    "StaleDescriptorError",
-    "attach_column",
-    "resolve_descriptor",
-    "shm_available",
-    "leaked_segments",
     "ShardTask",
     "ShardEpochResult",
     "run_shard_epoch",
     "CHUNK_PHASES",
-    "ChunkTask",
-    "ChunkResult",
-    "make_chunk_tasks",
-    "run_shard_chunk",
-    "fold_chunk_results",
-    "run_epoch_chunks",
 ]

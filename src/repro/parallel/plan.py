@@ -302,7 +302,7 @@ def blend_profile(
 # Auto-tuned shard counts
 # ----------------------------------------------------------------------
 
-AUTO_CHUNKS_PER_WORKER = 4  # oversplit factor: stealable slack per worker
+AUTO_CHUNKS_PER_WORKER = 4  # oversplit factor: queued shards per worker
 AUTO_MIN_OPS_PER_SHARD = 250  # below this, per-task overhead dominates
 AUTO_MAX_SHARDS = 64
 
@@ -313,7 +313,8 @@ def auto_shard_count(
     """Pick ``n_shards`` from worker count and per-epoch op volume.
 
     Policy: oversplit to ``AUTO_CHUNKS_PER_WORKER`` shards per worker so
-    the stealing layer has slack to rebalance, but never shard so finely
+    the pool, which hands the next queued shard to whichever worker goes
+    idle first, can even out unequal shards, but never shard so finely
     that a shard carries fewer than ``AUTO_MIN_OPS_PER_SHARD`` ops
     (per-task pickling overhead would dominate), never fewer shards than
     workers (idle cores), and never more than ``AUTO_MAX_SHARDS`` or

@@ -13,18 +13,18 @@ pool-creation time for free; on ``spawn`` platforms workers rebuild
 those caches deterministically on first use.  Either way the *results*
 are identical — only the warm-up cost differs.
 
-Two transport-era behaviours live here:
+Two behaviours keep pooled runs cheap:
 
 * **Bounded in-flight submission.**  ``map_ordered`` keeps at most a
   small window of tasks pickled-and-pending instead of submitting the
-  whole list eagerly — long chunk lists no longer double peak memory,
-  and the first worker exception surfaces as soon as its future
-  completes instead of after every earlier task has been gathered.
+  whole list eagerly — long task lists do not double peak memory, and
+  the first worker exception surfaces as soon as its future completes
+  instead of after every earlier task has been gathered.
 * **Persistent workers.**  :func:`shared_pool` hands out long-lived
-  pools keyed by worker count: processes (and their warmed caches +
-  shared-memory attachments) survive across ``run_load`` calls, so the
-  per-run cost is task dispatch, not pool churn.  ``close()`` on a
-  shared pool is a no-op; real shutdown happens at interpreter exit.
+  pools keyed by worker count: processes (and their warmed caches)
+  survive across ``run_load`` calls, so the per-run cost is task
+  dispatch, not pool churn.  ``close()`` on a shared pool is a no-op;
+  real shutdown happens at interpreter exit.
 """
 
 from __future__ import annotations
@@ -53,24 +53,6 @@ def _fork_context() -> Optional[multiprocessing.context.BaseContext]:
         return multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX platforms
         return None
-
-
-def _ensure_resource_tracker() -> None:
-    """Start the stdlib resource tracker *before* forking workers.
-
-    Shared-memory segments register with the resource tracker.  If the
-    tracker first starts inside a forked worker, that worker gets a
-    private tracker which "cleans up" (warns about) segments the parent
-    still owns at worker exit.  Starting it in the parent first means
-    every forked worker shares the parent's tracker, where a worker's
-    attach-registration is an idempotent no-op.
-    """
-    try:  # pragma: no cover - trivial on POSIX, absent elsewhere
-        from multiprocessing import resource_tracker
-
-        resource_tracker.ensure_running()
-    except Exception:
-        pass
 
 
 class SerialPool:
@@ -113,7 +95,6 @@ class ProcessPool:
             raise ValueError(f"window must be >= 1, got {window}")
         self.workers = workers
         self.window = window if window is not None else 2 * workers + 2
-        _ensure_resource_tracker()
         context = _fork_context()
         self._executor = ProcessPoolExecutor(
             max_workers=workers, mp_context=context
@@ -190,10 +171,10 @@ _SHARED_ATEXIT = False
 def shared_pool(workers: Optional[int]):
     """A persistent pool for ``workers`` (inline when <= 1).
 
-    Worker processes — with their warmed per-process caches and
-    shared-memory column attachments — persist across calls, so
-    back-to-back runs pay dispatch cost only.  A pool whose executor
-    broke (a worker crashed) is discarded and rebuilt fresh.
+    Worker processes — with their warmed per-process caches — persist
+    across calls, so back-to-back runs pay dispatch cost only.  A pool
+    whose executor broke (a worker crashed) is discarded and rebuilt
+    fresh.
     """
     global _SHARED_ATEXIT
     if workers is None or workers <= 1:

@@ -51,7 +51,6 @@ from repro.governance.moderation import AbuseClassifier, ReportDesk
 from repro.obs.context import derive_trace_id
 from repro.ledger.transactions import Transaction, TxKind
 from repro.parallel.plan import DEFAULT_COST_MODEL, Phase, ShardPlan
-from repro.parallel.transport import ColumnDescriptor, resolve_descriptor
 from repro.privacy.sensors import FrameBatch
 from repro.social.graph import SocialGraph
 from repro.social.misinformation import MisinformationModel
@@ -113,14 +112,6 @@ class ShardTask:
     base_nonces: Dict[int, int] = field(default_factory=dict)
     base_nonce_slice: Optional[np.ndarray] = None
     hot_spent: "Tuple[float, ...] | np.ndarray" = ()
-    # Shared-memory transport: descriptors replace the materialized
-    # snapshots above (``transport="shm"``).  ``nonce_desc`` windows the
-    # nonce column on the shard's ``[lo, hi)``; ``spent_desc`` covers the
-    # whole privacy-spent column (hot subjects index into it).  Workers
-    # attach read-only views on demand; the values read are bit-identical
-    # to the arrays the pickle path ships.
-    nonce_desc: Optional[ColumnDescriptor] = None
-    spent_desc: Optional[ColumnDescriptor] = None
     # Privacy-phase constants.
     privacy_cap: float = 4.0
     channels: Tuple[Tuple[str, float], ...] = ()
@@ -243,12 +234,9 @@ def warm_caches(
 # The worker entry point
 # ----------------------------------------------------------------------
 
-# The chunkable phases of one (shard, epoch) cell, in fold order.  A
-# chunk is one phase: phases are the finest split that preserves the
-# stream structure (the transaction phase's nonce chain and the privacy
-# phase's per-subject budget accumulation are sequential within a shard,
-# so sub-phase splits would change results).  Chunk ids are stable:
-# chunk ``c`` of any shard always means ``CHUNK_PHASES[c]``.
+# The shard-local phases of one (shard, epoch) cell, in run order.  Each
+# phase is one ``shard.chunk`` span in the trace, and chunk ids are
+# stable: chunk ``c`` of any shard always means ``CHUNK_PHASES[c]``.
 CHUNK_PHASES: Tuple[int, ...] = (
     Phase.TRANSACTIONS,
     Phase.RATINGS,
@@ -286,9 +274,7 @@ def run_phase(task: ShardTask, result: ShardEpochResult, phase: int) -> None:
     """Run one shard-local phase into ``result``.
 
     Each phase draws only its own ``(shard, epoch, phase)`` stream and
-    writes only its own result fields, so phases are independent units:
-    running them one-per-call (the stealing layer's chunks) or all in
-    sequence (:func:`run_shard_epoch`) produces identical bytes.
+    writes only its own result fields, so phases are independent units.
     """
     plan = task.plan
     lo, hi = plan.range_of(task.shard)
@@ -309,7 +295,7 @@ def run_phase(task: ShardTask, result: ShardEpochResult, phase: int) -> None:
     elif phase == Phase.CASCADE:
         _cascade_rounds(task, result, size)
     else:
-        raise ValueError(f"not a chunkable phase: {phase}")
+        raise ValueError(f"not a shard-local phase: {phase}")
 
 
 def phase_op_counts(result: ShardEpochResult) -> Dict[int, int]:
@@ -330,9 +316,8 @@ def phase_op_counts(result: ShardEpochResult) -> Dict[int, int]:
 def epoch_span_payload(task: ShardTask, result: ShardEpochResult) -> dict:
     """The shard's epoch span, as a payload for the parent tracer.
 
-    A pure function of ``(task, result)`` — both execution modes
-    (monolithic shard tasks and stolen chunks) emit it from the merged
-    result, so traces are byte-identical regardless of scheduling.
+    A pure function of ``(task, result)``, so traces are byte-identical
+    regardless of scheduling.
     """
     now = float(task.epoch)
     return {
@@ -374,8 +359,7 @@ def chunk_span_payloads(
     op count and cost units (:data:`~repro.parallel.plan.DEFAULT_COST_MODEL`
     prices).  Start/end are simulated-time offsets — pure functions of
     the epoch and chunk id, never wall clock — so the emitted trace
-    bytes cannot depend on which worker ran the chunk or whether
-    stealing was on.
+    bytes cannot depend on which worker ran the shard.
     """
     now = float(task.epoch)
     trace_id = derive_trace_id(
@@ -444,18 +428,10 @@ def _generate_transactions(
     from repro.workloads.load import SyntheticSignedTransaction
 
     rng = task.plan.rng(task.shard, task.epoch, Phase.TRANSACTIONS)
-    if task.nonce_desc is not None or task.base_nonce_slice is not None:
+    if task.base_nonce_slice is not None:
         # Columnar shipping: the shard's contiguous nonce-column slice,
-        # indexed by sender - lo — either materialized in the task
-        # (pickle transport) or attached through the shared-memory plane
-        # (a descriptor window on the nonce column).  Same values either
-        # way, so the generated transactions are byte-identical.
-        base_slice = (
-            resolve_descriptor(task.nonce_desc)
-            if task.nonce_desc is not None
-            else task.base_nonce_slice
-        )
-        nonce_slice = np.array(base_slice, dtype=np.int64)
+        # indexed by sender - lo.
+        nonce_slice = np.array(task.base_nonce_slice, dtype=np.int64)
 
         def nonce_get(sender: int) -> int:
             return int(nonce_slice[sender - lo])
@@ -629,18 +605,9 @@ def _privacy_prepass(
     )
 
     # --- local apply: replicate ingest_all's admission, frame by frame.
-    if task.spent_desc is not None:
-        # Shared-memory transport: fancy-index the shard's hot subjects
-        # out of the attached spent column — the same float64 values the
-        # pickle path ships materialized.
-        hot_spent = resolve_descriptor(task.spent_desc)[
-            np.asarray(hot, dtype=np.int64)
-        ]
-    else:
-        hot_spent = task.hot_spent
     spent = {
         agent: float(used)
-        for agent, used in zip(hot, hot_spent)
+        for agent, used in zip(hot, task.hot_spent)
     }
     released = blocked_consent = blocked_budget = 0
     for subject, channel in zip(subject_indices, frames.channels):

@@ -68,7 +68,6 @@ paths at full population scale.
 from __future__ import annotations
 
 import pickle
-from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple, Union
 
@@ -108,15 +107,7 @@ from repro.parallel.reduce import (
     merge_interaction_batches,
     sum_predicted_outcomes,
 )
-from repro.parallel.steal import (
-    fold_chunk_results,
-    make_chunk_tasks,
-    run_shard_chunk,
-)
-from repro.parallel.transport import ColumnPlane, shm_available
 from repro.parallel.worker import (
-    CHUNK_PHASES,
-    PHASE_NAMES,
     ShardTask,
     channel_of,
     run_shard_epoch,
@@ -275,16 +266,8 @@ class LoadRunResult:
     table_bytes_per_agent: float = 0.0
     # Elastic-sharding provenance (all deterministic given the config).
     plan_mode: str = "weighted"
-    steal: bool = False
     # The n_shards="auto" decision trace (None when pinned/defaulted).
     shard_decision: Optional[Dict[str, int]] = None
-    # (shard, chunk) units executed via the stealing layer (0 when off).
-    chunk_tasks_run: int = 0
-    # The resolved shard-state transport: "pickle" (materialized
-    # snapshots in every task) or "shm"/"shm-full" (shared-memory column
-    # plane with delta/full republishing).  Like workers and steal, a
-    # pure transport knob — it never changes a metrics or trace byte.
-    transport: str = "pickle"
     # Wall-clock shard-imbalance report (max/mean shard seconds per
     # phase).  Timing, not semantics: excluded from equality so replay
     # comparisons never see the clock.
@@ -320,8 +303,7 @@ def run_load(
     trace: bool = False,
     columnar: bool = True,
     plan_mode: str = "weighted",
-    steal: bool = False,
-    transport: str = "auto",
+    transport: str = "pickle",
 ) -> LoadRunResult:
     """Run the population-scale workload; see the module docstring.
 
@@ -350,12 +332,9 @@ def run_load(
     counts priced by :data:`~repro.parallel.plan.DEFAULT_COST_MODEL`,
     never wall clock) — while ``"equal"`` keeps equal-size ranges (the
     skew baseline the scaling bench reports).  Both modes draw the same
-    per-agent traffic; only the cut points differ.  ``steal=True`` runs
-    each epoch as oversplit ``(shard, chunk)`` units through the
-    deterministic stealing layer (:mod:`repro.parallel.steal`).  All
-    four knobs preserve the contract that metrics and traces are pure
-    functions of the semantic config: ``workers`` and ``steal`` never
-    change a byte.
+    per-agent traffic; only the cut points differ.  Metrics and traces
+    are pure functions of the semantic config: ``workers`` never changes
+    a byte.
 
     ``columnar=True`` (the default) backs the society's hot state — the
     genesis balances, the nonce tracker, and the privacy-budget
@@ -367,20 +346,12 @@ def run_load(
     object-backed escape hatch, kept for equivalence testing — the
     scaling bench and ``make bench-columnar`` assert the match).
 
-    ``transport`` selects how shard state reaches workers.  ``"auto"``
-    (the default) resolves to ``"shm"`` — the shared-memory column
-    plane — whenever more than one worker runs, the run is columnar and
-    the platform has ``multiprocessing.shared_memory``, else to
-    ``"pickle"``: with one worker no other process reads the plane.  Under
-    ``"shm"`` the nonce and privacy-spent columns are published into
-    shared segments once, tasks carry small descriptors instead of
-    materialized array snapshots, and each epoch's changed entries are
-    re-published as generation-bumped deltas (``"shm-full"`` republishes
-    whole columns instead — the delta ablation).  ``"pickle"`` is the
-    escape hatch that ships materialized snapshots in every task.  Like
-    ``workers`` and ``steal``, the transport never changes a metrics or
-    trace byte (``tests/integration/test_determinism.py`` pins it); the
-    measured ship bytes land in ``LoadRunResult.ship_cost``.
+    Shard state reaches workers pickled inside each task: the shard's
+    nonce-column slice and its hot subjects' spends.  ``transport`` has
+    one legal value, ``"pickle"`` (the default), and any other value
+    raises ``ValueError``; it stays only because the repository
+    benchmark passes it, and a change to that benchmark can drop it.
+    The pickled task bytes land in ``LoadRunResult.ship_cost``.
 
     Everything built before the first epoch — address table, agent
     columns, trust index, DAO electorate — is built with the collector
@@ -400,31 +371,8 @@ def run_load(
         raise ValueError(
             f"plan_mode must be 'equal' or 'weighted', got {plan_mode!r}"
         )
-    if transport not in ("auto", "pickle", "shm", "shm-full"):
-        raise ValueError(
-            "transport must be 'auto', 'pickle', 'shm', or 'shm-full', "
-            f"got {transport!r}"
-        )
-    if transport == "auto":
-        resolved_transport = (
-            "shm" if (workers > 1 and columnar and shm_available())
-            else "pickle"
-        )
-    elif transport in ("shm", "shm-full"):
-        if not columnar:
-            raise ValueError(
-                f"transport={transport!r} needs the columnar table "
-                "(columnar=True): object mode has no columns to publish"
-            )
-        if not shm_available():
-            raise ValueError(
-                f"transport={transport!r} requested but "
-                "multiprocessing.shared_memory is unavailable here"
-            )
-        resolved_transport = transport
-    else:
-        resolved_transport = "pickle"
-    use_shm = resolved_transport in ("shm", "shm-full")
+    if transport != "pickle":
+        raise ValueError(f"transport must be 'pickle', got {transport!r}")
     shard_decision: Optional[Dict[str, int]] = None
     if n_shards == "auto":
         ops_per_epoch = (
@@ -551,8 +499,7 @@ def run_load(
 
         Pure function of ``(seed, plan_mode, observed)`` — ``observed``
         is deterministic op-count units from the previous epoch's
-        results, so every worker count and steal mode derives the same
-        boundaries.
+        results, so every worker count derives the same boundaries.
         """
         if plan_mode != "weighted" or plan.n_shards == 1:
             return plan
@@ -649,53 +596,7 @@ def run_load(
     carries = [0] * plan.n_shards
     prev_observed: Optional[np.ndarray] = None
     imbalance_monitor = ShardImbalance(plan.n_shards)
-    ship = ShipCost(resolved_transport)
-    chunk_tasks_run = 0
-
-    # Shared-memory transport: publish the mutable cross-epoch columns
-    # once (generation 0), keep shadow copies of what was published, and
-    # re-publish only the entries each barrier changed as new-generation
-    # delta segments (or whole columns under "shm-full").  Tasks then
-    # carry descriptors instead of materialized snapshots.
-    plane: Optional[ColumnPlane] = None
-    shadow_nonces: Optional[np.ndarray] = None
-    shadow_spent: Optional[np.ndarray] = None
-    if use_shm:
-        assert table is not None  # guaranteed by the transport checks
-        plane = ColumnPlane()
-        ship.record_plane(
-            0, "nonces", "base", plane.publish("nonces", table.nonces)
-        )
-        ship.record_plane(
-            0,
-            "privacy_spent",
-            "base",
-            plane.publish("privacy_spent", table.privacy_spent),
-        )
-        shadow_nonces = table.nonces.copy()
-        shadow_spent = table.privacy_spent.copy()
-
-    def republish_columns(epoch: int) -> None:
-        """Sync the plane to the table's post-barrier state."""
-        for column, col, shadow in (
-            ("nonces", table.nonces, shadow_nonces),
-            ("privacy_spent", table.privacy_spent, shadow_spent),
-        ):
-            if resolved_transport == "shm-full":
-                ship.record_plane(
-                    epoch, column, "full", plane.republish_full(column, col)
-                )
-                shadow[:] = col
-            else:
-                changed = np.flatnonzero(col != shadow)
-                if changed.size:
-                    ship.record_plane(
-                        epoch,
-                        column,
-                        "delta",
-                        plane.republish_delta(column, changed, col[changed]),
-                    )
-                    shadow[changed] = col[changed]
+    ship = ShipCost()
 
     def task_pickled_bytes(obj: object) -> int:
         return len(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
@@ -713,22 +614,15 @@ def run_load(
     # of their keys, so identical wherever they are built).
     warm_caches(epoch_plan_for(None), agents, cascade_members)
     # Persistent worker runtime: shared pools outlive this run, so the
-    # processes (with their warmed caches and plane attachments) are
-    # reused by the next run; their close() is a no-op.
+    # processes (with their warmed caches) are reused by the next run;
+    # their close() is a no-op.
     pool = shared_pool(workers)
-    with ExitStack() as cleanup:
-        if plane is not None:
-            cleanup.callback(plane.close)
-        cleanup.callback(pool.close)
+    with pool:
         # Everything built so far lives for the whole run: frozen, the
         # epoch loop's full collections skip it.
         setup.loaded()
         for epoch in range(epochs):
             now = float(epoch)
-            if plane is not None and epoch > 0:
-                # Ship the previous barrier's changes as deltas before
-                # building this epoch's descriptors.
-                republish_columns(epoch)
             epoch_plan = epoch_plan_for(prev_observed)
             # Weighted replans re-cut boundaries, which changes per-shard
             # cascade member counts — pre-build the new shard graphs in
@@ -772,36 +666,18 @@ def run_load(
                         table.nonces[
                             shard_ranges[shard][0]:shard_ranges[shard][1]
                         ].copy()
-                        if table is not None and plane is None
+                        if table is not None
                         else None
                     ),
                     hot_spent=(
-                        # Shipped only under the pickle transport (the
-                        # plane replaces it with a descriptor).  Fancy
-                        # indexing copies: a frozen snapshot of the
+                        # Fancy indexing copies: a frozen snapshot of the
                         # shard's hot spends, shipped as a float64 array.
-                        ()
-                        if plane is not None
-                        else table.privacy_spent[hot_index_by_shard[shard]]
+                        table.privacy_spent[hot_index_by_shard[shard]]
                         if table is not None
                         else tuple(
                             pipeline.budget.spent(agents[subject])
                             for subject in hot_by_shard[shard]
                         )
-                    ),
-                    nonce_desc=(
-                        plane.descriptor(
-                            "nonces",
-                            shard_ranges[shard][0],
-                            shard_ranges[shard][1],
-                        )
-                        if plane is not None
-                        else None
-                    ),
-                    spent_desc=(
-                        plane.descriptor("privacy_spent")
-                        if plane is not None
-                        else None
                     ),
                     privacy_cap=privacy_cap,
                     channels=DEFAULT_CHANNELS,
@@ -813,25 +689,9 @@ def run_load(
                 )
                 for shard in range(epoch_plan.n_shards)
             ]
-            if steal:
-                chunk_tasks = make_chunk_tasks(tasks)
-                for chunk_task in chunk_tasks:
-                    ship.record_task(
-                        epoch,
-                        PHASE_NAMES[CHUNK_PHASES[chunk_task.chunk]],
-                        task_pickled_bytes(chunk_task),
-                    )
-                chunk_results = pool.map_ordered(
-                    run_shard_chunk, chunk_tasks
-                )
-                results = fold_chunk_results(tasks, chunk_results)
-                chunk_tasks_run += len(chunk_tasks)
-            else:
-                for task in tasks:
-                    ship.record_task(
-                        epoch, "epoch_task", task_pickled_bytes(task)
-                    )
-                results = pool.map_ordered(run_shard_epoch, tasks)
+            for task in tasks:
+                ship.record_task(epoch, task_pickled_bytes(task))
+            results = pool.map_ordered(run_shard_epoch, tasks)
             check_shard_order(results)
             imbalance_monitor.record_epoch(results)
             if plan_mode == "weighted" and epoch + 1 < epochs:
@@ -1079,10 +939,7 @@ def run_load(
             table.bytes_per_agent if table is not None else 0.0
         ),
         plan_mode=plan_mode,
-        steal=steal,
         shard_decision=shard_decision,
-        chunk_tasks_run=chunk_tasks_run,
-        transport=resolved_transport,
         imbalance=imbalance_monitor.report(),
         ship_cost=ship.report(),
     )

@@ -97,7 +97,10 @@ class SpatialGrid:
         nothing — callers filter self out)."""
         if radius < 0:
             raise WorldError(f"radius must be >= 0, got {radius}")
-        span = math.ceil(radius / self._cell_size)
+        # One cell wider than the radius needs: a point whose rounded
+        # distance equals the radius can floor into the next cell out
+        # (query x 1.0, point x -4.9e-177, radius and cell 1.0).
+        span = math.ceil(radius / self._cell_size) + 1
         cx, cy = self._cell_of(position)
         for dx in range(-span, span + 1):
             for dy in range(-span, span + 1):

@@ -2,7 +2,7 @@
 
 import math
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.privacy import BubbleManager
@@ -24,6 +24,9 @@ class TestGridMatchesBruteForce:
         radius=st.floats(min_value=0.0, max_value=30.0),
         cell=st.floats(min_value=0.5, max_value=10.0),
     )
+    # The second point is exactly 1.0 away after rounding but floors
+    # into the cell beyond ceil(radius / cell) of the query's.
+    @example(points=[(1.0, 0.0), (-4.9e-177, 0.0)], radius=1.0, cell=1.0)
     @settings(max_examples=100, deadline=None)
     def test_within_equals_brute_force(self, points, radius, cell):
         grid = SpatialGrid(cell_size=cell)

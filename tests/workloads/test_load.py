@@ -175,16 +175,6 @@ class TestElasticSharding:
         # Different boundaries, different streams' landing sites.
         assert default.metrics != equal.metrics
 
-    def test_stealing_is_a_pure_scheduling_knob(self):
-        base = run_load(workers=1, trace=True, **SMALL)
-        base_payload = json.dumps(base.metrics, sort_keys=True)
-        for workers in (1, 2):
-            stolen = run_load(workers=workers, steal=True, trace=True, **SMALL)
-            assert json.dumps(stolen.metrics, sort_keys=True) == base_payload
-            assert stolen.trace_jsonl == base.trace_jsonl
-            assert stolen.chunk_tasks_run > 0
-        assert base.chunk_tasks_run == 0
-
     def test_auto_shard_count_records_decision(self):
         result = run_load(n_shards="auto", workers=2, **SMALL)
         decision = result.shard_decision

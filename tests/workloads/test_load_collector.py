@@ -162,3 +162,12 @@ class TestCollectorOffDuringSetup:
             run_load(**{**TINY, "block_size": 0})
         assert _state() == before
         assert gc.isenabled()
+
+    # Every transport but "pickle" is rejected at entry.
+    @pytest.mark.parametrize("transport", ["shm", "shm-full", "auto"])
+    def test_rejected_transport_restores(self, transport):
+        before = _state()
+        with pytest.raises(ValueError, match="transport"):
+            run_load(**{**TINY, "transport": transport})
+        assert _state() == before
+        assert gc.isenabled()
