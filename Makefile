@@ -51,15 +51,13 @@ bench-serving:
 # Sharded-execution wall-clock tiers only: serial vs workers={2,4} at
 # the 100k tier with equivalence asserted and >=2x speedup gated where
 # >=4 usable cores exist (loudly recorded-but-skipped on smaller
-# hosts), plus the shard-balance tier — equal vs cost-weighted plans
-# with the weighted whole-run imbalance gated <=1.25x at 100k.  Writes
-# BENCH_PR9.json.
+# hosts), plus the shard-balance tier — the cost-weighted plan's
+# whole-run imbalance gated <=1.25x at 100k.  Writes BENCH_PR9.json.
 bench-parallel:
 	$(PYTHON) -m benchmarks.scaling --parallel-only
 
 # Columnar smoke gate: 10k-tier columnar-vs-object kernels with exact
-# equivalence asserts (bitwise balances/nonces/spends), the columnar
-# load run byte-identical to the object-backed run on metrics, and the
+# equivalence asserts (bitwise balances/nonces/spends) and the
 # bytes/agent ceiling.  The report goes to the untracked .bench_build/.
 # The full 1M tier lives in the scaling suite:
 #   python -m benchmarks.scaling --smoke --million
@@ -84,8 +82,7 @@ bench-scaling:
 # Everything a merge must pass, in one target.  `test` runs the
 # determinism matrix; bench-scaling's smoke mode includes the workers
 # tier (10k agents, workers={2,4} equivalence asserts) and the
-# shard-balance tier (equal vs weighted plans); bench-columnar pins the
-# columnar/object byte-equivalence contract; perfbench-tests runs the
-# repository benchmark's own tests; import-check imports every module
-# alone.
+# shard-balance tier; bench-columnar pins the columnar/object kernel
+# equivalence contract; perfbench-tests runs the repository benchmark's
+# own tests; import-check imports every module alone.
 ci: test perfbench-tests import-check bench-smoke bench-scaling bench-columnar

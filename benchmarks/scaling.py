@@ -36,21 +36,18 @@ vs the dict loop), and the per-epoch trust-top readout (solved-vector
 ``max`` vs materialising the full trust dict).  At the 10k tier the two
 implementations are asserted **exactly equivalent** — balances, nonces,
 budget accept/refuse decisions, bit-level spent accumulators, trust
-tops — and a columnar-vs-object ``run_load`` pair must produce
-byte-identical metrics; at the 100k tier the combined columnar speedup
-over the recurring epoch phases is gated at >= 3x (society build is
-one-time setup, reported but not gated).  The optional 1,000,000-agent tier (full mode or
-``--million``) runs the whole load workload column-backed at a
+tops; at the 100k tier the combined columnar speedup over the
+recurring epoch phases is gated at >= 3x (society build is one-time
+setup, reported but not gated).  The optional 1,000,000-agent tier
+(full mode or ``--million``) runs the whole load workload at a
 population the object path cannot reasonably host, and reports column
 bytes/agent (gated at <= 64) plus peak RSS.
 
-The **shard balance tier** (new with the elastic-sharding layer) runs
-the load workload under the equal-range and cost-weighted shard plans
-and reports the wall-clock shard imbalance — max/mean per-shard seconds
-over the epoch, from the per-phase timings the workers record — for
-both.  At the 100k tier the weighted plan's epoch-level imbalance is
-gated at <= 1.25x while the equal-range plan's measured skew is
-reported alongside for contrast.
+The **shard balance tier** runs the load workload under its
+cost-weighted shard plan and reports the wall-clock shard imbalance —
+max/mean per-shard seconds over the epoch, from the per-phase timings
+the workers record.  At the 100k tier the epoch-level imbalance is
+gated at <= 1.25x.
 
 Results land in ``BENCH_PR9.json`` at the repo root.  Speedup numbers
 are optimised-vs-naive on the same machine and the same data, so they
@@ -73,9 +70,9 @@ Usage
     Just the workers tier (the ``make bench-parallel`` target).
 
 ``python -m benchmarks.scaling --columnar-only``
-    Just the columnar 10k equivalence tier: columnar-vs-object byte
-    equality on load metrics plus the bytes/agent ceiling (the
-    ``make bench-columnar`` target).
+    Just the columnar 10k kernel tier: columnar-vs-object exact
+    equivalence plus the bytes/agent ceiling (the ``make bench-columnar``
+    target).
 """
 
 from __future__ import annotations
@@ -131,8 +128,7 @@ PARALLEL_GATE_CORES = 4
 PARALLEL_GATE_TIER = 100_000
 # The balance acceptance bar: under the cost-weighted plan the
 # epoch-level shard imbalance (max/mean per-shard wall seconds) must
-# stay within 1.25x at the 100k tier.  The equal-range plan's skew is
-# measured and reported alongside for contrast, never gated.
+# stay within 1.25x at the 100k tier.
 REQUIRED_BALANCE_IMBALANCE = 1.25
 BALANCE_GATE_TIER = 100_000
 # The columnar acceptance bar: the struct-of-arrays core must beat the
@@ -598,27 +594,29 @@ def bench_workers(n_agents: int, smoke: bool) -> Dict[str, Any]:
 # Elastic sharding: weighted-plan balance
 # ----------------------------------------------------------------------
 def bench_balance(n_agents: int, smoke: bool) -> Dict[str, Any]:
-    """Measure shard balance under equal vs cost-weighted plans.
+    """Measure shard balance under the cost-weighted plan.
 
     The imbalance number is max/mean per-shard wall seconds summed over
     the run, taken from the per-phase timings the workers record (see
     :class:`repro.obs.ShardImbalance`); it is timing-only and never
-    enters metrics or traces.  Both plan modes run with ``workers=1`` so
-    the measurement sees pure per-shard cost, not core contention, and
-    each timed run is preceded by a ``gc.collect()`` so garbage
-    inherited from earlier tiers cannot inject collection pauses into
-    single phases.  The weighted plan's whole-run ``epoch`` imbalance
-    (four epochs summed — single-epoch snapshots are too noisy at
-    ~0.1s/shard) is the gated number at the 100k tier; the final-epoch
-    row and the equal-range plan's skew are reported alongside.
+    enters metrics or traces.  The run uses ``workers=1`` so the
+    measurement sees pure per-shard cost, not core contention, and is
+    preceded by a ``gc.collect()`` so garbage inherited from earlier
+    tiers cannot inject collection pauses into single phases.  The
+    whole-run ``epoch`` imbalance (four epochs summed — single-epoch
+    snapshots are too noisy at ~0.1s/shard) is the gated number at the
+    100k tier; the final-epoch row is reported alongside.
     """
     import gc
 
     epochs = 4
-    kwargs = dict(
+    gc.collect()
+    t0 = time.perf_counter()
+    result = run_load(
         n_agents=n_agents,
         epochs=epochs,
         seed=SEED,
+        workers=1,
         txs_per_epoch=1_000 if smoke else 4_000,
         ratings_per_epoch=500 if smoke else 2_000,
         reports_per_epoch=200 if smoke else 800,
@@ -627,34 +625,16 @@ def bench_balance(n_agents: int, smoke: bool) -> Dict[str, Any]:
         frames_per_epoch=1_000 if smoke else 4_000,
         cascade_members=min(n_agents, 1_000 if smoke else 4_000),
     )
-
-    plans: Dict[str, Any] = {}
-    for mode in ("equal", "weighted"):
-        gc.collect()
-        t0 = time.perf_counter()
-        result = run_load(workers=1, plan_mode=mode, **kwargs)
-        seconds = time.perf_counter() - t0
-        plans[mode] = {
-            "seconds": seconds,
-            "n_shards": result.n_shards,
-            "imbalance": result.imbalance,
-        }
-
+    seconds = time.perf_counter() - t0
     return {
         "n_agents": n_agents,
         "epochs": epochs,
-        "plans": plans,
-        "weighted_epoch_imbalance": (
-            plans["weighted"]["imbalance"]["epoch"]["imbalance"]
-        ),
-        "equal_epoch_imbalance": (
-            plans["equal"]["imbalance"]["epoch"]["imbalance"]
-        ),
-        "weighted_final_epoch_imbalance": (
-            plans["weighted"]["imbalance"]["final_epoch"]["imbalance"]
-        ),
-        "equal_final_epoch_imbalance": (
-            plans["equal"]["imbalance"]["final_epoch"]["imbalance"]
+        "seconds": seconds,
+        "n_shards": result.n_shards,
+        "imbalance": result.imbalance,
+        "epoch_imbalance": result.imbalance["epoch"]["imbalance"],
+        "final_epoch_imbalance": (
+            result.imbalance["final_epoch"]["imbalance"]
         ),
         "gate_enforced": n_agents >= BALANCE_GATE_TIER,
     }
@@ -903,60 +883,11 @@ def bench_columnar_kernels(n_agents: int, smoke: bool) -> Dict[str, Any]:
     }
 
 
-def bench_columnar_load(n_agents: int, smoke: bool) -> Dict[str, Any]:
-    """``run_load`` column-backed vs object-backed, byte for byte.
-
-    The columnar path must reproduce the object path's metrics payload
-    exactly (the property suite and tests pin trace-level equality; this
-    guards the benchmark's own tier) and keep its hot per-agent state
-    under the column-bytes ceiling.
-    """
-    kwargs = dict(
-        n_agents=n_agents,
-        epochs=2,
-        seed=SEED,
-        txs_per_epoch=500 if smoke else 1_000,
-        ratings_per_epoch=250 if smoke else 500,
-        reports_per_epoch=100 if smoke else 200,
-        votes_per_epoch=150 if smoke else 300,
-        interactions_per_epoch=1_000 if smoke else 2_000,
-        frames_per_epoch=1_000 if smoke else 2_000,
-    )
-    t0 = time.perf_counter()
-    columnar = run_load(columnar=True, **kwargs)
-    columnar_seconds = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    objback = run_load(columnar=False, **kwargs)
-    object_seconds = time.perf_counter() - t0
-    if json.dumps(columnar.metrics, sort_keys=True) != json.dumps(
-        objback.metrics, sort_keys=True
-    ):
-        raise AssertionError(
-            f"columnar run_load diverged from object path at n_agents={n_agents}"
-        )
-    if columnar.table_bytes_per_agent > COLUMNAR_BYTES_PER_AGENT_CEILING:
-        raise AssertionError(
-            f"column bytes/agent {columnar.table_bytes_per_agent:.1f} exceeds "
-            f"ceiling {COLUMNAR_BYTES_PER_AGENT_CEILING}"
-        )
-    return {
-        "n_agents": n_agents,
-        "epochs": kwargs["epochs"],
-        "columnar_seconds": columnar_seconds,
-        "object_seconds": object_seconds,
-        "speedup_vs_object": object_seconds / columnar_seconds,
-        "table_bytes_per_agent": columnar.table_bytes_per_agent,
-        "chain_height": columnar.chain_height,
-        "frames_offered": columnar.frames_offered,
-        "byte_identical": True,
-    }
-
-
 def bench_columnar_million() -> Dict[str, Any]:
-    """The 1,000,000-agent tier: the full load workload, column-backed.
+    """The 1,000,000-agent tier: the full load workload.
 
-    No object-path comparison here — at this population the dict society
-    is the thing being retired.  The interesting numbers are that the
+    No object-path comparison here — the dict society does not scale to
+    this population.  The interesting numbers are that the
     run *completes*, its column bytes/agent, ops/s, and peak RSS (which
     is dominated by the interned address strings, not the columns).
     """
@@ -974,7 +905,6 @@ def bench_columnar_million() -> Dict[str, Any]:
         interactions_per_epoch=4_000,
         frames_per_epoch=4_000,
         cascade_members=2_000,
-        columnar=True,
     )
     t0 = time.perf_counter()
     result = run_load(**kwargs)
@@ -1020,12 +950,11 @@ def run_suite(
         "tiers": {},
     }
     if columnar_only:
-        # The make bench-columnar gate: 10k-tier exact equivalence
-        # (kernels + run_load metrics bytes) and the bytes/agent ceiling.
+        # The make bench-columnar gate: 10k-tier exact kernel
+        # equivalence and the bytes/agent ceiling.
         print("columnar kernels tier 10000 ...", flush=True)
         report["columnar"] = {
             "kernels": {"10000": bench_columnar_kernels(10_000, smoke=True)},
-            "load_equivalence": bench_columnar_load(10_000, smoke=True),
         }
         return report
     if not parallel_only:
@@ -1043,7 +972,6 @@ def run_suite(
         for tier in (10_000, COLUMNAR_GATE_TIER):
             print(f"columnar kernels tier {tier} ...", flush=True)
             columnar["kernels"][str(tier)] = bench_columnar_kernels(tier, smoke)
-        columnar["load_equivalence"] = bench_columnar_load(10_000, smoke)
         if million or not smoke:
             print(f"columnar tier {COLUMNAR_MILLION_TIER} ...", flush=True)
             columnar["million"] = bench_columnar_million()
@@ -1097,9 +1025,6 @@ def check_gates(report: Dict[str, Any]) -> List[str]:
                     f"columnar combined speedup at {COLUMNAR_GATE_TIER}: "
                     f"{speedup:.2f}x < {REQUIRED_COLUMNAR_SPEEDUP}x required"
                 )
-        load_eq = columnar.get("load_equivalence")
-        if load_eq is not None and not load_eq["byte_identical"]:
-            failures.append("columnar run_load metrics not byte-identical")
         million = columnar.get("million")
         if million is not None:
             if not million["completed"]:
@@ -1127,22 +1052,20 @@ def check_gates(report: Dict[str, Any]) -> List[str]:
             )
     balance = report.get("balance")
     if balance is not None:
-        weighted = balance["weighted_epoch_imbalance"]
-        equal = balance["equal_epoch_imbalance"]
+        imbalance = balance["epoch_imbalance"]
         if balance["gate_enforced"]:
-            if weighted > REQUIRED_BALANCE_IMBALANCE:
+            if imbalance > REQUIRED_BALANCE_IMBALANCE:
                 failures.append(
-                    f"weighted-plan shard imbalance at "
-                    f"{balance['n_agents']} agents: {weighted:.3f}x > "
-                    f"{REQUIRED_BALANCE_IMBALANCE}x allowed (equal-range "
-                    f"skew for contrast: {equal:.3f}x)"
+                    f"shard imbalance at {balance['n_agents']} agents: "
+                    f"{imbalance:.3f}x > {REQUIRED_BALANCE_IMBALANCE}x "
+                    "allowed"
                 )
         else:
             print(
                 f"  SKIPPED balance <={REQUIRED_BALANCE_IMBALANCE}x gate: "
                 f"smoke tier {balance['n_agents']} agents < "
-                f"{BALANCE_GATE_TIER} gate tier (measured weighted "
-                f"{weighted:.2f}x vs equal {equal:.2f}x)"
+                f"{BALANCE_GATE_TIER} gate tier (measured "
+                f"{imbalance:.2f}x)"
             )
     return failures
 
@@ -1158,7 +1081,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--columnar-only",
         action="store_true",
-        help="run only the columnar 10k equivalence tier",
+        help="run only the columnar 10k kernel tier",
     )
     parser.add_argument(
         "--million",
@@ -1217,14 +1140,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f"combined {kernels['combined_speedup']:.1f}x, "
                 f"{kernels['bytes_per_agent']:.0f} B/agent"
             )
-        load_eq = columnar.get("load_equivalence")
-        if load_eq is not None:
-            print(
-                f"  columnar load {load_eq['n_agents']:>7,} agents: "
-                f"{load_eq['speedup_vs_object']:.2f}x vs object "
-                f"(byte-identical metrics, "
-                f"{load_eq['table_bytes_per_agent']:.0f} B/agent)"
-            )
         million = columnar.get("million")
         if million is not None:
             print(
@@ -1250,10 +1165,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     if bal is not None:
         print(
             f"  balance {bal['n_agents']:>8,} agents: shard imbalance "
-            f"weighted {bal['weighted_epoch_imbalance']:.2f}x vs equal "
-            f"{bal['equal_epoch_imbalance']:.2f}x "
-            f"(final epoch {bal['weighted_final_epoch_imbalance']:.2f}x/"
-            f"{bal['equal_final_epoch_imbalance']:.2f}x)"
+            f"{bal['epoch_imbalance']:.2f}x "
+            f"(final epoch {bal['final_epoch_imbalance']:.2f}x)"
         )
 
     failures = check_gates(report)

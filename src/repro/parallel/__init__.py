@@ -18,8 +18,8 @@ Determinism is structural, not best-effort:
   state ships pickled inside it, as explicit snapshots);
 * results are consumed in shard order, never completion order.
 
-Shard boundaries are cost-weighted by default (:mod:`~repro.parallel.plan`),
-so shards carry near-equal work and every worker takes whole shards.
+Shard boundaries are cost-weighted (:mod:`~repro.parallel.plan`), so
+shards carry near-equal work and every worker takes whole shards.
 """
 
 from repro.parallel.plan import (
@@ -28,7 +28,6 @@ from repro.parallel.plan import (
     Phase,
     ShardPlan,
     activity_weights,
-    auto_shard_count,
     blend_profile,
     shard_phase_rng,
     split_weighted,
@@ -59,7 +58,6 @@ __all__ = [
     "activity_weights",
     "weighted_boundaries",
     "blend_profile",
-    "auto_shard_count",
     "SerialPool",
     "ProcessPool",
     "make_pool",

@@ -48,7 +48,6 @@ __all__ = [
     "activity_weights",
     "weighted_boundaries",
     "blend_profile",
-    "auto_shard_count",
 ]
 
 
@@ -296,57 +295,6 @@ def blend_profile(
     if p_mass <= 0:
         return o.copy()
     return p * (int(prior_weight) * o_mass) + o * (int(observed_weight) * p_mass)
-
-
-# ----------------------------------------------------------------------
-# Auto-tuned shard counts
-# ----------------------------------------------------------------------
-
-AUTO_CHUNKS_PER_WORKER = 4  # oversplit factor: queued shards per worker
-AUTO_MIN_OPS_PER_SHARD = 250  # below this, per-task overhead dominates
-AUTO_MAX_SHARDS = 64
-
-
-def auto_shard_count(
-    n_agents: int, workers: int, ops_per_epoch: int
-) -> Tuple[int, Dict[str, int]]:
-    """Pick ``n_shards`` from worker count and per-epoch op volume.
-
-    Policy: oversplit to ``AUTO_CHUNKS_PER_WORKER`` shards per worker so
-    the pool, which hands the next queued shard to whichever worker goes
-    idle first, can even out unequal shards, but never shard so finely
-    that a shard carries fewer than ``AUTO_MIN_OPS_PER_SHARD`` ops
-    (per-task pickling overhead would dominate), never fewer shards than
-    workers (idle cores), and never more than ``AUTO_MAX_SHARDS`` or
-    ``n_agents``.  Returns ``(n_shards, decision)`` where ``decision``
-    records every input and intermediate so the choice is auditable in
-    the run's decision trace.
-
-    Pure function of its arguments.  Note the result *does* depend on
-    ``workers`` — callers opting into ``n_shards="auto"`` trade the
-    cross-worker-count byte-identity of a pinned shard count for a
-    hardware-shaped one (still byte-identical between runs with the same
-    ``(seed, workers)``).
-    """
-    if n_agents < 1:
-        raise ValueError(f"n_agents must be >= 1, got {n_agents}")
-    w = max(1, int(workers))
-    oversplit = AUTO_CHUNKS_PER_WORKER * w
-    by_ops = max(1, int(ops_per_epoch) // AUTO_MIN_OPS_PER_SHARD)
-    chosen = max(w, min(oversplit, by_ops))
-    chosen = max(1, min(chosen, int(n_agents), AUTO_MAX_SHARDS))
-    decision = {
-        "n_agents": int(n_agents),
-        "workers": w,
-        "ops_per_epoch": int(ops_per_epoch),
-        "chunks_per_worker": AUTO_CHUNKS_PER_WORKER,
-        "min_ops_per_shard": AUTO_MIN_OPS_PER_SHARD,
-        "max_shards": AUTO_MAX_SHARDS,
-        "oversplit_target": oversplit,
-        "ops_ceiling": by_ops,
-        "n_shards": chosen,
-    }
-    return chosen, decision
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -86,10 +86,11 @@ FRAME_VALUE_DIMS = 4
 class ShardTask:
     """Everything one worker needs for one (shard, epoch) cell.
 
-    Only plain ints/floats/tuples/dicts — cheap to pickle.  The mutable
-    cross-epoch state a shard depends on arrives as explicit snapshots
-    (``base_nonces``, ``hot_spent``), never via worker-process memory,
-    so shard→process placement is free to change between epochs.
+    Plain ints/floats/tuples plus two small arrays — cheap to pickle.
+    The mutable cross-epoch state a shard depends on arrives as explicit
+    snapshots (``base_nonce_slice``, ``hot_spent``), never via
+    worker-process memory, so shard→process placement is free to change
+    between epochs.
     """
 
     plan: ShardPlan
@@ -102,16 +103,11 @@ class ShardTask:
     vote_count: int
     interaction_count: int
     frame_count: int
-    # Snapshot state: sender nonce chains (global index -> next nonce;
-    # senders never seen on-chain are omitted) and hot-subject spends
-    # (aligned with ``plan.hot_subjects_of(shard)``).  The columnar load
-    # path ships ``base_nonce_slice`` — the shard's contiguous int32
-    # nonce-column slice, indexed by ``sender - lo`` — instead of the
-    # per-agent dict, and ``hot_spent`` as a float64 array instead of a
-    # tuple; both carry the same values, so results are byte-identical.
-    base_nonces: Dict[int, int] = field(default_factory=dict)
-    base_nonce_slice: Optional[np.ndarray] = None
-    hot_spent: "Tuple[float, ...] | np.ndarray" = ()
+    # Snapshot state: the shard's contiguous slice of the nonce column
+    # (next nonce per sender, indexed by ``sender - lo``) and its
+    # hot-subject spends (aligned with ``plan.hot_subjects_of(shard)``).
+    base_nonce_slice: np.ndarray
+    hot_spent: np.ndarray
     # Privacy-phase constants.
     privacy_cap: float = 4.0
     channels: Tuple[Tuple[str, float], ...] = ()
@@ -428,26 +424,8 @@ def _generate_transactions(
     from repro.workloads.load import SyntheticSignedTransaction
 
     rng = task.plan.rng(task.shard, task.epoch, Phase.TRANSACTIONS)
-    if task.base_nonce_slice is not None:
-        # Columnar shipping: the shard's contiguous nonce-column slice,
-        # indexed by sender - lo.
-        nonce_slice = np.array(task.base_nonce_slice, dtype=np.int64)
-
-        def nonce_get(sender: int) -> int:
-            return int(nonce_slice[sender - lo])
-
-        def nonce_set(sender: int, value: int) -> None:
-            nonce_slice[sender - lo] = value
-
-    else:
-        nonces = dict(task.base_nonces)
-
-        def nonce_get(sender: int) -> int:
-            return nonces.get(sender, 0)
-
-        def nonce_set(sender: int, value: int) -> None:
-            nonces[sender] = value
-
+    # A private copy of the shard's nonce slice, indexed by sender - lo.
+    nonces = np.array(task.base_nonce_slice, dtype=np.int64)
     for _ in range(task.tx_count):
         sender = lo + int(rng.integers(size))
         recipient = int(rng.integers(task.plan.n_agents))
@@ -455,7 +433,7 @@ def _generate_transactions(
             recipient = (recipient + 1) % task.plan.n_agents
         amount = int(rng.integers(1, 51))
         fee = int(rng.integers(1, 101))
-        nonce = nonce_get(sender)
+        nonce = int(nonces[sender - lo])
         tx = Transaction(
             sender=addresses[sender],
             recipient=addresses[recipient],
@@ -469,10 +447,10 @@ def _generate_transactions(
         # nonce contiguity by construction); a failure is counted and the
         # transaction withheld from the barrier merge.
         stx = SyntheticSignedTransaction(tx)
-        if not stx.verify() or nonce != nonce_get(sender):
+        if not stx.verify() or nonce != nonces[sender - lo]:
             result.tx_precheck_failures += 1
             continue
-        nonce_set(sender, nonce + 1)
+        nonces[sender - lo] = nonce + 1
         result.tx_senders.append(sender)
         result.tx_recipients.append(recipient)
         result.tx_amounts.append(amount)
@@ -599,7 +577,9 @@ def _privacy_prepass(
         task.frame_count,
         time=now,
         rng=rng,
-        channel_of=lambda subject: channel_of(task, subject),
+        channel_of=lambda subject: channel_of(
+            subject, task.channels, task.plan.hot_stride
+        ),
         subject_id_of=addresses.__getitem__,
         value_dims=FRAME_VALUE_DIMS,
     )
@@ -630,10 +610,13 @@ def _privacy_prepass(
     }
 
 
-def channel_of(task: ShardTask, subject: int) -> str:
-    """The one channel hot ``subject`` streams on (fixed by hot rank)."""
-    rank = subject // task.plan.hot_stride
-    return task.channels[rank % len(task.channels)][0]
+def channel_of(
+    subject: int, channels: Sequence[Tuple[str, float]], hot_stride: int
+) -> str:
+    """The one channel hot ``subject`` streams on, fixed by its hot rank
+    (``subject // hot_stride``) among ``(channel, epsilon)`` pairs."""
+    rank = subject // hot_stride
+    return channels[rank % len(channels)][0]
 
 
 def _consented(task: ShardTask, subject: int) -> bool:

@@ -42,6 +42,14 @@ tasks, and the reduction never observes completion order, so
 ``run_load(workers=K)`` returns byte-identical metrics and traces for
 **any** K — the equivalence tests and benches assert it.
 
+The epochs run as a pipeline of module-level stages over one run state
+(``_Run``): set-up builds the substrates once (``_set_up``); then each
+epoch plans its shard cuts (``_epoch_plan``), builds one task per shard
+(``_shard_tasks``), executes the tasks on the pool, folds their timings
+and cost profile (``_fold``) and applies them at the barriers, one
+``_apply_*`` stage per substrate in the order ledger, reputation,
+governance, moderation, privacy, cascade, trust.
+
 Cross-shard effects use a two-phase protocol: transfer debits are
 validated shard-locally (senders are shard-owned), credits to other
 shards apply at the barrier through the parent ledger; workers predict
@@ -67,9 +75,10 @@ paths at full population scale.
 
 from __future__ import annotations
 
+import numbers
 import pickle
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -89,13 +98,12 @@ from repro.ledger.state import LedgerState
 from repro.ledger.transactions import Transaction, TxKind
 from repro.obs.exporters import trace_to_jsonl
 from repro.obs.imbalance import ShardImbalance
-from repro.obs.instrument import Instrumentation
+from repro.obs.instrument import NULL_OBS, Instrumentation
 from repro.obs.shipcost import ShipCost
 from repro.parallel.plan import (
     DEFAULT_COST_MODEL,
     ShardPlan,
     activity_weights,
-    auto_shard_count,
     blend_profile,
     split_weighted,
     weighted_boundaries,
@@ -108,6 +116,7 @@ from repro.parallel.reduce import (
     sum_predicted_outcomes,
 )
 from repro.parallel.worker import (
+    ShardEpochResult,
     ShardTask,
     channel_of,
     run_shard_epoch,
@@ -218,6 +227,11 @@ def agent_addresses(n: int) -> List[str]:
 # budgets stay shard-local by construction.
 HOT_STRIDE = 100
 
+# Each shard's cascade designates its last CASCADE_BOUNDARY members (in
+# sorted order) as the ends of its cross-shard ties; the barrier draws
+# which of the reached ones activate the next shard.
+CASCADE_BOUNDARY = 8
+
 # (channel, epsilon-per-frame) for the per-channel Laplace PETs.  Each
 # hot subject streams on exactly one channel, fixed by hot rank — see
 # repro.parallel.worker.channel_of.
@@ -240,7 +254,6 @@ class LoadRunResult:
     epochs: int
     workers: int
     n_shards: int
-    columnar: bool
     chain_height: int
     txs_submitted: int
     txs_included: int
@@ -262,12 +275,8 @@ class LoadRunResult:
     cascade_cross: int
     metrics: Dict[str, Any]
     trace_jsonl: Optional[str] = None
-    # Column bytes per agent for the run's AgentTable (0.0 in object mode).
+    # Column bytes per agent for the run's AgentTable.
     table_bytes_per_agent: float = 0.0
-    # Elastic-sharding provenance (all deterministic given the config).
-    plan_mode: str = "weighted"
-    # The n_shards="auto" decision trace (None when pinned/defaulted).
-    shard_decision: Optional[Dict[str, int]] = None
     # Wall-clock shard-imbalance report (max/mean shard seconds per
     # phase).  Timing, not semantics: excluded from equality so replay
     # comparisons never see the clock.
@@ -278,6 +287,58 @@ class LoadRunResult:
     # would cross — the process boundary).  Size measurement only, same
     # compare=False contract as ``imbalance``.
     ship_cost: Optional[Dict[str, Any]] = field(default=None, compare=False)
+
+
+@dataclass
+class _Run:
+    """One run's state, threaded through the epoch stages.
+
+    :func:`_set_up` fills the config and the substrates; :func:`_fold`
+    keeps the profile the next epoch's plan cuts on, and the barriers
+    advance the totals and the cascade carries.
+    """
+
+    # The config the stages read; ``mix`` maps each ``*_per_epoch``
+    # parameter to its total.
+    epochs: int
+    mix: Dict[str, int]
+    block_size: int
+    privacy_cap: float
+    cascade_members: int
+    trace: bool
+    # Built by set-up and used for the whole run.
+    plan: ShardPlan
+    activity: np.ndarray
+    activity_cum: np.ndarray
+    agents: List[str]
+    table: AgentTable
+    validator: str
+    chain: Blockchain
+    reputation: ReputationSystem
+    dao: DAO
+    moderation: ModerationService
+    pipeline: PrivacyPipeline
+    registry: MetricsRegistry
+    obs: Optional[Instrumentation]
+    trace_log: Optional[TraceLog]
+    boundary_rng: np.random.Generator
+    imbalance: ShardImbalance
+    ship: ShipCost
+    # Carried from one epoch to the next.
+    carries: List[int]
+    observed: Optional[np.ndarray] = None
+    # Run totals.
+    txs_submitted: int = 0
+    txs_included: int = 0
+    ratings: int = 0
+    reports: int = 0
+    votes_cast: int = 0
+    proposals_closed: int = 0
+    interactions_processed: int = 0
+    cases_opened: int = 0
+    cases_reviewed: int = 0
+    cascade_reach: int = 0
+    cascade_cross: int = 0
 
 
 @frozen_setup
@@ -297,12 +358,9 @@ def run_load(
     frames_per_epoch: int = 2_000,
     privacy_cap: float = 4.0,
     cascade_members: int = 250,
-    cascade_boundary: int = 8,
     workers: int = 1,
-    n_shards: Union[int, str, None] = None,
+    n_shards: Optional[int] = None,
     trace: bool = False,
-    columnar: bool = True,
-    plan_mode: str = "weighted",
     transport: str = "pickle",
 ) -> LoadRunResult:
     """Run the population-scale workload; see the module docstring.
@@ -311,47 +369,37 @@ def run_load(
     never changes results.  ``n_shards`` fixes the stream structure and
     *does* change results — it defaults to ``min(8, n_agents)``
     independently of ``workers`` precisely so scheduling and semantics
-    stay decoupled; pass ``"auto"`` to let
-    :func:`~repro.parallel.plan.auto_shard_count` pick a count from the
-    worker count and per-epoch op volume (the decision trace lands in
-    ``LoadRunResult.shard_decision``; note ``"auto"`` deliberately ties
-    the stream structure to ``workers``).  ``electorate_size`` bounds
-    DAO membership (member objects carry per-member attention state,
-    which at full population size would be setup cost, not load); pass
-    None to enrol every agent.  ``privacy_cap`` is the per-subject
-    epsilon cap; frames target the strided hot ~1% of the population so
-    the cap actually binds.  ``trace=True`` captures the obs-layer trace
-    (parent epoch spans + merged worker spans + substrate spans) and
-    returns its JSONL export.
+    stay decoupled.  Shard boundaries are cut so each shard carries
+    ~equal expected cost under the heavy-tailed activity model, and they
+    replan every epoch from the activity prior blended with the previous
+    epoch's profiled per-agent cost units (deterministic op counts
+    priced by :data:`~repro.parallel.plan.DEFAULT_COST_MODEL`, never wall
+    clock).  ``electorate_size`` bounds DAO membership (member objects
+    carry per-member attention state, which at full population size
+    would be setup cost, not load); pass None to enrol every agent.
+    ``privacy_cap`` is the per-subject epsilon cap; frames target the
+    strided hot ~1% of the population so the cap actually binds.
+    ``trace=True`` captures the obs-layer trace (parent epoch spans +
+    merged worker spans + substrate spans) and returns its JSONL export.
+    Metrics and traces are pure functions of the semantic config:
+    ``workers`` never changes a byte.
 
-    ``plan_mode`` selects the shard partition: ``"weighted"`` (the
-    default) cuts contiguous ranges so each shard carries ~equal
-    expected cost under the heavy-tailed activity model — boundaries
-    replan every epoch from the activity prior blended with the
-    previous epoch's profiled per-agent cost units (deterministic op
-    counts priced by :data:`~repro.parallel.plan.DEFAULT_COST_MODEL`,
-    never wall clock) — while ``"equal"`` keeps equal-size ranges (the
-    skew baseline the scaling bench reports).  Both modes draw the same
-    per-agent traffic; only the cut points differ.  Metrics and traces
-    are pure functions of the semantic config: ``workers`` never changes
-    a byte.
-
-    ``columnar=True`` (the default) backs the society's hot state — the
-    genesis balances, the nonce tracker, and the privacy-budget
-    spent/cap accounting — with a struct-of-arrays
-    :class:`~repro.world.columnar.AgentTable` instead of per-agent dict
-    entries, and ships shard nonce/spend snapshots as array slices
-    instead of per-agent dicts.  This is purely a representation change:
-    metrics and traces are byte-identical to ``columnar=False`` (the
-    object-backed escape hatch, kept for equivalence testing — the
-    scaling bench and ``make bench-columnar`` assert the match).
-
-    Shard state reaches workers pickled inside each task: the shard's
+    The society's hot state — genesis balances, the nonce tracker and
+    the privacy-budget spent/cap accounting — lives in the columns of a
+    struct-of-arrays :class:`~repro.world.columnar.AgentTable`.  Shard
+    state reaches workers pickled inside each task: the shard's
     nonce-column slice and its hot subjects' spends.  ``transport`` has
-    one legal value, ``"pickle"`` (the default), and any other value
-    raises ``ValueError``; it stays only because the repository
-    benchmark passes it, and a change to that benchmark can drop it.
-    The pickled task bytes land in ``LoadRunResult.ship_cost``.
+    one legal value, ``"pickle"`` (the default); it stays only because
+    the repository benchmark passes it, and a change to that benchmark
+    can drop it.  The pickled task bytes land in
+    ``LoadRunResult.ship_cost``.
+
+    The config is checked before any set-up work: ``n_agents``,
+    ``block_size`` and ``electorate_size`` (unless None) must be at
+    least 1, ``epochs``, ``cascade_members``, ``workers`` and every
+    ``*_per_epoch`` count at least 0, ``n_shards`` None or an integer in
+    ``[1, n_agents]``; anything else raises ``ValueError`` naming the
+    parameter.
 
     Everything built before the first epoch — address table, agent
     columns, trust index, DAO electorate — is built with the collector
@@ -363,45 +411,142 @@ def run_load(
     :func:`~repro.sim.heap.frozen_setup`; callers pass the parameters
     after it.
     """
-    if workers < 0:
-        raise ValueError(f"workers must be >= 0, got {workers}")
+    mix = {
+        "txs_per_epoch": txs_per_epoch,
+        "ratings_per_epoch": ratings_per_epoch,
+        "reports_per_epoch": reports_per_epoch,
+        "votes_per_epoch": votes_per_epoch,
+        "interactions_per_epoch": interactions_per_epoch,
+        "frames_per_epoch": frames_per_epoch,
+    }
+    _check_config(
+        n_agents, n_shards, electorate_size, block_size, transport,
+        dict(epochs=epochs, cascade_members=cascade_members, workers=workers,
+             **mix),
+    )
+    run = _set_up(
+        n_agents=n_agents,
+        n_shards=min(8, n_agents) if n_shards is None else int(n_shards),
+        seed=seed,
+        epochs=epochs,
+        mix=mix,
+        block_size=block_size,
+        histogram_backend=histogram_backend,
+        electorate_size=electorate_size,
+        privacy_cap=privacy_cap,
+        cascade_members=cascade_members,
+        trace=trace,
+    )
+    # Shared pools outlive this run, so the processes (with their warmed
+    # caches) are reused by the next run; their close() is a no-op.
+    pool = shared_pool(workers)
+    with pool:
+        # Everything built so far lives for the whole run: frozen, the
+        # epoch loop's full collections skip it.
+        setup.loaded()
+        for epoch in range(epochs):
+            epoch_plan = _epoch_plan(run)
+            # Replanned cuts change per-shard cascade member counts:
+            # building the new shard graphs here keeps that cost out of
+            # the timed cascade phase.  No-op when the cuts did not move.
+            warm_caches(epoch_plan, run.agents, cascade_members)
+            tasks = _shard_tasks(run, epoch_plan, epoch)
+            results = pool.map_ordered(run_shard_epoch, tasks)
+            _fold(run, epoch_plan, results, epoch)
+            _apply(run, results, epoch)
+
+    return LoadRunResult(
+        n_agents=n_agents,
+        epochs=epochs,
+        workers=max(1, workers),
+        n_shards=run.plan.n_shards,
+        chain_height=run.chain.height,
+        txs_submitted=run.txs_submitted,
+        txs_included=run.txs_included,
+        ratings_recorded=run.ratings,
+        reports_filed=run.reports,
+        votes_cast=run.votes_cast,
+        proposals_closed=run.proposals_closed,
+        trust_computes=run.reputation.trust_compute_count,
+        trust_sweeps=run.reputation.trust_sweep_count,
+        interactions_processed=run.interactions_processed,
+        cases_opened=run.cases_opened,
+        cases_reviewed=run.cases_reviewed,
+        moderation_backlog=run.moderation.backlog,
+        frames_offered=run.pipeline.stats.offered,
+        frames_released=run.pipeline.stats.released,
+        frames_blocked_consent=run.pipeline.stats.blocked_consent,
+        frames_blocked_budget=run.pipeline.stats.blocked_budget,
+        cascade_reach=run.cascade_reach,
+        cascade_cross=run.cascade_cross,
+        metrics=run.registry.as_dict(),
+        trace_jsonl=(
+            None if run.trace_log is None else trace_to_jsonl(run.trace_log)
+        ),
+        table_bytes_per_agent=run.table.bytes_per_agent,
+        imbalance=run.imbalance.report(),
+        ship_cost=run.ship.report(),
+    )
+
+
+def _check_config(
+    n_agents: int,
+    n_shards: Optional[int],
+    electorate_size: Optional[int],
+    block_size: int,
+    transport: str,
+    counts: Dict[str, int],
+) -> None:
+    """Raise ``ValueError`` naming the first parameter out of range."""
+    if n_agents < 1:
+        raise ValueError(f"n_agents must be >= 1, got {n_agents}")
+    for name, value in counts.items():
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
     if block_size < 1:
         raise ValueError(f"block_size must be >= 1, got {block_size}")
-    if plan_mode not in ("equal", "weighted"):
+    if electorate_size is not None and electorate_size < 1:
         raise ValueError(
-            f"plan_mode must be 'equal' or 'weighted', got {plan_mode!r}"
+            f"electorate_size must be None or >= 1, got {electorate_size}"
+        )
+    if n_shards is not None and not (
+        isinstance(n_shards, numbers.Integral) and 1 <= n_shards <= n_agents
+    ):
+        raise ValueError(
+            f"n_shards must be None or an integer in [1, {n_agents}], "
+            f"got {n_shards!r}"
         )
     if transport != "pickle":
         raise ValueError(f"transport must be 'pickle', got {transport!r}")
-    shard_decision: Optional[Dict[str, int]] = None
-    if n_shards == "auto":
-        ops_per_epoch = (
-            txs_per_epoch
-            + ratings_per_epoch
-            + reports_per_epoch
-            + votes_per_epoch
-            + interactions_per_epoch
-            + frames_per_epoch
-        )
-        resolved_shards, shard_decision = auto_shard_count(
-            n_agents, max(1, workers), ops_per_epoch
-        )
-    elif n_shards is None:
-        resolved_shards = min(8, n_agents)
-    else:
-        resolved_shards = int(n_shards)
+
+
+def _set_up(
+    n_agents: int,
+    n_shards: int,
+    seed: int,
+    epochs: int,
+    mix: Dict[str, int],
+    block_size: int,
+    histogram_backend: str,
+    electorate_size: Optional[int],
+    privacy_cap: float,
+    cascade_members: int,
+    trace: bool,
+) -> _Run:
+    """Build the society once: plan, substrates, metrics, trace and the
+    warmed per-process caches."""
     n_members = (
         n_agents if electorate_size is None else min(n_agents, electorate_size)
     )
     plan = ShardPlan(
         seed=seed,
         n_agents=n_agents,
-        n_shards=resolved_shards,
+        n_shards=n_shards,
         n_members=n_members,
         hot_stride=HOT_STRIDE,
     )
     # The heavy-tailed per-agent traffic prior: quotas apportion over
-    # its per-shard mass, and weighted plans cut boundaries on it.
+    # its per-shard mass, and the plan cuts boundaries on it.
     activity = activity_weights(seed, n_agents)
     activity_cum = np.concatenate(
         ([0], np.cumsum(activity, dtype=np.int64))
@@ -419,35 +564,23 @@ def run_load(
 
     agents = agent_addresses(n_agents)
     validator = sha256(b"load-validator").hex()
-
-    table: Optional[AgentTable] = None
-    if columnar:
-        # Struct-of-arrays hot state: genesis balances live in an int64
-        # column (the ledger's copy-on-write base), the nonce tracker in
-        # an int32 column shipped to shards as slices, and the privacy
-        # spent/cap accounting in float64 columns the budget charges
-        # directly.  No million-entry dict is ever built.
-        table = AgentTable(
-            agents, initial_balance=1_000_000, privacy_cap=privacy_cap
-        )
-        chain = Blockchain(
-            PoAConsensus([validator]),
-            genesis_state=LedgerState.from_columns(table),
-        )
-    else:
-        chain = Blockchain(
-            PoAConsensus([validator]),
-            genesis_balances={a: 1_000_000 for a in agents},
-        )
+    # Struct-of-arrays hot state: genesis balances live in an int64
+    # column (the ledger's copy-on-write base), the nonce tracker in an
+    # int32 column shipped to shards as slices, and the privacy
+    # spent/cap accounting in float64 columns the budget charges
+    # directly.  No million-entry dict is ever built.
+    table = AgentTable(
+        agents, initial_balance=1_000_000, privacy_cap=privacy_cap
+    )
+    chain = Blockchain(
+        PoAConsensus([validator]),
+        genesis_state=LedgerState.from_columns(table),
+    )
     reputation = ReputationSystem(pretrusted=agents[: max(1, n_agents // 1000)])
     # The whole population is known to the reputation layer up front, so
     # the per-epoch trust solve runs at population scale (the point of
     # this workload), not just over the handful of agents sampled so far.
-    if columnar:
-        reputation.register_identities(agents)
-    else:
-        for address in agents:
-            reputation.register_identity(address)
+    reputation.register_identities(agents)
 
     dao = DAO(name="load")
     for address in agents[:n_members]:
@@ -463,7 +596,7 @@ def run_load(
         report_desk=ReportDesk(rngs.stream("load.moderation.reports")),
         reviewer=HumanModeratorPool(
             rngs.stream("load.moderation.reviewer"),
-            capacity_per_epoch=max(20, interactions_per_epoch // 20),
+            capacity_per_epoch=max(20, mix["interactions_per_epoch"] // 20),
         ),
         obs=obs,
     )
@@ -472,11 +605,7 @@ def run_load(
     # disclosure).  Workers predict its admissions; the barrier asserts.
     pipeline = PrivacyPipeline(
         consent=ConsentRegistry(),
-        budget=(
-            PrivacyBudget.from_table(table)
-            if table is not None
-            else PrivacyBudget(default_cap=privacy_cap)
-        ),
+        budget=PrivacyBudget.from_table(table),
         obs=obs,
     )
     for channel, epsilon in DEFAULT_CHANNELS:
@@ -484,480 +613,391 @@ def run_load(
             channel,
             LaplaceMechanism(epsilon, rng=rngs.stream(f"load.pets.{channel}")),
         )
-    _task_probe = _consent_probe(plan)
     for subject in range(0, n_agents, HOT_STRIDE):
-        rank = subject // HOT_STRIDE
-        if rank % CONSENT_DENIED_MOD != 0:
+        if (subject // HOT_STRIDE) % CONSENT_DENIED_MOD != 0:
             pipeline.consent.grant(
-                agents[subject], channel_of(_task_probe, subject)
+                agents[subject],
+                channel_of(subject, DEFAULT_CHANNELS, HOT_STRIDE),
             )
 
-    boundary_rng = rngs.stream("load.cascade.boundary")
+    run = _Run(
+        epochs=epochs,
+        mix=mix,
+        block_size=block_size,
+        privacy_cap=privacy_cap,
+        cascade_members=cascade_members,
+        trace=trace,
+        plan=plan,
+        activity=activity,
+        activity_cum=activity_cum,
+        agents=agents,
+        table=table,
+        validator=validator,
+        chain=chain,
+        reputation=reputation,
+        dao=dao,
+        moderation=moderation,
+        pipeline=pipeline,
+        registry=registry,
+        obs=obs,
+        trace_log=trace_log,
+        boundary_rng=rngs.stream("load.cascade.boundary"),
+        imbalance=ShardImbalance(plan.n_shards),
+        ship=ShipCost(),
+        carries=[0] * plan.n_shards,
+    )
+    # Warm the per-process caches before run_load's pool exists: on fork
+    # platforms every worker inherits the address table and the epoch-0
+    # shard graphs instead of rebuilding them.  Later cuts fill
+    # per-process caches lazily (pure functions of their keys, so
+    # identical wherever they are built).
+    warm_caches(_epoch_plan(run), agents, cascade_members)
+    return run
 
-    def epoch_plan_for(observed: Optional[np.ndarray]) -> ShardPlan:
-        """The epoch's partition: weighted cuts replan on the profile.
 
-        Pure function of ``(seed, plan_mode, observed)`` — ``observed``
-        is deterministic op-count units from the previous epoch's
-        results, so every worker count derives the same boundaries.
-        """
-        if plan_mode != "weighted" or plan.n_shards == 1:
-            return plan
-        weights = blend_profile(activity, observed)
-        return plan.with_boundaries(
-            weighted_boundaries(weights, plan.n_shards)
+def _epoch_plan(run: _Run) -> ShardPlan:
+    """The epoch's partition, cut on the blended cost profile.
+
+    A pure function of ``(seed, run.observed)`` — ``observed`` holds
+    deterministic op-count units from the previous epoch's results, so
+    every worker count derives the same boundaries.
+    """
+    if run.plan.n_shards == 1:
+        return run.plan
+    weights = blend_profile(run.activity, run.observed)
+    return run.plan.with_boundaries(
+        weighted_boundaries(weights, run.plan.n_shards)
+    )
+
+
+def _shard_tasks(
+    run: _Run, epoch_plan: ShardPlan, epoch: int
+) -> List[ShardTask]:
+    """One task per shard, each one's pickled size recorded as ship cost.
+
+    Op quotas are apportioned over activity mass: every kind follows
+    each shard's share of total activity (the heavy-tailed traffic
+    model), except frames, which follow hot-subject activity, and votes,
+    which follow electorate overlap.  Every split sums exactly to its
+    per-epoch total.  Each task carries a copy of its shard's
+    nonce-column slice and of its hot subjects' spends.
+    """
+    shards = range(epoch_plan.n_shards)
+    ranges = [epoch_plan.range_of(s) for s in shards]
+    hot_by_shard = [
+        np.asarray(epoch_plan.hot_subjects_of(s), dtype=np.int64)
+        for s in shards
+    ]
+    cum = run.activity_cum
+    masses = [int(cum[hi] - cum[lo]) for lo, hi in ranges]
+    weights = {
+        "frames_per_epoch": [
+            int(run.activity[hot].sum()) for hot in hot_by_shard
+        ],
+        "votes_per_epoch": [
+            max(0, mhi - mlo)
+            for mlo, mhi in (epoch_plan.member_range_of(s) for s in shards)
+        ],
+    }
+    quotas = {
+        name: split_weighted(total, weights.get(name, masses))
+        for name, total in run.mix.items()
+    }
+    tasks = [
+        ShardTask(
+            plan=epoch_plan,
+            shard=shard,
+            epoch=epoch,
+            tx_count=quotas["txs_per_epoch"][shard],
+            rating_count=quotas["ratings_per_epoch"][shard],
+            report_count=quotas["reports_per_epoch"][shard],
+            vote_count=quotas["votes_per_epoch"][shard],
+            interaction_count=quotas["interactions_per_epoch"][shard],
+            frame_count=quotas["frames_per_epoch"][shard],
+            base_nonce_slice=run.table.nonces[lo:hi].copy(),
+            # Fancy indexing copies: a frozen snapshot of the shard's
+            # hot spends.
+            hot_spent=run.table.privacy_spent[hot_by_shard[shard]],
+            privacy_cap=run.privacy_cap,
+            channels=DEFAULT_CHANNELS,
+            consent_denied_mod=CONSENT_DENIED_MOD,
+            cascade_members=run.cascade_members,
+            cascade_boundary=CASCADE_BOUNDARY,
+            carry_seeds=run.carries[shard],
+            trace=run.trace,
+        )
+        for shard, (lo, hi) in enumerate(ranges)
+    ]
+    for task in tasks:
+        run.ship.record_task(
+            epoch, len(pickle.dumps(task, protocol=pickle.HIGHEST_PROTOCOL))
+        )
+    return tasks
+
+
+def _fold(
+    run: _Run,
+    epoch_plan: ShardPlan,
+    results: List[ShardEpochResult],
+    epoch: int,
+) -> None:
+    """Check the reduction order, record the epoch's shard timings and,
+    when another epoch follows, profile its costs for the next plan."""
+    check_shard_order(results)
+    run.imbalance.record_epoch(results)
+    if epoch + 1 < run.epochs:
+        run.observed = _observed_costs(run, epoch_plan, results)
+
+
+def _observed_costs(
+    run: _Run, epoch_plan: ShardPlan, results: List[ShardEpochResult]
+) -> np.ndarray:
+    """Profile one epoch: per-agent cost units from observed ops.
+
+    Op counts come off the result arrays (deterministic); each op is
+    priced by :data:`DEFAULT_COST_MODEL`.  Frame and cascade cost is
+    spread over the subjects/members that phase actually ran on.
+    """
+    cm = DEFAULT_COST_MODEL
+    n_agents = run.plan.n_agents
+    observed = np.zeros(n_agents, dtype=np.int64)
+    for result in results:
+        charged = (
+            (result.tx_senders, cm.tx),
+            (result.rating_raters, cm.rating),
+            (result.report_reporters, cm.report),
+            (result.vote_voters, cm.vote),
+            (
+                result.interactions.initiators
+                if result.interactions is not None
+                else (),
+                cm.interaction,
+            ),
+        )
+        for indices, unit in charged:
+            if len(indices):
+                observed += unit * np.bincount(
+                    np.asarray(indices, dtype=np.int64), minlength=n_agents
+                )
+        lo, hi = epoch_plan.range_of(result.shard)
+        hot = epoch_plan.hot_subjects_of(result.shard)
+        if result.frames and hot:
+            observed[np.asarray(hot, dtype=np.int64)] += (
+                cm.frame * len(result.frames) // len(hot)
+            )
+        members = min(run.cascade_members, hi - lo)
+        if members >= 2 and result.cascade_reach:
+            observed[lo : lo + members] += (
+                cm.cascade * result.cascade_reach
+            ) // members
+    return observed
+
+
+def _apply(
+    run: _Run, results: List[ShardEpochResult], epoch: int
+) -> None:
+    """The epoch barrier: the serial state advances by folding the shard
+    results in shard order, inside the epoch span."""
+    now = float(epoch)
+    obs = run.obs if run.obs is not None else NULL_OBS
+    with obs.span("load", "epoch", time=now, epoch=epoch):
+        if run.obs is not None:
+            for result in results:
+                run.obs.tracer.emit_merged(result.span_payloads)
+        _apply_ledger(run, results, now)
+        _apply_reputation(run, results, now)
+        _apply_governance(run, results, epoch)
+        _apply_moderation(run, results, now)
+        _apply_privacy(run, results)
+        _apply_cascade(run, results)
+        _apply_trust(run)
+
+
+def _apply_ledger(
+    run: _Run, results: List[ShardEpochResult], now: float
+) -> None:
+    """Submit the workers' transfers in shard order, then fill blocks
+    until the mempool is empty."""
+    agents, chain, registry = run.agents, run.chain, run.registry
+    nonces = run.table.nonces
+    for result in results:
+        for s, r, amount, fee, nonce, tx_id in zip(
+            result.tx_senders,
+            result.tx_recipients,
+            result.tx_amounts,
+            result.tx_fees,
+            result.tx_nonces,
+            result.tx_ids,
+        ):
+            tx = Transaction(
+                sender=agents[s],
+                recipient=agents[r],
+                amount=amount,
+                fee=fee,
+                nonce=nonce,
+                kind=TxKind.TRANSFER,
+            )
+            # Seed the hash cache with the worker-computed id so
+            # admission never re-hashes on the barrier.
+            object.__setattr__(tx, "_tx_id", tx_id)
+            if not chain.mempool.submit(
+                SyntheticSignedTransaction(tx), chain.state, time=now
+            ):
+                raise RuntimeError(
+                    "two-phase ledger protocol diverged: worker-admitted "
+                    f"tx {tx_id} refused by the authoritative mempool"
+                )
+            nonces[s] = nonce + 1
+            registry.histogram("load.tx.fee").observe(float(fee))
+        run.txs_submitted += len(result.tx_ids)
+    while len(chain.mempool) > 0:
+        block = chain.propose_block(
+            run.validator, timestamp=now + 0.1, max_txs=run.block_size
+        )
+        if not block.transactions:
+            break
+        run.txs_included += len(block.transactions)
+        registry.histogram("load.block.txs").observe(
+            float(len(block.transactions))
         )
 
-    def shard_quotas(epoch_plan: ShardPlan) -> Dict[str, List[int]]:
-        """Per-shard op quotas, apportioned over activity mass.
 
-        Transactions/ratings/reports/interactions follow each shard's
-        share of total activity (the heavy-tailed traffic model); frames
-        follow hot-subject activity; votes follow electorate overlap.
-        Every split sums exactly to its per-epoch total.
-        """
-        ranges = [
-            epoch_plan.range_of(s) for s in range(epoch_plan.n_shards)
-        ]
-        masses = [
-            int(activity_cum[hi] - activity_cum[lo]) for lo, hi in ranges
-        ]
-        hot_by = [
-            epoch_plan.hot_subjects_of(s)
-            for s in range(epoch_plan.n_shards)
-        ]
-        hot_masses = [
-            int(activity[np.asarray(h, dtype=np.int64)].sum()) if h else 0
-            for h in hot_by
-        ]
-        member_sizes = [
-            max(0, mhi - mlo)
-            for mlo, mhi in (
-                epoch_plan.member_range_of(s)
-                for s in range(epoch_plan.n_shards)
+def _apply_reputation(
+    run: _Run, results: List[ShardEpochResult], now: float
+) -> None:
+    """Record every rating, then every report, in shard order."""
+    agents, reputation, registry = run.agents, run.reputation, run.registry
+    for result in results:
+        for a, b, weight in zip(
+            result.rating_raters, result.rating_ratees, result.rating_weights
+        ):
+            reputation.record(
+                agents[a], agents[b], positive=True, time=now, weight=weight
             )
-        ]
-        return {
-            "tx": split_weighted(txs_per_epoch, masses),
-            "rating": split_weighted(ratings_per_epoch, masses),
-            "report": split_weighted(reports_per_epoch, masses),
-            "interaction": split_weighted(interactions_per_epoch, masses),
-            "frame": split_weighted(frames_per_epoch, hot_masses),
-            "vote": split_weighted(votes_per_epoch, member_sizes),
-        }
-
-    def observed_costs(
-        epoch_plan: ShardPlan, results: List
-    ) -> np.ndarray:
-        """Profile one epoch: per-agent cost units from observed ops.
-
-        Op counts come off the result arrays (deterministic); each op is
-        priced by :data:`DEFAULT_COST_MODEL`.  Frame and cascade cost is
-        spread over the subjects/members that phase actually ran on.
-        """
-        cm = DEFAULT_COST_MODEL
-        observed = np.zeros(n_agents, dtype=np.int64)
-
-        def charge(indices: List[int], unit: int) -> None:
-            if len(indices):
-                counts = np.bincount(
-                    np.asarray(indices, dtype=np.int64),
-                    minlength=n_agents,
-                )
-                observed[:] += counts * unit
-
-        for result in results:
-            charge(result.tx_senders, cm.tx)
-            charge(result.rating_raters, cm.rating)
-            charge(result.report_reporters, cm.report)
-            charge(result.vote_voters, cm.vote)
-            if result.interactions is not None:
-                charge(result.interactions.initiators, cm.interaction)
-            lo, hi = epoch_plan.range_of(result.shard)
-            hot = epoch_plan.hot_subjects_of(result.shard)
-            if result.frames and hot:
-                observed[np.asarray(hot, dtype=np.int64)] += (
-                    cm.frame * len(result.frames) // len(hot)
-                )
-            members = min(cascade_members, hi - lo)
-            if members >= 2 and result.cascade_reach:
-                observed[lo : lo + members] += (
-                    cm.cascade * result.cascade_reach
-                ) // members
-        return observed
-
-    # Cross-epoch nonce tracker the shard workers precheck against.
-    # Columnar mode keeps it in the table's int32 column and ships each
-    # shard its contiguous slice; object mode keeps ONE global dict,
-    # bucketed per epoch by the epoch plan's boundaries — weighted
-    # replanning moves agents between shards, so per-shard dicts would
-    # strand a migrating sender's chain.
-    nonce_tracker: Dict[int, int] = {}
-    carries = [0] * plan.n_shards
-    prev_observed: Optional[np.ndarray] = None
-    imbalance_monitor = ShardImbalance(plan.n_shards)
-    ship = ShipCost()
-
-    def task_pickled_bytes(obj: object) -> int:
-        return len(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
-
-    txs_submitted = txs_included = 0
-    ratings = reports = votes_cast = proposals_closed = 0
-    interactions_processed = cases_opened = cases_reviewed = 0
-    cascade_reach = cascade_cross = 0
-
-    # Warm the per-process caches before the pool exists: on fork
-    # platforms every worker inherits the address table and shard graphs
-    # for free instead of rebuilding them per process.  Weighted plans
-    # re-cut boundaries each epoch, so warm with the epoch-0 cuts;
-    # later-epoch graphs fill per-process caches lazily (pure functions
-    # of their keys, so identical wherever they are built).
-    warm_caches(epoch_plan_for(None), agents, cascade_members)
-    # Persistent worker runtime: shared pools outlive this run, so the
-    # processes (with their warmed caches) are reused by the next run;
-    # their close() is a no-op.
-    pool = shared_pool(workers)
-    with pool:
-        # Everything built so far lives for the whole run: frozen, the
-        # epoch loop's full collections skip it.
-        setup.loaded()
-        for epoch in range(epochs):
-            now = float(epoch)
-            epoch_plan = epoch_plan_for(prev_observed)
-            # Weighted replans re-cut boundaries, which changes per-shard
-            # cascade member counts — pre-build the new shard graphs in
-            # the parent so (inline mode especially) the rebuild cost is
-            # plan overhead, not timed cascade-phase work.  No-op when
-            # the cuts did not move; pure cost optimisation either way.
-            warm_caches(epoch_plan, agents, cascade_members)
-            quotas = shard_quotas(epoch_plan)
-            shard_ranges = [
-                epoch_plan.range_of(s) for s in range(epoch_plan.n_shards)
-            ]
-            hot_by_shard = [
-                epoch_plan.hot_subjects_of(s)
-                for s in range(epoch_plan.n_shards)
-            ]
-            hot_index_by_shard = [
-                np.asarray(hot, dtype=np.int64) for hot in hot_by_shard
-            ]
-            tasks = [
-                ShardTask(
-                    plan=epoch_plan,
-                    shard=shard,
-                    epoch=epoch,
-                    tx_count=quotas["tx"][shard],
-                    rating_count=quotas["rating"][shard],
-                    report_count=quotas["report"][shard],
-                    vote_count=quotas["vote"][shard],
-                    interaction_count=quotas["interaction"][shard],
-                    frame_count=quotas["frame"][shard],
-                    base_nonces=(
-                        {} if table is not None
-                        else {
-                            sender: nonce
-                            for sender, nonce in nonce_tracker.items()
-                            if shard_ranges[shard][0]
-                            <= sender
-                            < shard_ranges[shard][1]
-                        }
-                    ),
-                    base_nonce_slice=(
-                        table.nonces[
-                            shard_ranges[shard][0]:shard_ranges[shard][1]
-                        ].copy()
-                        if table is not None
-                        else None
-                    ),
-                    hot_spent=(
-                        # Fancy indexing copies: a frozen snapshot of the
-                        # shard's hot spends, shipped as a float64 array.
-                        table.privacy_spent[hot_index_by_shard[shard]]
-                        if table is not None
-                        else tuple(
-                            pipeline.budget.spent(agents[subject])
-                            for subject in hot_by_shard[shard]
-                        )
-                    ),
-                    privacy_cap=privacy_cap,
-                    channels=DEFAULT_CHANNELS,
-                    consent_denied_mod=CONSENT_DENIED_MOD,
-                    cascade_members=cascade_members,
-                    cascade_boundary=cascade_boundary,
-                    carry_seeds=carries[shard],
-                    trace=trace,
-                )
-                for shard in range(epoch_plan.n_shards)
-            ]
-            for task in tasks:
-                ship.record_task(epoch, task_pickled_bytes(task))
-            results = pool.map_ordered(run_shard_epoch, tasks)
-            check_shard_order(results)
-            imbalance_monitor.record_epoch(results)
-            if plan_mode == "weighted" and epoch + 1 < epochs:
-                prev_observed = observed_costs(epoch_plan, results)
-
-            epoch_span = (
-                obs.span("load", "epoch", time=now, epoch=epoch)
-                if obs is not None
-                else None
+            registry.histogram("load.rating.weight").observe(weight)
+        run.ratings += len(result.rating_raters)
+    for result in results:
+        for reporter, accused, severity in zip(
+            result.report_reporters,
+            result.report_accused,
+            result.report_severities,
+        ):
+            reputation.record(
+                agents[reporter],
+                agents[accused],
+                positive=False,
+                time=now,
+                weight=severity,
+                context="report",
             )
-            if epoch_span is not None:
-                epoch_span.__enter__()
+            registry.counter("load.reports.filed").inc()
+            registry.histogram("load.report.severity").observe(severity)
+        run.reports += len(result.report_reporters)
+
+
+def _apply_governance(
+    run: _Run, results: List[ShardEpochResult], epoch: int
+) -> None:
+    """One proposal, the shards' ballots in shard order, then close it."""
+    now = float(epoch)
+    proposal = run.dao.submit_proposal(
+        title=f"epoch-{epoch} parameter change",
+        proposer=run.agents[0],
+        topic="governance",
+        created_at=now,
+        voting_period=0.5,
+    )
+    for result in results:
+        for voter, yes in zip(result.vote_voters, result.vote_yes):
             try:
-                if obs is not None:
-                    for result in results:
-                        obs.tracer.emit_merged(result.span_payloads)
-
-                # -- ledger barrier: apply debits+credits in shard order.
-                for result in results:
-                    for s, r, amount, fee, nonce, tx_id in zip(
-                        result.tx_senders,
-                        result.tx_recipients,
-                        result.tx_amounts,
-                        result.tx_fees,
-                        result.tx_nonces,
-                        result.tx_ids,
-                    ):
-                        tx = Transaction(
-                            sender=agents[s],
-                            recipient=agents[r],
-                            amount=amount,
-                            fee=fee,
-                            nonce=nonce,
-                            kind=TxKind.TRANSFER,
-                        )
-                        # Seed the hash cache with the worker-computed id
-                        # so admission never re-hashes on the barrier.
-                        object.__setattr__(tx, "_tx_id", tx_id)
-                        if not chain.mempool.submit(
-                            SyntheticSignedTransaction(tx), chain.state,
-                            time=now,
-                        ):
-                            raise RuntimeError(
-                                "two-phase ledger protocol diverged: "
-                                f"worker-admitted tx {tx_id} refused by "
-                                "the authoritative mempool"
-                            )
-                        if table is not None:
-                            table.nonces[s] = nonce + 1
-                        else:
-                            nonce_tracker[s] = nonce + 1
-                        txs_submitted += 1
-                        registry.histogram("load.tx.fee").observe(float(fee))
-                while len(chain.mempool) > 0:
-                    block = chain.propose_block(
-                        validator, timestamp=now + 0.1, max_txs=block_size
-                    )
-                    if not block.transactions:
-                        break
-                    txs_included += len(block.transactions)
-                    registry.histogram("load.block.txs").observe(
-                        float(len(block.transactions))
-                    )
-
-                # -- reputation barrier: fold edge deltas in shard order.
-                for result in results:
-                    for a, b, weight in zip(
-                        result.rating_raters,
-                        result.rating_ratees,
-                        result.rating_weights,
-                    ):
-                        reputation.record(
-                            agents[a], agents[b], positive=True, time=now,
-                            weight=weight,
-                        )
-                        ratings += 1
-                        registry.histogram("load.rating.weight").observe(
-                            weight
-                        )
-                for result in results:
-                    for reporter, accused, severity in zip(
-                        result.report_reporters,
-                        result.report_accused,
-                        result.report_severities,
-                    ):
-                        reputation.record(
-                            agents[reporter],
-                            agents[accused],
-                            positive=False,
-                            time=now,
-                            weight=severity,
-                            context="report",
-                        )
-                        reports += 1
-                        registry.counter("load.reports.filed").inc()
-                        registry.histogram("load.report.severity").observe(
-                            severity
-                        )
-
-                # -- governance barrier: one proposal, shard-ordered
-                # ballots.
-                proposal = dao.submit_proposal(
-                    title=f"epoch-{epoch} parameter change",
-                    proposer=agents[0],
-                    topic="governance",
-                    created_at=now,
-                    voting_period=0.5,
+                run.dao.cast_ballot(
+                    proposal.proposal_id,
+                    run.agents[voter],
+                    option="yes" if yes else "no",
+                    time=now + 0.2,
                 )
-                for result in results:
-                    for voter, yes in zip(
-                        result.vote_voters, result.vote_yes
-                    ):
-                        try:
-                            dao.cast_ballot(
-                                proposal.proposal_id,
-                                agents[voter],
-                                option="yes" if yes else "no",
-                                time=now + 0.2,
-                            )
-                        except Exception:
-                            continue  # duplicate voter in the sample
-                        votes_cast += 1
-                proposals_closed += len(dao.close_due(now + 1.0))
+            except Exception:
+                continue  # duplicate voter in the sample
+            run.votes_cast += 1
+    run.proposals_closed += len(run.dao.close_due(now + 1.0))
 
-                # -- moderation barrier: merged batch, prepared verdicts.
-                merged = merge_interaction_batches(results)
-                if merged is not None:
-                    batch, flagged_rows, report_rows = merged
-                    summary = moderation.process_prepared(
-                        batch, flagged_rows, report_rows, time=now
-                    )
-                    interactions_processed += len(batch)
-                    cases_opened += summary["opened"]
-                    cases_reviewed += summary["reviewed"]
-                    registry.counter("load.moderation.flagged").inc(
-                        summary["flagged"]
-                    )
-                    registry.counter("load.moderation.reported").inc(
-                        summary["reported"]
-                    )
-                    registry.counter("load.moderation.reviewed").inc(
-                        summary["reviewed"]
-                    )
-                    registry.gauge("load.moderation.backlog").set(
-                        float(summary["backlog"])
-                    )
 
-                # -- privacy barrier: authoritative ingest, then validate
-                # the workers' two-phase admission predictions.
-                frames = FrameBatch.concat(
-                    [result.frames for result in results]
-                )
-                if len(frames):
-                    before = (
-                        pipeline.stats.released,
-                        pipeline.stats.blocked_consent,
-                        pipeline.stats.blocked_budget,
-                    )
-                    pipeline.ingest_all(frames)
-                    released_d = pipeline.stats.released - before[0]
-                    consent_d = pipeline.stats.blocked_consent - before[1]
-                    budget_d = pipeline.stats.blocked_budget - before[2]
-                    predicted = sum_predicted_outcomes(results)
-                    if (
-                        released_d != predicted.get("released", 0)
-                        or consent_d != predicted.get("blocked_consent", 0)
-                        or budget_d != predicted.get("blocked_budget", 0)
-                    ):
-                        raise RuntimeError(
-                            "two-phase privacy protocol diverged: workers "
-                            f"predicted {predicted}, pipeline released "
-                            f"{released_d} / blocked_consent {consent_d} "
-                            f"/ blocked_budget {budget_d}"
-                        )
-                    registry.counter("load.privacy.frames").inc(len(frames))
-                    registry.counter("load.privacy.released").inc(released_d)
-                    registry.counter("load.privacy.refusals").inc(
-                        consent_d + budget_d
-                    )
-
-                # -- cascade barrier: fold shard cascades, exchange
-                # boundary activations for next epoch's seeds.
-                if cascade_members > 0:
-                    for result in results:
-                        cascade_reach += result.cascade_reach
-                        registry.histogram("load.cascade.reach").observe(
-                            float(result.cascade_reach)
-                        )
-                        registry.histogram("load.cascade.rounds").observe(
-                            float(result.cascade_rounds)
-                        )
-                    carries = merge_boundary_activations(
-                        results, boundary_rng
-                    )
-                    crossed = sum(carries)
-                    cascade_cross += crossed
-                    registry.counter("load.cascade.cross").inc(crossed)
-
-                # Refresh global trust once per epoch: the warm-started
-                # sparse solve is the measured reputation write path.
-                # Columnar mode reads the top value off the solved vector
-                # without materialising the per-identity dict (the same
-                # float, asserted by the equivalence benches).
-                if columnar:
-                    top = reputation.global_trust_top()
-                else:
-                    trust = reputation.global_trust()
-                    top = max(trust.values()) if trust else 0.0
-                registry.gauge("load.trust.top").set(top)
-                registry.counter("load.epochs").inc()
-            finally:
-                if epoch_span is not None:
-                    epoch_span.__exit__(None, None, None)
-
-    return LoadRunResult(
-        n_agents=n_agents,
-        epochs=epochs,
-        workers=max(1, workers),
-        n_shards=plan.n_shards,
-        columnar=columnar,
-        chain_height=chain.height,
-        txs_submitted=txs_submitted,
-        txs_included=txs_included,
-        ratings_recorded=ratings,
-        reports_filed=reports,
-        votes_cast=votes_cast,
-        proposals_closed=proposals_closed,
-        trust_computes=reputation.trust_compute_count,
-        trust_sweeps=reputation.trust_sweep_count,
-        interactions_processed=interactions_processed,
-        cases_opened=cases_opened,
-        cases_reviewed=cases_reviewed,
-        moderation_backlog=moderation.backlog,
-        frames_offered=pipeline.stats.offered,
-        frames_released=pipeline.stats.released,
-        frames_blocked_consent=pipeline.stats.blocked_consent,
-        frames_blocked_budget=pipeline.stats.blocked_budget,
-        cascade_reach=cascade_reach,
-        cascade_cross=cascade_cross,
-        metrics=registry.as_dict(),
-        trace_jsonl=(
-            trace_to_jsonl(trace_log) if trace_log is not None else None
-        ),
-        table_bytes_per_agent=(
-            table.bytes_per_agent if table is not None else 0.0
-        ),
-        plan_mode=plan_mode,
-        shard_decision=shard_decision,
-        imbalance=imbalance_monitor.report(),
-        ship_cost=ship.report(),
+def _apply_moderation(
+    run: _Run, results: List[ShardEpochResult], now: float
+) -> None:
+    """The merged interaction batch through review, with the workers'
+    verdicts."""
+    merged = merge_interaction_batches(results)
+    if merged is None:
+        return
+    batch, flagged_rows, report_rows = merged
+    summary = run.moderation.process_prepared(
+        batch, flagged_rows, report_rows, time=now
     )
+    run.interactions_processed += len(batch)
+    run.cases_opened += summary["opened"]
+    run.cases_reviewed += summary["reviewed"]
+    registry = run.registry
+    registry.counter("load.moderation.flagged").inc(summary["flagged"])
+    registry.counter("load.moderation.reported").inc(summary["reported"])
+    registry.counter("load.moderation.reviewed").inc(summary["reviewed"])
+    registry.gauge("load.moderation.backlog").set(float(summary["backlog"]))
 
 
-def _consent_probe(plan: ShardPlan) -> "ShardTask":
-    """A minimal task whose only job is feeding ``channel_of`` /
-    consent-rule helpers parent-side (same plan, no per-epoch state)."""
-    return ShardTask(
-        plan=plan,
-        shard=0,
-        epoch=0,
-        tx_count=0,
-        rating_count=0,
-        report_count=0,
-        vote_count=0,
-        interaction_count=0,
-        frame_count=0,
-        channels=DEFAULT_CHANNELS,
-        consent_denied_mod=CONSENT_DENIED_MOD,
+def _apply_privacy(run: _Run, results: List[ShardEpochResult]) -> None:
+    """Authoritative ingest of the merged frames, then a check that the
+    workers' two-phase admission predictions match it."""
+    frames = FrameBatch.concat([result.frames for result in results])
+    if not len(frames):
+        return
+    stats = run.pipeline.stats
+    before = (stats.released, stats.blocked_consent, stats.blocked_budget)
+    run.pipeline.ingest_all(frames)
+    released_d = stats.released - before[0]
+    consent_d = stats.blocked_consent - before[1]
+    budget_d = stats.blocked_budget - before[2]
+    predicted = sum_predicted_outcomes(results)
+    if (
+        released_d != predicted.get("released", 0)
+        or consent_d != predicted.get("blocked_consent", 0)
+        or budget_d != predicted.get("blocked_budget", 0)
+    ):
+        raise RuntimeError(
+            "two-phase privacy protocol diverged: workers predicted "
+            f"{predicted}, pipeline released {released_d} / "
+            f"blocked_consent {consent_d} / blocked_budget {budget_d}"
+        )
+    registry = run.registry
+    registry.counter("load.privacy.frames").inc(len(frames))
+    registry.counter("load.privacy.released").inc(released_d)
+    registry.counter("load.privacy.refusals").inc(consent_d + budget_d)
+
+
+def _apply_cascade(run: _Run, results: List[ShardEpochResult]) -> None:
+    """Fold the shard cascades and exchange boundary activations, which
+    seed next epoch's cascades."""
+    if run.cascade_members <= 0:
+        return
+    registry = run.registry
+    for result in results:
+        run.cascade_reach += result.cascade_reach
+        registry.histogram("load.cascade.reach").observe(
+            float(result.cascade_reach)
+        )
+        registry.histogram("load.cascade.rounds").observe(
+            float(result.cascade_rounds)
+        )
+    run.carries = merge_boundary_activations(results, run.boundary_rng)
+    crossed = sum(run.carries)
+    run.cascade_cross += crossed
+    registry.counter("load.cascade.cross").inc(crossed)
+
+
+def _apply_trust(run: _Run) -> None:
+    """Refresh global trust once per epoch: the warm-started sparse solve
+    is the measured reputation write path.  The top value is read off
+    the solved vector without materialising the per-identity dict."""
+    run.registry.gauge("load.trust.top").set(
+        run.reputation.global_trust_top()
     )
+    run.registry.counter("load.epochs").inc()

@@ -93,18 +93,13 @@ LOAD = dict(
 
 def _load_invariants(runs: Runs) -> None:
     for _, result in runs:
-        assert result.plan_mode == "weighted"  # the default
         assert result.n_shards > 1
+        assert result.table_bytes_per_agent == 37.0
         assert result.trace_jsonl
         assert result.txs_included == result.txs_submitted > 0
         assert result.proposals_closed == result.trust_computes == result.epochs
         assert result.frames_released > 0
         assert result.frames_blocked_consent > 0
-
-
-def _load_equal_invariants(runs: Runs) -> None:
-    for _, result in runs:
-        assert result.plan_mode == "equal"
 
 
 # --- traffic: the arrival table every serving row starts from ---------
@@ -297,17 +292,6 @@ ROWS = [
             trace_jsonl="98d5d04b43f42249049004acd9fa54c504f9cb43cc6af5028ceeee8799e0a0f1",
         ),
         _load_invariants,
-    ),
-    Row(
-        "load-equal",
-        run_load,
-        {**LOAD, "plan_mode": "equal"},
-        [dict(workers=1), dict(workers=2)],
-        dict(
-            metrics="fa0ffd1838fa5d45712276e269ed3a8e4d62bbc68f63a558d54211415a1409ce",
-            trace_jsonl="394d85c3acde1e280533f6a20b2f16db9bc668a5189f6ed6f5ed550da5828918",
-        ),
-        _load_equal_invariants,
     ),
     Row(
         "traffic",

@@ -6,7 +6,6 @@ import pytest
 from repro.parallel import Phase, ShardPlan, shard_phase_rng
 from repro.parallel.plan import (
     activity_weights,
-    auto_shard_count,
     blend_profile,
     split_weighted,
     weighted_boundaries,
@@ -245,37 +244,6 @@ class TestActivityWeights:
         assert blend_profile(prior, zeros).tolist() == [1, 2, 3]
         observed = np.array([10, 0, 5], dtype=np.int64)
         assert blend_profile(zeros, observed).tolist() == [10, 0, 5]
-
-
-class TestAutoShardCount:
-    def test_scales_with_workers_and_records_decision(self):
-        n1, d1 = auto_shard_count(100_000, workers=1, ops_per_epoch=6_000)
-        n4, d4 = auto_shard_count(100_000, workers=4, ops_per_epoch=6_000)
-        assert n4 >= n1
-        assert n4 >= 4  # never fewer shards than workers
-        for d in (d1, d4):
-            assert d["n_shards"] in range(1, d["max_shards"] + 1)
-            assert set(d) >= {
-                "n_agents", "workers", "ops_per_epoch", "oversplit_target",
-                "ops_ceiling", "n_shards",
-            }
-
-    def test_op_floor_caps_shard_count(self):
-        # 400 ops can't justify 16 shards at 250 ops/shard minimum.
-        n, d = auto_shard_count(100_000, workers=4, ops_per_epoch=400)
-        assert n == 4  # clamped up to workers, down from oversplit
-        assert d["ops_ceiling"] == 1
-
-    def test_bounded_by_population_and_cap(self):
-        n, _ = auto_shard_count(3, workers=8, ops_per_epoch=10_000)
-        assert n == 3
-        n, _ = auto_shard_count(10**6, workers=64, ops_per_epoch=10**9)
-        assert n == 64  # AUTO_MAX_SHARDS
-
-    def test_pure_function(self):
-        assert auto_shard_count(50_000, 2, 5_000) == auto_shard_count(
-            50_000, 2, 5_000
-        )
 
 
 class TestStreamDerivation:

@@ -4,9 +4,8 @@ The sharded execution layer's whole claim is that the worker count is a
 *scheduling* knob, not a semantics knob: for any population, epoch
 count, seed, and traffic mix, the metrics payload (and exported trace)
 produced with a process pool must match the serial bytes exactly.
-Hypothesis sweeps small randomized configurations under both shard plan
-modes (weighted cuts replan every epoch, equal cuts never do); the
-scaling suite covers the 100k tier.
+Hypothesis sweeps small randomized configurations, whose weighted shard
+cuts replan every epoch; the scaling suite covers the 100k tier.
 
 Examples are deliberately few — each one runs the full workload four
 times (workers 1, 2, 3, 4) through real process pools.
@@ -32,7 +31,6 @@ configs = st.fixed_dictionaries(
         "frames_per_epoch": st.integers(min_value=0, max_value=30),
         "cascade_members": st.integers(min_value=0, max_value=60),
         "n_shards": st.integers(min_value=1, max_value=5),
-        "plan_mode": st.sampled_from(["weighted", "equal"]),
     }
 )
 

@@ -1,6 +1,8 @@
 """The population-scale load workload: determinism and real code paths."""
 
 import json
+import os
+import sys
 
 import pytest
 
@@ -14,6 +16,15 @@ from repro.workloads.load import (
     run_load,
     synthetic_transfer,
 )
+
+BENCH = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))),
+    "perfbench",
+)
+if BENCH not in sys.path:
+    sys.path.insert(0, BENCH)
+from layers import Patches, mark_entries  # noqa: E402
+from spec import WORKLOADS  # noqa: E402
 
 SMALL = dict(
     n_agents=1_500,
@@ -159,32 +170,6 @@ class TestLoadWorkload:
 
 
 class TestElasticSharding:
-    def test_plan_modes_are_each_deterministic(self):
-        for mode in ("weighted", "equal"):
-            a = run_load(plan_mode=mode, **SMALL)
-            b = run_load(plan_mode=mode, **SMALL)
-            assert a == b
-            assert a.plan_mode == mode
-        with pytest.raises(ValueError):
-            run_load(plan_mode="fair", **SMALL)
-
-    def test_weighted_is_the_default_and_differs_from_equal(self):
-        default = run_load(**SMALL)
-        equal = run_load(plan_mode="equal", **SMALL)
-        assert default.plan_mode == "weighted"
-        # Different boundaries, different streams' landing sites.
-        assert default.metrics != equal.metrics
-
-    def test_auto_shard_count_records_decision(self):
-        result = run_load(n_shards="auto", workers=2, **SMALL)
-        decision = result.shard_decision
-        assert decision is not None
-        assert decision["n_shards"] == result.n_shards
-        assert decision["workers"] == 2
-        assert result.n_shards >= 2
-        # Pinned/defaulted shard counts carry no decision trace.
-        assert run_load(**SMALL).shard_decision is None
-
     def test_imbalance_report_is_timing_only(self):
         a = run_load(**SMALL)
         b = run_load(**SMALL)
@@ -196,3 +181,40 @@ class TestElasticSharding:
         # the metrics payload (replays must stay byte-identical).
         assert a == b
         assert "imbalance" not in json.dumps(a.metrics)
+
+
+class TestBoundaryCalls:
+    def test_order_the_repository_benchmark_segments_on(self):
+        # perfbench splits each society repetition into segments at
+        # these calls, and set-up ends at the first dispatch: a call
+        # that moves changes what the benchmark measures.
+        paths = WORKLOADS["society-100k"].segment_marks
+        marks = []
+        patches = Patches()
+        try:
+            for label, path in enumerate(paths):
+                patches.replace(
+                    path, lambda fn, label=label: mark_entries(marks, label, fn)
+                )
+            result = run_load(n_shards=3, block_size=60, **SMALL)
+        finally:
+            patches.restore()
+        calls = [
+            paths[label].replace(":", ".").rsplit(".", 1)[1]
+            for label, _ in marks
+        ]
+        epoch = [
+            "map_ordered",
+            *["run_shard_epoch"] * 3,
+            *["propose_block"] * 4,  # 200 transfers, 60 a block
+            "submit_proposal",
+            "process_prepared",
+            "ingest_all",
+            "global_trust_top",
+        ]
+        # Set-up warms the caches once before the pool exists; every
+        # epoch warms them for its own cuts before dispatching.
+        assert calls == [
+            "warm_caches", "warm_caches", *epoch, "warm_caches", *epoch
+        ]
+        assert result.chain_height == 8

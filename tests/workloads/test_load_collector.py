@@ -6,6 +6,7 @@ import gc
 
 import pytest
 
+import repro.workloads.load as load
 from repro.privacy.pipeline import PrivacyPipeline
 from repro.reputation.system import ReputationSystem
 from repro.workloads.load import run_load
@@ -51,6 +52,43 @@ def _raising_trust_top(self):
 
 def _raising_registration(self, identities):
     raise _Boom("registration failed")
+
+
+def _setup_must_not_run(n):
+    raise AssertionError("set-up ran before the config was checked")
+
+
+# (parameter, value) pairs run_load refuses at entry with a ValueError
+# that names the parameter.  Unchecked, some of them run with a silently
+# wrong shape (an empty run, a truncated shard count) and the others
+# fail only after the whole set-up.
+REJECTED = [
+    ("n_agents", 0),
+    ("epochs", -1),
+    ("txs_per_epoch", -1),
+    ("ratings_per_epoch", -1),
+    ("reports_per_epoch", -1),
+    ("votes_per_epoch", -1),
+    ("interactions_per_epoch", -1),
+    ("frames_per_epoch", -1),
+    ("cascade_members", -1),
+    ("workers", -1),
+    ("block_size", 0),
+    ("electorate_size", 0),
+    ("n_shards", 0),
+    ("n_shards", 2.7),
+    ("n_shards", TINY["n_agents"] + 1),
+]
+
+
+def _assert_refused_at_entry(monkeypatch, parameter, value):
+    # The config is refused before set-up builds anything.
+    monkeypatch.setattr(load, "agent_addresses", _setup_must_not_run)
+    before = _state()
+    with pytest.raises(ValueError, match=f"^{parameter} "):
+        run_load(**{**TINY, parameter: value})
+    assert _state() == before
+    assert gc.isenabled()
 
 
 class TestRestored:
@@ -156,18 +194,11 @@ class TestCollectorOffDuringSetup:
             run_load(**TINY)
         assert _state() == before == (caller_enabled, 0)
 
-    def test_rejected_config_restores(self):
-        before = _state()
-        with pytest.raises(ValueError, match="block_size"):
-            run_load(**{**TINY, "block_size": 0})
-        assert _state() == before
-        assert gc.isenabled()
+    def test_rejected_config_restores(self, monkeypatch):
+        for parameter, value in REJECTED:
+            _assert_refused_at_entry(monkeypatch, parameter, value)
 
     # Every transport but "pickle" is rejected at entry.
     @pytest.mark.parametrize("transport", ["shm", "shm-full", "auto"])
-    def test_rejected_transport_restores(self, transport):
-        before = _state()
-        with pytest.raises(ValueError, match="transport"):
-            run_load(**{**TINY, "transport": transport})
-        assert _state() == before
-        assert gc.isenabled()
+    def test_rejected_transport_restores(self, monkeypatch, transport):
+        _assert_refused_at_entry(monkeypatch, "transport", transport)
