@@ -428,7 +428,7 @@ def kernel_contract_dispatch_cached() -> Tuple[int, float]:
     """
     from repro.ledger import ContractRegistry, LedgerState, TokenContract
     from repro.ledger.transactions import Transaction, TxKind
-    from repro.workloads.load import SyntheticSignedTransaction, agent_address
+    from repro.workloads.load import agent_address
 
     owner = agent_address(0)
     registry = ContractRegistry()
@@ -437,16 +437,14 @@ def kernel_contract_dispatch_cached() -> Tuple[int, float]:
     state = LedgerState({owner: 1_000})
     n = 2000
     calls = [
-        SyntheticSignedTransaction(
-            Transaction(
-                sender=owner,
-                recipient=address,
-                amount=0,
-                fee=0,
-                nonce=i,
-                kind=TxKind.CONTRACT,
-                payload={"method": "balance", "args": {"of": owner}},
-            )
+        Transaction.pinned(
+            sender=owner,
+            recipient=address,
+            amount=0,
+            fee=0,
+            nonce=i,
+            kind=TxKind.CONTRACT,
+            payload={"method": "balance", "args": {"of": owner}},
         )
         for i in range(n)
     ]

@@ -324,18 +324,24 @@ class Blockchain:
                 )
             self._head_hash = candidate.block_hash
             if extends_head:
-                for position, stx in enumerate(candidate.transactions):
-                    self._tx_index[stx.tx_id] = (candidate.block_hash, position)
+                self._index_block(candidate)
             else:
                 self._rebuild_tx_index()
+
+    def _index_block(self, block: Block) -> None:
+        """Index a canonical block's transactions from its id column."""
+        block_hash = block.block_hash
+        self._tx_index.update(
+            (tx_id, (block_hash, position))
+            for position, tx_id in enumerate(block.tx_ids)
+        )
 
     def _rebuild_tx_index(self) -> None:
         """Re-index the canonical chain after a reorg (head moves to a
         block that does not extend the previous head)."""
         self._tx_index.clear()
         for block in self.main_chain():
-            for position, stx in enumerate(block.transactions):
-                self._tx_index[stx.tx_id] = (block.block_hash, position)
+            self._index_block(block)
 
     # ------------------------------------------------------------------
     # Integrity

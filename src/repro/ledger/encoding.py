@@ -26,24 +26,6 @@ def _frame(tag: bytes, body: bytes) -> bytes:
     return tag + len(body).to_bytes(8, "big") + body
 
 
-# Per-type encoders, shared with ``Transaction.signing_bytes``, which
-# writes its fixed dict layout without walking ``canonical_encode``.
-def _encode_int(value: int) -> bytes:
-    """``canonical_encode(value)`` for an ``int`` that is not a ``bool``."""
-    return _frame(b"I", str(value).encode("ascii"))
-
-
-def _encode_str(value: str) -> bytes:
-    """``canonical_encode(value)`` for a ``str``."""
-    return _frame(b"S", value.encode("utf-8"))
-
-
-def _encode_items(count: int, items: bytes) -> bytes:
-    """``canonical_encode`` of a dict of ``count`` entries, given its
-    encoded keys and values concatenated in sorted key order."""
-    return _frame(b"D", count.to_bytes(8, "big") + items)
-
-
 def canonical_encode(value: Any) -> bytes:
     """Encode ``value`` into canonical bytes.
 
@@ -58,12 +40,12 @@ def canonical_encode(value: Any) -> bytes:
     if isinstance(value, bool):
         return _frame(b"B", b"\x01" if value else b"\x00")
     if isinstance(value, int):
-        return _encode_int(value)
+        return _frame(b"I", str(value).encode("ascii"))
     if isinstance(value, float):
         # repr round-trips floats exactly in Python 3.
         return _frame(b"F", repr(value).encode("ascii"))
     if isinstance(value, str):
-        return _encode_str(value)
+        return _frame(b"S", value.encode("utf-8"))
     if isinstance(value, (bytes, bytearray)):
         return _frame(b"Y", bytes(value))
     if isinstance(value, (list, tuple)):
@@ -77,5 +59,5 @@ def canonical_encode(value: Any) -> bytes:
                     f"dict keys must be str, got {type(key).__name__}"
                 )
             items.append(canonical_encode(key) + canonical_encode(value[key]))
-        return _encode_items(len(value), b"".join(items))
+        return _frame(b"D", len(value).to_bytes(8, "big") + b"".join(items))
     raise EncodingError(f"cannot canonically encode {type(value).__name__}")

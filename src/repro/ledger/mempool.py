@@ -70,9 +70,11 @@ class _SenderChain:
         return len(self.txs)
 
     def add(self, stx: SignedTransaction) -> None:
-        self.txs[stx.tx_id] = stx
-        self.by_nonce.setdefault(stx.tx.nonce, []).append(stx)
-        heapq.heappush(self._fee_heap, (-stx.tx.fee, stx.tx_id))
+        tx = stx.tx
+        tx_id = tx.tx_id
+        self.txs[tx_id] = stx
+        self.by_nonce.setdefault(tx.nonce, []).append(stx)
+        heapq.heappush(self._fee_heap, (-tx.fee, tx_id))
 
     def remove(self, tx_id: str) -> SignedTransaction:
         stx = self.txs.pop(tx_id)
@@ -98,6 +100,8 @@ class _SenderChain:
         bucket = self.by_nonce.get(nonce)
         if not bucket:
             return None
+        if len(bucket) == 1:
+            return bucket[0]
         return max(bucket, key=_fee_key)
 
 
@@ -157,33 +161,38 @@ class Mempool:
         the admission for eviction-age accounting and trace events.
         Returns True on admission.
         """
-        if stx.tx_id in self._by_id:
+        tx = stx.tx
+        tx_id = tx.tx_id
+        by_id = self._by_id
+        if tx_id in by_id:
             return self._reject(stx, "duplicate", time)
         if not stx.verify():
             return self._reject(stx, "bad-signature", time)
-        if state is not None and stx.tx.nonce < state.nonce_of(stx.tx.sender):
+        sender, nonce, fee = tx.sender, tx.nonce, tx.fee
+        if state is not None and nonce < state.nonce_of(sender):
             return self._reject(stx, "stale-nonce", time)
-        if len(self._by_id) >= self._capacity and not self._evict_for(stx, time):
+        if len(by_id) >= self._capacity and not self._evict_for(stx, time):
             return self._reject(stx, "full-pool-fee-too-low", time)
-        sender = stx.tx.sender
-        self._by_id[stx.tx_id] = stx
+        by_id[tx_id] = stx
         chain = self._chains.get(sender)
         if chain is None:
             chain = self._chains[sender] = _SenderChain()
         chain.add(stx)
-        heapq.heappush(self._fee_heap, (stx.tx.fee, stx.tx_id))
+        heapq.heappush(self._fee_heap, (fee, tx_id))
         heapq.heappush(self._head_heap, (-chain.max_fee(), sender))
         if time is not None:
-            self._admitted_at[stx.tx_id] = float(time)
-        self._obs.counter("ledger.mempool.admitted").inc()
-        self._obs.event(
-            "ledger.mempool",
-            "tx.admitted",
-            time=time,
-            tx_id=stx.tx_id,
-            sender=sender,
-            fee=stx.tx.fee,
-        )
+            self._admitted_at[tx_id] = float(time)
+        obs = self._obs
+        if obs.enabled:
+            obs.counter("ledger.mempool.admitted").inc()
+            obs.event(
+                "ledger.mempool",
+                "tx.admitted",
+                time=time,
+                tx_id=tx_id,
+                sender=sender,
+                fee=fee,
+            )
         return True
 
     def _reject(
@@ -283,9 +292,6 @@ class Mempool:
         # Senders drawn out of the persistent heap this call (restored
         # on exit); their executable candidate lives in ``candidates``.
         drawn: Set[str] = set()
-        # Next executable nonce per sender, as adjusted by this call's
-        # own picks (the pool itself is left untouched).
-        session_nonce: Dict[str, int] = {}
         candidates: List[Tuple[int, str, SignedTransaction]] = []
         selected: List[SignedTransaction] = []
 
@@ -317,9 +323,7 @@ class Mempool:
                     _, sender = heapq.heappop(head_heap)
                     drawn.add(sender)
                     chain = chains[sender]
-                    nonce = state.nonce_of(sender)
-                    session_nonce[sender] = nonce
-                    head = chain.best_at(nonce)
+                    head = chain.best_at(state.nonce_of(sender))
                     if head is not None:
                         heapq.heappush(
                             candidates, (-head.tx.fee, _desc_id(head.tx_id), head)
@@ -328,10 +332,10 @@ class Mempool:
                     break
                 _, _, best = heapq.heappop(candidates)
                 selected.append(best)
-                sender = best.tx.sender
-                nxt = best.tx.nonce + 1
-                session_nonce[sender] = nxt
-                successor = chains[sender].best_at(nxt)
+                tx = best.tx
+                # The sender's next nonce, as this call's own picks leave
+                # it (the pool itself is left untouched).
+                successor = chains[tx.sender].best_at(tx.nonce + 1)
                 if successor is not None:
                     heapq.heappush(
                         candidates,

@@ -25,7 +25,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.world.columnar import AgentTable
 
 from repro.errors import InvalidTransactionError
-from repro.ledger.transactions import SignedTransaction, TxKind
+from repro.ledger.transactions import SignedTransaction, Transaction, TxKind
 
 __all__ = ["LedgerState"]
 
@@ -312,6 +312,9 @@ class LedgerState:
         corrupts committed state)."""
         stx.require_valid()
         tx = stx.tx
+        if tx.kind == TxKind.TRANSFER:
+            self._apply_transfer(tx)
+            return None
         expected_nonce = self.nonce_of(tx.sender)
         if tx.nonce != expected_nonce:
             raise InvalidTransactionError(
@@ -326,10 +329,7 @@ class LedgerState:
             )
 
         result: Optional[Dict[str, Any]] = None
-        if tx.kind == TxKind.TRANSFER:
-            self._debit(tx.sender, tx.amount)
-            self._credit(tx.recipient, tx.amount)
-        elif tx.kind == TxKind.RECORD:
+        if tx.kind == TxKind.RECORD:
             self.records.append({"sender": tx.sender, **tx.payload})
         elif tx.kind == TxKind.STAKE:
             self._debit(tx.sender, tx.amount)
@@ -361,6 +361,35 @@ class LedgerState:
             self._debit(tx.sender, tx.fee)
         self.nonces[tx.sender] = expected_nonce + 1
         return result
+
+    def _apply_transfer(self, tx: Transaction) -> None:
+        """A TRANSFER's checks and effects, each value read once: the
+        sender's nonce and balance, then one write per touched key.  The
+        amount moves to the recipient (burned if empty) and the fee is
+        burned for :meth:`credit_fees`, as the other kinds do."""
+        sender, amount, fee = tx.sender, tx.amount, tx.fee
+        balances, nonces = self.balances, self.nonces
+        expected_nonce = nonces.get(sender, 0)
+        if tx.nonce != expected_nonce:
+            raise InvalidTransactionError(
+                f"bad nonce for {sender[:12]}: got {tx.nonce}, "
+                f"expected {expected_nonce}"
+            )
+        balance = balances.get(sender, 0)
+        cost = amount + fee
+        if balance < cost:
+            raise InvalidTransactionError(
+                f"insufficient balance for {sender[:12]}: "
+                f"have {balance}, need {cost}"
+            )
+        recipient = tx.recipient
+        if recipient == sender:
+            balances[sender] = balance - fee
+        else:
+            balances[sender] = balance - cost
+            if recipient:
+                balances[recipient] = balances.get(recipient, 0) + amount
+        nonces[sender] = expected_nonce + 1
 
     def credit_fees(self, proposer: str, total_fees: int) -> None:
         """Pay collected block fees to the proposer."""

@@ -14,6 +14,18 @@ Signatures are detached: :class:`SignedTransaction` binds a
 :class:`Transaction` to the Lamport signature and the Merkle
 authentication path that proves the one-time key belongs to the sender's
 address (see ``repro.ledger.wallet``).
+
+A *pinned* transaction (:meth:`Transaction.pinned`) carries its
+authorisation as a flag instead: it is its own signed-transaction
+surface (``tx``, ``tx_id``, ``verify()``, ``require_valid()``) with
+``verify()`` true.  Population-scale workloads use it where real
+Lamport key material would cost seconds per agent; a plain
+``Transaction`` has the same surface with ``verify()`` false, so the
+mempool, the state machine and block validation refuse it.  Each
+transfer of such a workload is then one slotted record from admission
+to commit.  :func:`transfer_id` hashes a transfer straight from its
+field values, in the same fixed byte layout ``Transaction`` signs, so a
+generator can compute ids without building records.
 """
 
 from __future__ import annotations
@@ -25,15 +37,10 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import InvalidTransactionError
 from repro.ledger.crypto import LamportSignature, lamport_verify, sha256
-from repro.ledger.encoding import (
-    _encode_int,
-    _encode_items,
-    _encode_str,
-    canonical_encode,
-)
+from repro.ledger.encoding import canonical_encode
 from repro.ledger.merkle import MerkleProof
 
-__all__ = ["TxKind", "Transaction", "SignedTransaction"]
+__all__ = ["TxKind", "Transaction", "SignedTransaction", "transfer_id"]
 
 
 class TxKind(str, enum.Enum):
@@ -62,6 +69,59 @@ _PAYLOAD_KEY = canonical_encode("payload")
 _EMPTY_PAYLOAD = canonical_encode({})
 _RECIPIENT_KEY = canonical_encode("recipient")
 _SENDER_KEY = canonical_encode("sender")
+_TRANSFER_FRAME = _KIND_FRAMES[TxKind.TRANSFER]
+# ``canonical_encode``'s eight-byte length prefixes, tabled for the
+# short atoms of a transaction.
+_LENGTHS = [n.to_bytes(8, "big") for n in range(256)]
+_SEVEN_ITEMS = (7).to_bytes(8, "big")
+
+
+def _length(n: int) -> bytes:
+    return _LENGTHS[n] if n < 256 else n.to_bytes(8, "big")
+
+
+def _encode_layout(
+    sender: str,
+    recipient: str,
+    amount: int,
+    fee: int,
+    nonce: int,
+    kind_frame: bytes,
+    payload: bytes,
+) -> bytes:
+    """``canonical_encode`` of a transaction's seven-key dict, written
+    from its field values: ``int`` amount, fee and nonce, ``str`` sender
+    and recipient, a ``_KIND_FRAMES`` entry and the encoded payload."""
+    amount_b = b"%d" % amount
+    fee_b = b"%d" % fee
+    nonce_b = b"%d" % nonce
+    recipient_b = recipient.encode("utf-8")
+    sender_b = sender.encode("utf-8")
+    body = b"".join(
+        (
+            _SEVEN_ITEMS,
+            _AMOUNT_KEY, b"I", _length(len(amount_b)), amount_b,
+            _FEE_KEY, b"I", _length(len(fee_b)), fee_b,
+            kind_frame, b"I", _length(len(nonce_b)), nonce_b,
+            _PAYLOAD_KEY, payload,
+            _RECIPIENT_KEY, b"S", _length(len(recipient_b)), recipient_b,
+            _SENDER_KEY, b"S", _length(len(sender_b)), sender_b,
+        )
+    )
+    return b"D" + _length(len(body)) + body
+
+
+def transfer_id(
+    sender: str, recipient: str, amount: int, fee: int, nonce: int
+) -> str:
+    """The ``tx_id`` of a payload-free TRANSFER with these fields (plain
+    ``int`` and ``str`` values), computed without building the record."""
+    return sha256(
+        _encode_layout(
+            sender, recipient, amount, fee, nonce, _TRANSFER_FRAME,
+            _EMPTY_PAYLOAD,
+        )
+    ).hex()
 
 
 # Slotted where dataclasses can slot (Python 3.10+); older interpreters
@@ -92,6 +152,10 @@ class Transaction:
     payload:
         Kind-specific canonical-encodable data (e.g. contract method and
         arguments, or the data-collection record being registered).
+
+    Every transaction has the signed-transaction surface (``tx`` is the
+    transaction itself); ``verify()`` is true only for one built by
+    :meth:`pinned` or :meth:`pinned_row`.
     """
 
     sender: str
@@ -112,6 +176,10 @@ class Transaction:
     _signing_bytes: Optional[bytes] = field(
         default=None, init=False, repr=False, compare=False
     )
+    # Set only by the pinned constructors; like the caches, ignored by
+    # equality, ``repr`` and ``__init__`` (``dataclasses.replace`` gives
+    # a plain copy).
+    _pinned: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.amount < 0:
@@ -122,6 +190,77 @@ class Transaction:
             raise InvalidTransactionError(f"nonce must be >= 0, got {self.nonce}")
         if not self.sender:
             raise InvalidTransactionError("sender must be non-empty")
+
+    @classmethod
+    def pinned(
+        cls,
+        sender: str,
+        recipient: str,
+        amount: int,
+        fee: int,
+        nonce: int,
+        kind: TxKind = TxKind.TRANSFER,
+        payload: Optional[Dict[str, Any]] = None,
+    ) -> "Transaction":
+        """A checked transaction whose authorisation is pinned true.
+
+        Stands in for a signed transaction where real key material would
+        dominate the cost (population-scale workloads and benchmarks);
+        never for consensus tests, which must exercise real signatures.
+        """
+        tx = cls(
+            sender, recipient, amount, fee, nonce, kind,
+            {} if payload is None else payload,
+        )
+        object.__setattr__(tx, "_pinned", True)
+        return tx
+
+    @classmethod
+    def pinned_row(
+        cls,
+        sender: str,
+        recipient: str,
+        amount: int,
+        fee: int,
+        nonce: int,
+        kind: TxKind,
+        payload: Dict[str, Any],
+        tx_id: str,
+    ) -> "Transaction":
+        """A pinned transaction rebuilt from column values and its known
+        id, without ``__init__``'s checks or any hashing: the caller
+        vouches that the values passed those checks and that ``tx_id``
+        is their hash (a row read back from a block body, or a transfer
+        whose id its generator computed with :func:`transfer_id`)."""
+        tx = object.__new__(cls)
+        set_ = object.__setattr__
+        set_(tx, "sender", sender)
+        set_(tx, "recipient", recipient)
+        set_(tx, "amount", amount)
+        set_(tx, "fee", fee)
+        set_(tx, "nonce", nonce)
+        set_(tx, "kind", kind)
+        set_(tx, "payload", payload)
+        set_(tx, "_tx_id", tx_id)
+        set_(tx, "_signing_bytes", None)
+        set_(tx, "_pinned", True)
+        return tx
+
+    @property
+    def tx(self) -> "Transaction":
+        """The transaction itself (the signed-transaction surface)."""
+        return self
+
+    def verify(self) -> bool:
+        """True only for a pinned transaction; a plain one is unsigned."""
+        return self._pinned
+
+    def require_valid(self) -> None:
+        """Raise :class:`InvalidTransactionError` unless :meth:`verify`."""
+        if not self._pinned:
+            raise InvalidTransactionError(
+                f"signature verification failed for tx {self.tx_id[:12]}"
+            )
 
     def to_dict(self) -> Dict[str, Any]:
         """Canonical dict form (used for hashing and serialisation)."""
@@ -154,10 +293,10 @@ class Transaction:
         return encoded
 
     def _encode(self) -> bytes:
-        """Written straight from the fixed seven-key layout when every
-        field has its plain type; anything else (a ``bool`` or numpy
-        amount, a ``str`` subclass) takes the generic encoder, which
-        encodes or raises for it exactly as it always has."""
+        """Written by :func:`_encode_layout` when every field has its
+        plain type; anything else (a ``bool`` or numpy amount, a ``str``
+        subclass) takes the generic encoder, which encodes or raises for
+        it exactly as it always has."""
         amount, fee, nonce = self.amount, self.fee, self.nonce
         sender, recipient, kind = self.sender, self.recipient, self.kind
         if not (
@@ -170,26 +309,16 @@ class Transaction:
         ):
             return canonical_encode(self.to_dict())
         payload = self.payload
-        return _encode_items(
-            7,
-            b"".join(
-                (
-                    _AMOUNT_KEY,
-                    _encode_int(amount),
-                    _FEE_KEY,
-                    _encode_int(fee),
-                    _KIND_FRAMES[kind],
-                    _encode_int(nonce),
-                    _PAYLOAD_KEY,
-                    _EMPTY_PAYLOAD
-                    if type(payload) is dict and not payload
-                    else canonical_encode(payload),
-                    _RECIPIENT_KEY,
-                    _encode_str(recipient),
-                    _SENDER_KEY,
-                    _encode_str(sender),
-                )
-            ),
+        return _encode_layout(
+            sender,
+            recipient,
+            amount,
+            fee,
+            nonce,
+            _KIND_FRAMES[kind],
+            _EMPTY_PAYLOAD
+            if type(payload) is dict and not payload
+            else canonical_encode(payload),
         )
 
 

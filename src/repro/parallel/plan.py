@@ -116,16 +116,17 @@ def shard_phase_rng(
 ) -> np.random.Generator:
     """The stream for one (shard, epoch, phase) cell.
 
-    Children hang off the shard's ``SeedSequence.spawn`` child by
-    extending its spawn key with ``(epoch, phase)`` — equivalent to the
-    shard sequence spawning its own grandchildren, but stateless, so any
-    process can derive any cell without coordination.
+    The cell's sequence is the grandchild that the shard's
+    ``SeedSequence(seed).spawn(n_shards)[shard]`` child would spawn at
+    ``(epoch, phase)``: entropy ``seed`` and spawn key ``(shard, epoch,
+    phase)``, built directly instead of spawning every shard's child
+    first.  Stateless, so any process can derive any cell without
+    coordination.
     """
-    root = np.random.SeedSequence(seed)
-    shard_seq = root.spawn(n_shards)[shard]
+    if not 0 <= shard < n_shards:
+        raise IndexError(f"shard {shard} out of range 0..{n_shards - 1}")
     cell = np.random.SeedSequence(
-        entropy=shard_seq.entropy,
-        spawn_key=tuple(shard_seq.spawn_key) + (int(epoch), int(phase)),
+        entropy=seed, spawn_key=(int(shard), int(epoch), int(phase))
     )
     return np.random.default_rng(cell)
 

@@ -10,7 +10,6 @@ from repro.workloads.generators import (
 )
 from repro.workloads.load import (
     LoadRunResult,
-    SyntheticSignedTransaction,
     agent_address,
     run_load,
     synthetic_transfer,
@@ -38,7 +37,6 @@ __all__ = [
     "GovernanceStressResult",
     "LoadRunResult",
     "MarketSeasonResult",
-    "SyntheticSignedTransaction",
     "agent_address",
     "run_load",
     "synthetic_transfer",

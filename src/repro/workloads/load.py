@@ -65,12 +65,16 @@ metric no matter how many samples stream through.
 
 Signing is the one place the workload diverges from production objects:
 real Lamport/Merkle wallets cost seconds *each* to derive, which at
-100k agents would measure key generation rather than the ledger.
-:func:`synthetic_transfer` builds duck-typed signed transactions over
-real :class:`~repro.ledger.transactions.Transaction` records — real
-hashes, real nonce/balance semantics, ``verify()`` pinned true — so the
-mempool, block assembly, and state machine all run their actual code
-paths at full population scale.
+100k agents would measure key generation rather than the ledger.  Each
+transfer is instead one pinned
+:class:`~repro.ledger.transactions.Transaction` (``verify()`` pinned
+true; :func:`synthetic_transfer` builds one) — real hashes, real
+nonce/balance semantics — so the mempool, block assembly, and state
+machine all run their actual code paths at full population scale.  The
+workers hash each transfer's id from its field values, the barrier
+builds the one record per transfer with that id, and committed blocks
+keep their bodies as columns, so no per-transfer object outlives its
+block.
 """
 
 from __future__ import annotations
@@ -135,7 +139,6 @@ from repro.sim.tracing import TraceLog
 from repro.world.columnar import AgentTable
 
 __all__ = [
-    "SyntheticSignedTransaction",
     "synthetic_transfer",
     "agent_address",
     "agent_addresses",
@@ -146,50 +149,15 @@ __all__ = [
 ]
 
 
-class SyntheticSignedTransaction:
-    """A signed-transaction stand-in with the signature check pinned.
-
-    Wraps a *real* :class:`Transaction` (real canonical encoding, real
-    tx_id hash, real nonce/fee/balance semantics) but skips Lamport key
-    material, whose generation cost would dominate any population-scale
-    measurement.  Safe only for workloads/benchmarks — never for
-    consensus tests, which must exercise real signatures.
-    """
-
-    __slots__ = ("tx",)
-
-    def __init__(self, tx: Transaction):
-        self.tx = tx
-
-    @property
-    def tx_id(self) -> str:
-        return self.tx.tx_id
-
-    def verify(self) -> bool:
-        return True
-
-    def require_valid(self) -> None:
-        return None
-
-
 def synthetic_transfer(
     sender: str,
     recipient: str,
     amount: int,
     fee: int,
     nonce: int,
-) -> SyntheticSignedTransaction:
-    """A synthetic TRANSFER ready for mempool admission."""
-    return SyntheticSignedTransaction(
-        Transaction(
-            sender=sender,
-            recipient=recipient,
-            amount=amount,
-            fee=fee,
-            nonce=nonce,
-            kind=TxKind.TRANSFER,
-        )
-    )
+) -> Transaction:
+    """A pinned TRANSFER ready for mempool admission."""
+    return Transaction.pinned(sender, recipient, amount, fee, nonce)
 
 
 # Addresses are pure in the agent index, so one growing process-global
@@ -394,12 +362,12 @@ def run_load(
     can drop it.  The pickled task bytes land in
     ``LoadRunResult.ship_cost``.
 
-    The config is checked before any set-up work: ``n_agents``,
-    ``block_size`` and ``electorate_size`` (unless None) must be at
-    least 1, ``epochs``, ``cascade_members``, ``workers`` and every
-    ``*_per_epoch`` count at least 0, ``n_shards`` None or an integer in
-    ``[1, n_agents]``; anything else raises ``ValueError`` naming the
-    parameter.
+    The config is checked before any set-up work: every count is an
+    integer (not a ``bool``), ``n_agents``, ``block_size`` and
+    ``electorate_size`` (unless None) must be at least 1, ``epochs``,
+    ``cascade_members``, ``workers`` and every ``*_per_epoch`` count at
+    least 0, ``n_shards`` None or in ``[1, n_agents]``; anything else
+    raises ``ValueError`` naming the parameter.
 
     Everything built before the first epoch — address table, agent
     columns, trust index, DAO electorate — is built with the collector
@@ -497,7 +465,19 @@ def _check_config(
     transport: str,
     counts: Dict[str, int],
 ) -> None:
-    """Raise ``ValueError`` naming the first parameter out of range."""
+    """Raise ``ValueError`` naming the first parameter that is not an
+    integer count (a ``bool`` is not one) or is out of range."""
+    for name, value in (
+        ("n_agents", n_agents),
+        *counts.items(),
+        ("block_size", block_size),
+        ("electorate_size", electorate_size),
+        ("n_shards", n_shards),
+    ):
+        if value is None and name in ("electorate_size", "n_shards"):
+            continue
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if n_agents < 1:
         raise ValueError(f"n_agents must be >= 1, got {n_agents}")
     for name, value in counts.items():
@@ -509,9 +489,7 @@ def _check_config(
         raise ValueError(
             f"electorate_size must be None or >= 1, got {electorate_size}"
         )
-    if n_shards is not None and not (
-        isinstance(n_shards, numbers.Integral) and 1 <= n_shards <= n_agents
-    ):
+    if n_shards is not None and not 1 <= n_shards <= n_agents:
         raise ValueError(
             f"n_shards must be None or an integer in [1, {n_agents}], "
             f"got {n_shards!r}"
@@ -761,24 +739,29 @@ def _observed_costs(
     cm = DEFAULT_COST_MODEL
     n_agents = run.plan.n_agents
     observed = np.zeros(n_agents, dtype=np.int64)
-    for result in results:
-        charged = (
-            (result.tx_senders, cm.tx),
-            (result.rating_raters, cm.rating),
-            (result.report_reporters, cm.report),
-            (result.vote_voters, cm.vote),
-            (
+    # One population-wide bincount per op kind over every shard's
+    # indices: integer sums, so the order of the adds cannot matter.
+    charged = (
+        ([result.tx_senders for result in results], cm.tx),
+        ([result.rating_raters for result in results], cm.rating),
+        ([result.report_reporters for result in results], cm.report),
+        ([result.vote_voters for result in results], cm.vote),
+        (
+            [
                 result.interactions.initiators
+                for result in results
                 if result.interactions is not None
-                else (),
-                cm.interaction,
-            ),
-        )
-        for indices, unit in charged:
-            if len(indices):
-                observed += unit * np.bincount(
-                    np.asarray(indices, dtype=np.int64), minlength=n_agents
-                )
+            ],
+            cm.interaction,
+        ),
+    )
+    for parts, unit in charged:
+        parts = [np.asarray(part, dtype=np.int64) for part in parts if len(part)]
+        if parts:
+            observed += unit * np.bincount(
+                np.concatenate(parts), minlength=n_agents
+            )
+    for result in results:
         lo, hi = epoch_plan.range_of(result.shard)
         hot = epoch_plan.hot_subjects_of(result.shard)
         if result.frames and hot:
@@ -820,7 +803,14 @@ def _apply_ledger(
     until the mempool is empty."""
     agents, chain, registry = run.agents, run.chain, run.registry
     nonces = run.table.nonces
+    # No block is proposed until every transfer is admitted.
+    state = chain.state
+    submit, row = chain.mempool.submit, Transaction.pinned_row
+    transfer = TxKind.TRANSFER
     for result in results:
+        if not result.tx_ids:
+            continue
+        fee_histogram = registry.histogram("load.tx.fee")
         for s, r, amount, fee, nonce, tx_id in zip(
             result.tx_senders,
             result.tx_recipients,
@@ -829,26 +819,15 @@ def _apply_ledger(
             result.tx_nonces,
             result.tx_ids,
         ):
-            tx = Transaction(
-                sender=agents[s],
-                recipient=agents[r],
-                amount=amount,
-                fee=fee,
-                nonce=nonce,
-                kind=TxKind.TRANSFER,
-            )
-            # Seed the hash cache with the worker-computed id so
-            # admission never re-hashes on the barrier.
-            object.__setattr__(tx, "_tx_id", tx_id)
-            if not chain.mempool.submit(
-                SyntheticSignedTransaction(tx), chain.state, time=now
-            ):
+            # One pinned record per transfer, carrying the worker's id.
+            tx = row(agents[s], agents[r], amount, fee, nonce, transfer, {}, tx_id)
+            if not submit(tx, state, time=now):
                 raise RuntimeError(
                     "two-phase ledger protocol diverged: worker-admitted "
                     f"tx {tx_id} refused by the authoritative mempool"
                 )
             nonces[s] = nonce + 1
-            registry.histogram("load.tx.fee").observe(float(fee))
+            fee_histogram.observe(float(fee))
         run.txs_submitted += len(result.tx_ids)
     while len(chain.mempool) > 0:
         block = chain.propose_block(

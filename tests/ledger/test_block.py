@@ -1,9 +1,13 @@
 """Tests for blocks."""
 
+import gc
+
 import pytest
 
 from repro.errors import InvalidBlockError
-from repro.ledger import Block, Wallet, build_block
+from repro.ledger import Block, MerkleTree, Transaction, TxKind, Wallet, build_block
+from repro.ledger import transactions
+from repro.ledger.block import TxColumns
 
 
 @pytest.fixture
@@ -97,3 +101,72 @@ class TestInclusionProofs:
         block = build_block(1, "00" * 32, 1.0, "p", make_txs(signer, 2))
         with pytest.raises(InvalidBlockError):
             block.inclusion_proof("ab" * 32)
+
+
+def pinned_rows(count):
+    rows = [
+        Transaction.pinned("aa" * 32, "bb" * 32, n + 1, n % 3, n)
+        for n in range(count)
+    ]
+    rows.append(
+        Transaction.pinned(
+            "cc" * 32, "", 0, 2, 0, TxKind.RECORD, {"purpose": "audit"}
+        )
+    )
+    return rows
+
+
+class TestColumnBody:
+    """Bodies keep columns; rows read back equal the rows stored."""
+
+    def test_rows_read_back_equal_the_rows_built_from(self):
+        rows = pinned_rows(5)
+        block = build_block(1, "00" * 32, 1.0, "p", rows)
+        body = block.transactions
+        assert isinstance(body, TxColumns)
+        assert list(body) == rows
+        assert body == tuple(rows) and body == rows
+        assert body[-1] == rows[-1] and body[1:3] == rows[1:3]
+        assert body[-1].payload == {"purpose": "audit"}
+        assert all(row.verify() for row in body)
+        with pytest.raises(IndexError):
+            body[len(rows)]
+        # Equal to a block built directly from the same rows.
+        assert Block(1, "00" * 32, block.merkle_root, 1.0, "p", tuple(rows)) == block
+
+    def test_pinned_rows_are_kept_as_columns_only(self):
+        body = build_block(1, "00" * 32, 1.0, "p", pinned_rows(3)).transactions
+        columns = gc.get_referents(body)
+        assert not any(
+            isinstance(item, Transaction)
+            for item in columns + gc.get_referents(*columns)
+        )
+
+    def test_derived_values_match_the_rows(self):
+        rows = pinned_rows(6)
+        block = build_block(1, "00" * 32, 1.0, "p", rows)
+        ids = [row.tx_id for row in rows]
+        assert block.tx_ids == ids
+        assert block.total_fees == sum(row.fee for row in rows)
+        assert block.compute_merkle_root() == (
+            MerkleTree([bytes.fromhex(tx_id) for tx_id in ids]).root.hex()
+        )
+        for tx_id in ids:
+            assert block.inclusion_proof(tx_id).verify(
+                bytes.fromhex(tx_id), bytes.fromhex(block.merkle_root)
+            )
+
+    def test_signed_rows_are_kept_by_identity(self, signer, monkeypatch):
+        txs = make_txs(signer, 2)
+        assert all(stx.verify() for stx in txs)
+        block = build_block(1, "00" * 32, 1.0, "p", txs)
+        assert all(a is b for a, b in zip(block.transactions, txs))
+
+        # The cached verification survives: validation re-runs no
+        # Lamport check.
+        def fail(*args):
+            raise AssertionError("Lamport verification re-ran")
+
+        monkeypatch.setattr(transactions, "lamport_verify", fail)
+        block.validate_structure()
+        assert all(stx.verify() for stx in block.transactions)

@@ -109,6 +109,76 @@ class TestSlottedRecord:
         assert bumped.tx_id == make_tx(nonce=5).tx_id != tx.tx_id
 
 
+class TestPinnedRecord:
+    """A pinned transaction is its own signed-transaction surface; a
+    plain one with the same fields is equal, has the same id, and is
+    refused wherever a signature is checked."""
+
+    @staticmethod
+    def _pair():
+        fields = dict(
+            sender="aa" * 32, recipient="bb" * 32, amount=10, fee=1, nonce=0
+        )
+        return Transaction.pinned(**fields), make_tx(**fields)
+
+    def test_equal_with_the_same_id(self):
+        pinned, plain = self._pair()
+        assert pinned == plain
+        assert pinned.tx_id == plain.tx_id
+        assert repr(pinned) == repr(plain)
+        assert pinned.tx is pinned and plain.tx is plain
+        assert pinned.verify() and not plain.verify()
+        pinned.require_valid()
+        with pytest.raises(InvalidTransactionError):
+            plain.require_valid()
+
+    def test_rows_and_copies(self):
+        pinned, _ = self._pair()
+        row = Transaction.pinned_row(
+            "aa" * 32, "bb" * 32, 10, 1, 0, TxKind.TRANSFER, {}, pinned.tx_id
+        )
+        assert row == pinned and row.verify()
+        assert row.signing_bytes == pinned.signing_bytes
+        assert pickle.loads(pickle.dumps(pinned)).verify()
+        # A modified copy is no longer vouched for.
+        assert not dataclasses.replace(pinned, amount=11).verify()
+
+    def test_pinned_construction_still_checks_fields(self):
+        with pytest.raises(InvalidTransactionError):
+            Transaction.pinned("aa" * 32, "bb" * 32, -1, 1, 0)
+
+    def test_only_the_pinned_record_passes_admission(self):
+        from repro.ledger import Mempool
+
+        pinned, plain = self._pair()
+        pool = Mempool()
+        assert not pool.submit(plain)
+        assert pool.rejected_count == 1
+        assert pool.submit(pinned)
+        assert pool.pending() == [pinned]
+
+    def test_only_the_pinned_record_applies(self):
+        from repro.ledger import LedgerState
+
+        pinned, plain = self._pair()
+        state = LedgerState({"aa" * 32: 100})
+        with pytest.raises(InvalidTransactionError):
+            state.apply(plain)
+        assert state.balance_of("aa" * 32) == 100
+        state.apply(pinned)
+        assert state.balance_of("aa" * 32) == 89
+        assert state.balance_of("bb" * 32) == 10
+
+    def test_only_the_pinned_record_validates_in_a_block(self):
+        from repro.errors import InvalidBlockError
+        from repro.ledger import build_block
+
+        pinned, plain = self._pair()
+        build_block(1, "00" * 32, 1.0, "p", [pinned]).validate_structure()
+        with pytest.raises(InvalidBlockError, match="invalid signature"):
+            build_block(1, "00" * 32, 1.0, "p", [plain]).validate_structure()
+
+
 class TestSignedTransactions:
     def test_wallet_signature_verifies(self, fresh_wallet):
         wallet = fresh_wallet("tx-signer")

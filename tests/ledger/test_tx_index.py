@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.ledger import Blockchain, PoAConsensus, Wallet
+from repro.ledger import Blockchain, PoAConsensus, Transaction, Wallet
 
 
 @pytest.fixture
@@ -111,3 +111,63 @@ class TestReorgRebuild:
         assert chain.transaction_location(tx_b.tx_id) == (1, 0)
         _, found = chain.find_transaction(tx_b.tx_id)
         assert found.tx_id == tx_b.tx_id
+
+
+class TestColumnBodies:
+    """Pinned transfers committed as column bodies index and read back
+    as the records submitted, across a reorg."""
+
+    PAYER = "aa" * 32
+    VALIDATOR = "vv" * 32
+
+    def _chain(self):
+        return Blockchain(
+            PoAConsensus([self.VALIDATOR]),
+            genesis_balances={self.PAYER: 1_000},
+        )
+
+    def _transfers(self, nonces, amount=1):
+        return [
+            Transaction.pinned(self.PAYER, SINK, amount, fee=2, nonce=n)
+            for n in nonces
+        ]
+
+    def test_lookups_return_the_submitted_records(self):
+        chain = self._chain()
+        txs = self._transfers(range(5))
+        for tx in txs:
+            assert chain.mempool.submit(tx, chain.state)
+        chain.propose_block(self.VALIDATOR, timestamp=1.0, max_txs=3)
+        chain.propose_block(self.VALIDATOR, timestamp=2.0, max_txs=3)
+        assert [stx for _, stx in chain.iter_transactions()] == txs
+        for position, tx in enumerate(txs):
+            block, found = chain.find_transaction(tx.tx_id)
+            assert found == tx and found.verify()
+            assert chain.transaction_location(tx.tx_id) == (
+                1 + position // 3, position % 3
+            )
+        assert chain.state.balance_of(self.PAYER) == 1_000 - 5 * 3
+
+    def test_reorg_rebuilds_the_index_from_columns(self):
+        from repro.ledger.block import build_block
+
+        chain = self._chain()
+        tx_a = self._transfers([0])[0]
+        chain.propose_block(self.VALIDATOR, timestamp=1.0, transactions=[tx_a])
+        fork_txs = self._transfers([0, 1], amount=7)
+        fork1 = build_block(
+            1, chain.genesis.block_hash, 1.0, self.VALIDATOR, fork_txs[:1]
+        )
+        chain.add_block(fork1)
+        fork2 = build_block(2, fork1.block_hash, 2.0, self.VALIDATOR, fork_txs[1:])
+        chain.add_block(fork2)
+
+        assert chain.reorg_count == 1
+        assert chain.head.block_hash == fork2.block_hash
+        assert chain.transaction_location(tx_a.tx_id) is None
+        for height, tx in enumerate(fork_txs, start=1):
+            assert chain.transaction_location(tx.tx_id) == (height, 0)
+            assert chain.find_transaction(tx.tx_id)[1] == tx
+        assert chain.state.balance_of(self.PAYER) == 1_000 - 2 * 9
+        assert chain.state.balance_of(SINK) == 14
+        assert chain.state.total_supply == 1_000

@@ -263,6 +263,28 @@ class TestStreamDerivation:
         ):
             assert not np.array_equal(draws, other.integers(0, 1 << 30, 64))
 
+    def test_cell_is_the_shard_childs_grandchild(self):
+        # The direct derivation equals extending the spawned shard
+        # child's key, the derivation it replaced.
+        for seed, n_shards, shard, epoch, phase in (
+            (2022, 8, 3, 1, Phase.TRANSACTIONS),
+            (0, 1, 0, 0, Phase.GRAPH),
+            (2 ** 40, 16, 15, 99, Phase.CASCADE),
+        ):
+            child = np.random.SeedSequence(seed).spawn(n_shards)[shard]
+            spawned = np.random.default_rng(
+                np.random.SeedSequence(
+                    entropy=child.entropy,
+                    spawn_key=tuple(child.spawn_key) + (epoch, phase),
+                )
+            )
+            direct = shard_phase_rng(seed, n_shards, shard, epoch, phase)
+            assert np.array_equal(
+                spawned.integers(0, 1 << 62, 64), direct.integers(0, 1 << 62, 64)
+            )
+        with pytest.raises(IndexError):
+            shard_phase_rng(2022, 8, 8, 0, Phase.TRANSACTIONS)
+
     def test_plan_rng_matches_free_function(self):
         plan = make_plan(seed=99, n_shards=5)
         a = plan.rng(2, 4, Phase.CASCADE)

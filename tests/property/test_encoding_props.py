@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ledger import EncodingError, Transaction, TxKind, canonical_encode
+from repro.ledger.crypto import sha256
+from repro.ledger.transactions import transfer_id
 
 scalars = st.one_of(
     st.none(),
@@ -144,3 +146,27 @@ class TestTransactionSigningBytes:
     def test_other_field_types_match(self, fields):
         tx = _tx(**fields)
         assert tx.signing_bytes == canonical_encode(tx.to_dict())
+
+
+class TestTransferId:
+    """``transfer_id`` hashes a transfer from its field values; it must
+    equal the record's id and the generic encoding's hash."""
+
+    @given(
+        sender=st.one_of(
+            st.text(min_size=1, max_size=70),
+            st.text("0123456789abcdef", min_size=64, max_size=64),
+        ),
+        recipient=st.one_of(st.just(""), st.text(max_size=70)),
+        amount=st.integers(min_value=0, max_value=2 ** 63),
+        fee=st.integers(min_value=0, max_value=2 ** 63),
+        nonce=st.integers(min_value=0, max_value=2 ** 63),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_record_and_the_generic_encoding(
+        self, sender, recipient, amount, fee, nonce
+    ):
+        tx = Transaction(sender, recipient, amount, fee, nonce, TxKind.TRANSFER)
+        tx_id = transfer_id(sender, recipient, amount, fee, nonce)
+        assert tx_id == tx.tx_id
+        assert tx_id == sha256(canonical_encode(tx.to_dict())).hex()

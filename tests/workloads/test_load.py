@@ -1,5 +1,6 @@
 """The population-scale load workload: determinism and real code paths."""
 
+import gc
 import json
 import os
 import sys
@@ -67,6 +68,33 @@ class TestSyntheticTransactions:
         # Nonce 0 is consumed on chain: re-admission must be rejected.
         replay = synthetic_transfer(sender, agent_address(2), 2, fee=1, nonce=0)
         assert not chain.mempool.submit(replay, chain.state)
+
+    def test_committed_blocks_hold_no_transaction_object(self, monkeypatch):
+        # Block bodies keep columns: once a barrier has drained the
+        # mempool into blocks, no Transaction of the run is alive.
+        from repro.ledger.transactions import Transaction
+        from repro.workloads import load
+
+        def run_transactions():
+            return [o for o in gc.get_objects() if type(o) is Transaction]
+
+        gc.collect()
+        # Held, so their ids cannot be reused by the run's objects.
+        earlier = run_transactions()
+        known = {id(o) for o in earlier}
+        counts = []
+        apply_trust = load._apply_trust
+
+        def counting(run):
+            apply_trust(run)
+            counts.append(
+                sum(id(o) not in known for o in run_transactions())
+            )
+
+        monkeypatch.setattr(load, "_apply_trust", counting)
+        result = run_load(**{**SMALL, "epochs": 20, "txs_per_epoch": 60})
+        assert result.txs_included == 20 * 60
+        assert counts == [0] * 20
 
     def test_addresses_are_valid_hex32(self):
         address = agent_address(123)

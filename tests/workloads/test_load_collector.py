@@ -78,6 +78,15 @@ REJECTED = [
     ("n_shards", 0),
     ("n_shards", 2.7),
     ("n_shards", TINY["n_agents"] + 1),
+    # A count that is not an integer (a bool is not one either).
+    ("epochs", 2.0),
+    ("txs_per_epoch", 30.0),
+    ("n_agents", 400.0),
+    ("cascade_members", 40.0),
+    ("electorate_size", 100.5),
+    ("block_size", 50.0),
+    ("workers", 1.0),
+    ("epochs", True),
 ]
 
 
