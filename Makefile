@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test perfbench-tests import-check bench bench-smoke bench-regression bench-baseline bench-scaling bench-parallel bench-serving bench-columnar determinism ci
+.PHONY: test perfbench-tests import-check bench bench-smoke bench-regression bench-baseline bench-scaling bench-parallel bench-serving determinism ci
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -27,11 +27,11 @@ bench:
 	$(PYTHON) -m pytest benchmarks -q --benchmark-only
 
 # One untimed repetition of every bench suite plus a single pass over
-# the tracked regression kernels; finishes in under a minute.  Its
-# report goes to the untracked .bench_build/, not over BENCH_PR1.json.
+# the tracked regression kernels and the observability-overhead gate;
+# finishes in under a minute.  Like every harness below, it writes its
+# report into the untracked .bench_build/.
 bench-smoke:
-	mkdir -p .bench_build
-	$(PYTHON) -m benchmarks.regression --smoke --output .bench_build/BENCH_PR1.json
+	$(PYTHON) -m benchmarks.regression --smoke
 
 # Full perf gate: 3 reps per tracked op, compares against
 # benchmarks/baseline.json, fails on >25% regression.
@@ -42,47 +42,32 @@ bench-baseline:
 	$(PYTHON) -m benchmarks.regression --update-baseline
 
 # Serving latency/saturation sweep: open-loop arrival rates vs p50/p99
-# and the saturation knee, all in simulated time; writes BENCH_PR6.json
-# and asserts a seeded replay is byte-identical.  Full sweep:
+# and the saturation knee, all in simulated time; asserts a seeded
+# replay is byte-identical.  Full sweep:
 #   python -m benchmarks.serving
 bench-serving:
 	$(PYTHON) -m benchmarks.serving --smoke
 
-# Sharded-execution wall-clock tiers only: serial vs workers={2,4} at
-# the 100k tier with equivalence asserted and >=2x speedup gated where
-# >=4 usable cores exist (loudly recorded-but-skipped on smaller
-# hosts), plus the shard-balance tier — the cost-weighted plan's
-# whole-run imbalance gated <=1.25x at 100k.  Writes BENCH_PR9.json.
+# Sharded-execution wall-clock tiers at 100k agents: serial vs
+# workers={2,4} with byte-equal metrics asserted and >=2x speedup gated
+# where >=4 usable cores exist (recorded but skipped on smaller hosts),
+# plus the shard-balance tier — the cost-weighted plan's whole-run
+# imbalance gated <=1.25x.
 bench-parallel:
 	$(PYTHON) -m benchmarks.scaling --parallel-only
 
-# Columnar smoke gate: 10k-tier columnar-vs-object kernels with exact
-# equivalence asserts (bitwise balances/nonces/spends) and the
-# bytes/agent ceiling.  The report goes to the untracked .bench_build/.
-# The full 1M tier lives in the scaling suite:
-#   python -m benchmarks.scaling --smoke --million
-bench-columnar:
-	mkdir -p .bench_build
-	$(PYTHON) -m benchmarks.scaling --columnar-only --report .bench_build/BENCH_columnar.json
-
-# Population-scale gate (smoke: 1k/10k tiers, <90s): indexed mempool
-# selection, warm reputation writes, vectorized cascade rounds, and
-# batch abuse classification must beat the naive references >=3x at the
-# 10k tier (the cascade/classifier kernels must also match the scalar
-# engines byte-for-byte on the same seed); the quantile sketch must stay
-# within its documented rank-error tolerance; each load tier — now
-# including the moderation and privacy-budget phases — must replay
-# byte-identically.  The report goes to the untracked .bench_build/,
-# not over BENCH_PR9.json.  Full suite (adds the 100k tier):
+# Ratio gates at 10k agents (smoke repetitions, ~20 s): indexed mempool
+# selection, warm reputation writes, vectorized cascade rounds and
+# batch abuse classification must beat their naive references >=3x,
+# and the cascade and classifier kernels must match the scalar engines
+# on the same seed.  Full suite (adds the workers and balance tiers):
 #   python -m benchmarks.scaling
 bench-scaling:
-	mkdir -p .bench_build
-	$(PYTHON) -m benchmarks.scaling --smoke --report .bench_build/BENCH_scaling.json
+	$(PYTHON) -m benchmarks.scaling --smoke
 
 # Everything a merge must pass, in one target.  `test` runs the
-# determinism matrix; bench-scaling's smoke mode includes the workers
-# tier (10k agents, workers={2,4} equivalence asserts) and the
-# shard-balance tier; bench-columnar pins the columnar/object kernel
-# equivalence contract; perfbench-tests runs the repository benchmark's
-# own tests; import-check imports every module alone.
-ci: test perfbench-tests import-check bench-smoke bench-scaling bench-columnar
+# determinism matrix; perfbench-tests runs the repository benchmark's
+# own tests; import-check imports every module alone; bench-smoke runs
+# the kernel table and the observability-overhead gate; bench-scaling
+# runs the ratio gates.
+ci: test perfbench-tests import-check bench-smoke bench-scaling

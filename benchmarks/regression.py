@@ -5,9 +5,11 @@ observability hooks on, ``Histogram.summary()`` at 10k samples, repeated
 ``EigenTrust.trust_of`` lookups, ledger block appends with and without
 transactions, indexed mempool selection, warm reputation writes, cached
 contract dispatch, sketch-histogram streaming, and the serving tier's
-request path / read cache / admission control) against the committed
-baseline in ``benchmarks/baseline.json`` and fails if any tracked op
-regresses more than the gate threshold (default 25%).
+read cache and admission control) against the committed baseline in
+``benchmarks/baseline.json`` and fails if any tracked op regresses more
+than the gate threshold (25%; 3x with ``--smoke``).  The serving
+request path as a whole is measured end to end by ``perfbench/``'s
+serving-flash workload, not here.
 
 Alongside wall-time, every tracked op records the process peak RSS
 high-water mark (``ru_maxrss``) and how much the op grew it.  Like the
@@ -23,8 +25,9 @@ within ``OBS_OVERHEAD_THRESHOLD`` (10%) of the same seeded run dark
 Usage
 -----
 ``python -m benchmarks.regression``
-    Run every tracked op, write ``BENCH_PR1.json`` at the repo root,
-    compare against the committed baseline, exit non-zero on regression.
+    Run every tracked op three times, compare the best against the
+    committed baseline, write ``.bench_build/regression.json``
+    (untracked), exit non-zero on regression.
 
 ``python -m benchmarks.regression --smoke``
     One repetition of each tracked op *plus* one untimed repetition of
@@ -55,8 +58,9 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BASELINE_PATH = Path(__file__).resolve().parent / "baseline.json"
-DEFAULT_REPORT = REPO_ROOT / "BENCH_PR1.json"
+REPORT_PATH = REPO_ROOT / ".bench_build" / "regression.json"
 GATE_THRESHOLD = 1.25  # fail if current > baseline * threshold
+REPS = 3  # repetitions per tracked op outside smoke mode
 # Smoke mode times each op once, which is noisy (cold caches, numpy
 # warmup); gate only on catastrophic blowups there and leave the tight
 # 25% gate to the full multi-rep run.
@@ -595,46 +599,6 @@ def kernel_plan_build_weighted() -> Tuple[int, float]:
     return reps, elapsed
 
 
-def kernel_serving_request_path() -> Tuple[int, float]:
-    """A full seeded serving run, timed from the first loop event.
-
-    The end-to-end request path — validation, cache, admission, queueing,
-    substrate dispatch, metrics — per completed response.  Traffic
-    generation and repository construction happen outside the timed
-    section; this is the serving tier's steady-state cost per request.
-    """
-    from repro.serving.gateway import ServingConfig, ServingGateway
-    from repro.serving.loop import EventLoop
-    from repro.serving.repository import ServingRepository
-    from repro.serving.run import SERVICE_TIME_DOMAIN, schedule_arrivals
-    from repro.sim.metrics import MetricsRegistry
-    from repro.workloads.traffic import TrafficConfig, generate_traffic
-
-    import numpy as np
-
-    traffic = TrafficConfig(
-        n_users=150, horizon=8.0, rate_per_user=1.0, seed=SEED
-    )
-    arrivals = generate_traffic(traffic)
-    registry = MetricsRegistry()
-    loop = EventLoop()
-    repo = ServingRepository(n_users=traffic.n_users, seed=SEED)
-    gateway = ServingGateway(
-        repo, loop, ServingConfig(), registry,
-        np.random.default_rng(
-            np.random.SeedSequence(entropy=SEED, spawn_key=(SERVICE_TIME_DOMAIN,))
-        ),
-    )
-    schedule_arrivals(loop, gateway.submit, arrivals)
-    gateway.start(horizon=traffic.horizon)
-    t0 = time.perf_counter()
-    loop.run()
-    elapsed = time.perf_counter() - t0
-    n = len(gateway.responses)
-    assert n == len(arrivals) > 0
-    return n, elapsed
-
-
 def kernel_read_cache_lookup() -> Tuple[int, float]:
     """Mixed hit/miss/stale traffic against a warm 2k-entry read cache.
 
@@ -897,7 +861,6 @@ TRACKED_OPS: Dict[str, Kernel] = {
     "moderation_batch_classify_20k": kernel_moderation_batch_classify,
     "privacy_batch_charge_20k": kernel_privacy_batch_charge,
     "plan_build_weighted_200": kernel_plan_build_weighted,
-    "serving_request_path": kernel_serving_request_path,
     "serving_read_cache_50k": kernel_read_cache_lookup,
     "serving_admission_100k": kernel_admission_control,
 }
@@ -1009,25 +972,10 @@ def main(argv: List[str] = None) -> int:
         action="store_true",
         help=f"re-record {BASELINE_PATH.name} instead of gating against it",
     )
-    parser.add_argument("--reps", type=int, default=3, help="repetitions per tracked op")
-    parser.add_argument(
-        "--output", type=Path, default=DEFAULT_REPORT, help="report JSON path"
-    )
-    parser.add_argument(
-        "--threshold",
-        type=float,
-        default=None,
-        help="regression gate: fail if current > baseline * threshold "
-        f"(default {GATE_THRESHOLD}, or {SMOKE_GATE_THRESHOLD} with --smoke)",
-    )
-    parser.add_argument(
-        "--no-gate", action="store_true", help="report but never fail the gate"
-    )
     args = parser.parse_args(argv)
-    if args.threshold is None:
-        args.threshold = SMOKE_GATE_THRESHOLD if args.smoke else GATE_THRESHOLD
+    threshold = SMOKE_GATE_THRESHOLD if args.smoke else GATE_THRESHOLD
 
-    reps = 1 if args.smoke else args.reps
+    reps = 1 if args.smoke else REPS
     print(f"tracked ops ({reps} rep{'s' if reps != 1 else ''} each):")
     current = run_tracked_ops(reps)
 
@@ -1082,13 +1030,13 @@ def main(argv: List[str] = None) -> int:
     report = {
         "schema": 2,
         "recorded_unix": time.time(),
-        "gate_threshold": args.threshold,
+        "gate_threshold": threshold,
         "host": host,
         "ops": current,
         "obs_overhead": obs_overhead,
     }
     exit_code = 0
-    if not obs_overhead["within_budget"] and not args.no_gate:
+    if not obs_overhead["within_budget"]:
         print(
             f"\nFAIL: observability overhead "
             f"{obs_overhead['overhead_ratio']:.3f}x exceeds "
@@ -1109,7 +1057,7 @@ def main(argv: List[str] = None) -> int:
             print("  (gate still applies; re-record with --update-baseline "
                   "if this machine is the new reference)")
         comparison, regressions, rss_warnings = compare(
-            current, baseline, args.threshold
+            current, baseline, threshold
         )
         report["comparison"] = comparison
         report["regressions"] = regressions
@@ -1123,15 +1071,16 @@ def main(argv: List[str] = None) -> int:
             print("\nWARNING: peak RSS grew beyond the baseline:")
             for warning in rss_warnings:
                 print(f"  {warning}")
-        if regressions and not args.no_gate:
+        if regressions:
             print(f"\nFAIL: {len(regressions)} tracked op(s) regressed >"
-                  f"{(args.threshold - 1) * 100:.0f}%: {', '.join(regressions)}")
+                  f"{(threshold - 1) * 100:.0f}%: {', '.join(regressions)}")
             exit_code = 1
     else:
         print(f"\nno baseline at {BASELINE_PATH}; run --update-baseline to record one")
 
-    args.output.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"report written to {args.output}")
+    REPORT_PATH.parent.mkdir(exist_ok=True)
+    REPORT_PATH.write_text(json.dumps(report, indent=2) + "\n")
+    print(f"report written to {REPORT_PATH}")
 
     if args.smoke:
         smoke_rc = run_smoke_suites()

@@ -1,4 +1,4 @@
-"""Serving-tier latency/saturation bench: the PR6 report.
+"""Serving-tier latency/saturation bench.
 
 Sweeps open-loop offered load over a fixed serving configuration and
 reports, per arrival-rate point, simulated-time p50/p99 latency,
@@ -10,14 +10,14 @@ lightest point's p99).
 Because every number is virtual-clock simulated time, the report is
 **byte-identical across hosts and reruns** for the same seed — the
 bench asserts this by replaying one mid-sweep point and comparing the
-full metrics payload, and the numbers in ``BENCH_PR6.json`` are exact,
-not samples of host noise.
+full metrics payload, and the numbers in its report are exact, not
+samples of host noise.  Reports go to the untracked ``.bench_build/``.
 
 Usage
 -----
 ``python -m benchmarks.serving``
-    Full sweep (5 rate points), writes ``BENCH_PR6.json`` at the repo
-    root, exits non-zero if determinism or sanity assertions fail.
+    Full sweep (5 rate points), writes ``.bench_build/serving.json``,
+    exits non-zero if determinism or sanity assertions fail.
 
 ``python -m benchmarks.serving --smoke``
     Two rate points (one unsaturated, one past the knee), same
@@ -29,7 +29,7 @@ Usage
     heaviest (saturated) rates, then halves the interval until it is
     narrower than ``BISECT_TOL`` arrivals/s/user.  The refined knee —
     far tighter than any fixed 5-point grid can resolve — is recorded
-    in ``BENCH_PR7.json``.
+    in ``.bench_build/serving_knee.json``.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-DEFAULT_REPORT = REPO_ROOT / "BENCH_PR6.json"
-BISECT_REPORT = REPO_ROOT / "BENCH_PR7.json"
+DEFAULT_REPORT = REPO_ROOT / ".bench_build" / "serving.json"
+BISECT_REPORT = REPO_ROOT / ".bench_build" / "serving_knee.json"
 
 SEED = 2022
 N_USERS = 300
@@ -197,6 +197,7 @@ def main(argv: List[str] = None) -> int:
     args = parser.parse_args(argv)
     if args.output is None:
         args.output = BISECT_REPORT if args.bisect else DEFAULT_REPORT
+    args.output.parent.mkdir(parents=True, exist_ok=True)
 
     if args.bisect:
         print(f"serving knee bisection: {N_USERS} users, horizon {HORIZON}s, "

@@ -10,6 +10,8 @@ clauses.
 
 from __future__ import annotations
 
+import numbers
+
 
 class ReproError(Exception):
     """Base class for all errors raised by the ``repro`` library."""
@@ -101,3 +103,16 @@ class ModuleNotFound(FrameworkError):
 
 class PolicyViolation(FrameworkError):
     """An action violated the active policy profile."""
+
+
+def check_count(name: str, value: object, minimum: int = 0) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is an
+    integer of at least ``minimum``.
+
+    An integer is any :class:`numbers.Integral` (numpy's included) that
+    is not a ``bool``: ``2.0``, ``2.5`` and ``True`` are not counts.
+    """
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")

@@ -34,6 +34,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.errors import check_count
 from repro.obs.spans import SPAN_KIND
 from repro.sim.tracing import TraceLog
 
@@ -161,9 +162,9 @@ class SamplingPolicy:
     the production-style rate the observability-overhead gate in
     ``benchmarks/regression.py`` budgets for); ``keep_statuses`` are
     the tail rules that always keep a trace (429/500 by default —
-    exactly the responses an operator pages on); ``top_k_latency``
-    keeps the slowest ``k`` requests of the run even when neither rule
-    hit.
+    exactly the responses an operator pages on); ``top_k_latency``, an
+    integer (not a ``bool``) of at least 0, keeps the slowest ``k``
+    requests of the run even when neither rule hit.
     """
 
     head_rate: float = 0.01
@@ -175,10 +176,7 @@ class SamplingPolicy:
             raise ValueError(
                 f"head_rate must be in [0, 1], got {self.head_rate}"
             )
-        if self.top_k_latency < 0:
-            raise ValueError(
-                f"top_k_latency must be >= 0, got {self.top_k_latency}"
-            )
+        check_count("top_k_latency", self.top_k_latency)
 
 
 # One buffered tail candidate: orderable by (latency, trace_id) so heap

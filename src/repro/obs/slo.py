@@ -32,6 +32,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.errors import check_count
 from repro.obs.timeseries import WindowedTelemetry, WindowScope
 
 __all__ = [
@@ -70,9 +71,9 @@ class SLOSpec:
         Declare the engine's thresholds to the telemetry via
         :func:`thresholds_for` so windows count exceedances exactly.
     short_windows / long_windows:
-        Trailing burn-rate horizons, in telemetry windows.  A latency
-        SLO "over 10s windows" with 1 s telemetry windows uses
-        ``long_windows=10``.
+        Trailing burn-rate horizons, as integer counts of telemetry
+        windows.  A latency SLO "over 10s windows" with 1 s telemetry
+        windows uses ``long_windows=10``.
     burn_factor:
         Burn-rate multiple that pages.  1.0 = budget spent exactly at
         the sustainable rate; the classic fast-burn page is 14.4.
@@ -97,16 +98,19 @@ class SLOSpec:
                 f"target must be in (0, 1), got {self.target}"
             )
         if self.sli == "latency":
-            if self.threshold_ms is None or self.threshold_ms <= 0:
+            threshold = self.threshold_ms
+            if threshold is None or not 0 < threshold < math.inf:
                 raise ValueError(
-                    "latency SLIs need a positive threshold_ms, got "
-                    f"{self.threshold_ms}"
+                    "latency SLIs need a positive finite threshold_ms, got "
+                    f"{threshold}"
                 )
         elif self.threshold_ms is not None:
             raise ValueError(
                 "threshold_ms only applies to latency SLIs"
             )
-        if self.short_windows < 1 or self.long_windows < self.short_windows:
+        check_count("short_windows", self.short_windows, 1)
+        check_count("long_windows", self.long_windows, 1)
+        if self.long_windows < self.short_windows:
             raise ValueError(
                 "need 1 <= short_windows <= long_windows, got "
                 f"{self.short_windows}/{self.long_windows}"

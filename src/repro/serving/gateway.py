@@ -30,6 +30,7 @@ into a route that every later request of the endpoint reads.
 from __future__ import annotations
 
 import collections
+import math
 from array import array
 from dataclasses import dataclass, field
 from functools import partial
@@ -37,6 +38,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.errors import check_count
 from repro.obs.context import (
     REQUEST_SOURCE,
     STAGE_PREFIX,
@@ -78,6 +80,17 @@ class ServingConfig:
     service draw is ``base * (0.75 + jitter * Exp(1))``, giving mean
     ``base * (0.75 + jitter)`` and an exponential upper tail — the p99
     the bench reports is real queueing-plus-tail, not an artifact.
+
+    Every field is checked when the config is built, and a bad one
+    raises ``ValueError`` naming it: counts are integers (not ``bool``),
+    ``n_servers``, ``cache_capacity`` and ``block_size`` at least 1 and
+    ``queue_limit`` at least 0; the tick intervals and ``cache_ttl`` are
+    finite and positive (a zero interval would reschedule its tick at
+    the same instant forever); costs, ``service_jitter`` and
+    ``drain_window`` are finite and non-negative; ``rate_limits`` and
+    ``service_times`` hold one entry per :class:`Endpoint`, with finite
+    positive rates, finite bursts of at least one token and finite
+    non-negative service times.
     """
 
     n_servers: int = 2
@@ -112,6 +125,50 @@ class ServingConfig:
             Endpoint.GET_TALLY: 0.0010,
         }
     )
+
+    def __post_init__(self) -> None:
+        # Written so that NaN fails every check.
+        for name, minimum in (
+            ("n_servers", 1), ("queue_limit", 0), ("cache_capacity", 1),
+            ("block_size", 1),
+        ):
+            check_count(name, getattr(self, name), minimum)
+        for name in ("block_interval", "vote_window", "review_interval",
+                     "cache_ttl"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(
+                    f"{name} must be positive and finite, got {value}"
+                )
+        for name in ("cache_hit_cost", "validation_cost", "service_jitter",
+                     "drain_window"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValueError(
+                    f"{name} must be finite and >= 0, got {value}"
+                )
+        endpoints = set(Endpoint)
+        for name in ("rate_limits", "service_times"):
+            keys = set(getattr(self, name))
+            if keys != endpoints:
+                raise ValueError(
+                    f"{name} must have one entry per Endpoint: missing "
+                    f"{sorted(e.value for e in endpoints - keys)}, unknown "
+                    f"{sorted(map(repr, keys - endpoints))}"
+                )
+        for endpoint in Endpoint:
+            rate, burst = self.rate_limits[endpoint]
+            if not (0 < rate < math.inf and 1 <= burst < math.inf):
+                raise ValueError(
+                    f"rate_limits[{endpoint.value}] needs a finite rate > 0 "
+                    f"and a finite burst >= 1, got {(rate, burst)}"
+                )
+            seconds = self.service_times[endpoint]
+            if not 0 <= seconds < math.inf:
+                raise ValueError(
+                    f"service_times[{endpoint.value}] must be finite and "
+                    f">= 0, got {seconds}"
+                )
 
 
 #: Service-time draws taken from the gateway's stream at a time.
@@ -271,8 +328,6 @@ class ServingGateway:
         telemetry: Optional[WindowedTelemetry] = None,
         sampler: Optional[RequestTraceSampler] = None,
     ):
-        if config.n_servers < 1:
-            raise ValueError(f"n_servers must be >= 1, got {config.n_servers}")
         self.repo = repo
         self.loop = loop
         self.config = config

@@ -58,11 +58,13 @@ class ServingRunResult:
     reporting helpers like :func:`repro.obs.latency_report`), and
     ``trace_jsonl`` the JSONL trace export when tracing was requested.
 
-    The observability layer adds: ``telemetry`` (the live windowed
-    rollup) with its byte-comparable ``timeseries_json`` export,
-    ``slo_report`` (budgets + burn-rate alert timeline) with
-    ``alerts_json``, and ``sampling_stats`` (how many request traces
-    each keep rule exported).
+    The observability layer adds, when SLOs are given: ``telemetry``
+    (the live rollup in 1 s windows) with its byte-comparable
+    ``timeseries_json`` export, and ``slo_report`` (budgets + burn-rate
+    alert timeline) with ``alerts_json``; with a sampling policy,
+    ``sampling_stats`` (how many request traces each keep rule
+    exported).  The registry keeps every latency sample (the
+    ``"exact"`` histogram backend).
     """
 
     seed: int
@@ -135,9 +137,7 @@ def run_serving(
     traffic: TrafficConfig,
     serving: Optional[ServingConfig] = None,
     trace: bool = False,
-    histogram_backend: str = "exact",
     slos: Optional[Sequence[SLOSpec]] = None,
-    telemetry_window: Optional[float] = None,
     sampling: Optional[SamplingPolicy] = None,
 ) -> ServingRunResult:
     """Run one seeded open-loop scenario against the serving tier.
@@ -150,10 +150,9 @@ def run_serving(
     PR 6 request path, byte for byte):
 
     * ``slos`` — declarative :class:`SLOSpec` objectives; implies
-      windowed telemetry and attaches an :class:`SLOEngine` evaluation
-      (``slo_report`` / ``alerts_json``) to the result.
-    * ``telemetry_window`` — window width in simulated seconds for the
-      rollup (defaults to 1.0 when only ``slos`` is given).
+      windowed telemetry (1 simulated second per window) and attaches
+      an :class:`SLOEngine` evaluation (``slo_report`` /
+      ``alerts_json``) to the result.
     * ``sampling`` — a :class:`SamplingPolicy`; implies ``trace`` and
       exports per-request span trees under its head/status/tail rules.
 
@@ -169,7 +168,7 @@ def run_serving(
     has frozen objects of its own, nothing is frozen or unfrozen.
     """
     serving = serving if serving is not None else ServingConfig()
-    registry = MetricsRegistry(histogram_backend=histogram_backend)
+    registry = MetricsRegistry()
     loop = EventLoop()
     trace = trace or sampling is not None
     obs: Optional[Instrumentation] = None
@@ -180,11 +179,8 @@ def run_serving(
             run_id=f"serve-{traffic.seed}",
         )
     telemetry: Optional[WindowedTelemetry] = None
-    if slos is not None or telemetry_window is not None:
-        telemetry = WindowedTelemetry(
-            window=telemetry_window if telemetry_window is not None else 1.0,
-            latency_thresholds_ms=thresholds_for(slos or ()),
-        )
+    if slos is not None:
+        telemetry = WindowedTelemetry(latency_thresholds_ms=thresholds_for(slos))
     sampler: Optional[RequestTraceSampler] = None
     if sampling is not None:
         sampler = RequestTraceSampler(obs.trace, sampling)
@@ -245,7 +241,7 @@ def run_serving(
         cache_lookups = cache_hits + gateway.cache.misses
 
         slo_report: Optional[SLOReport] = None
-        if slos is not None and telemetry is not None:
+        if telemetry is not None:
             slo_report = SLOEngine(slos).evaluate(telemetry)
         sampling_stats: Optional[Dict[str, int]] = None
         if sampler is not None:

@@ -79,7 +79,6 @@ block.
 
 from __future__ import annotations
 
-import numbers
 import pickle
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
@@ -88,6 +87,7 @@ import numpy as np
 
 from repro.dao.dao import DAO
 from repro.dao.members import Member
+from repro.errors import check_count
 from repro.governance.moderation import (
     AbuseClassifier,
     HumanModeratorPool,
@@ -467,33 +467,19 @@ def _check_config(
 ) -> None:
     """Raise ``ValueError`` naming the first parameter that is not an
     integer count (a ``bool`` is not one) or is out of range."""
-    for name, value in (
-        ("n_agents", n_agents),
-        *counts.items(),
-        ("block_size", block_size),
-        ("electorate_size", electorate_size),
-        ("n_shards", n_shards),
-    ):
-        if value is None and name in ("electorate_size", "n_shards"):
-            continue
-        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    if n_agents < 1:
-        raise ValueError(f"n_agents must be >= 1, got {n_agents}")
+    check_count("n_agents", n_agents, 1)
     for name, value in counts.items():
-        if value < 0:
-            raise ValueError(f"{name} must be >= 0, got {value}")
-    if block_size < 1:
-        raise ValueError(f"block_size must be >= 1, got {block_size}")
-    if electorate_size is not None and electorate_size < 1:
-        raise ValueError(
-            f"electorate_size must be None or >= 1, got {electorate_size}"
-        )
-    if n_shards is not None and not 1 <= n_shards <= n_agents:
-        raise ValueError(
-            f"n_shards must be None or an integer in [1, {n_agents}], "
-            f"got {n_shards!r}"
-        )
+        check_count(name, value)
+    check_count("block_size", block_size, 1)
+    if electorate_size is not None:
+        check_count("electorate_size", electorate_size, 1)
+    if n_shards is not None:
+        check_count("n_shards", n_shards, 1)
+        if n_shards > n_agents:
+            raise ValueError(
+                f"n_shards must be None or an integer in [1, {n_agents}], "
+                f"got {n_shards!r}"
+            )
     if transport != "pickle":
         raise ValueError(f"transport must be 'pickle', got {transport!r}")
 

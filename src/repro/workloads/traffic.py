@@ -42,6 +42,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from repro.errors import check_count
 from repro.obs.context import derive_trace_ids
 from repro.serving.repository import HOT_SUBJECT_STRIDE, SERVING_CHANNELS
 from repro.serving.schemas import (
@@ -101,7 +102,8 @@ class TrafficConfig:
     ``invalid_frac`` of write requests are deliberately malformed so the
     validation middleware carries real 400 traffic; ``pareto_shape``
     controls how heavy the per-user tail is (smaller = heavier; must be
-    > 1 so the mean exists).  ``horizon``, ``rate_per_user`` and
+    > 1 so the mean exists).  ``n_users`` is an integer (not a
+    ``bool``) of at least 2; ``horizon``, ``rate_per_user`` and
     ``pareto_shape`` must be finite.
     """
 
@@ -123,8 +125,7 @@ class TrafficConfig:
 
     def __post_init__(self) -> None:
         # Written so that NaN fails every check.
-        if not self.n_users >= 2:
-            raise ValueError(f"n_users must be >= 2, got {self.n_users}")
+        check_count("n_users", self.n_users, 2)
         if not 0 < self.horizon < math.inf:
             raise ValueError(
                 f"horizon must be positive and finite, got {self.horizon}"

@@ -25,10 +25,9 @@ Three pieces:
 
 * :class:`AddressInterner` — bidirectional address↔index table so hot
   paths pass ``int`` indices instead of hashing 64-char strings.
-* :class:`AgentTable` — the columns plus bulk kernels
-  (:meth:`AgentTable.apply_transfers` for an epoch of ledger writes,
-  vectorized nonce prechecks) used by the columnar load path and the
-  scaling benchmarks.
+* :class:`AgentTable` — the columns that hold the load workload's
+  society, plus :meth:`AgentTable.charge_spent`, the sequential-exact
+  bulk privacy charge behind ``PrivacyBudget.charge_many``.
 * :class:`ColumnMap` — a :class:`~collections.abc.MutableMapping` view
   presenting one column under the existing ``Dict[str, number]``
   contract, so ``LedgerState``, ``PrivacyBudget`` and the serving
@@ -46,7 +45,7 @@ from __future__ import annotations
 
 from collections.abc import MutableMapping
 from operator import itemgetter
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -202,8 +201,7 @@ class AgentTable:
     The table owns the columns; views handed to the ledger / privacy
     substrates alias them (no copies).  Columns used as a copy-on-write
     *base* (ledger genesis balances) must not be mutated after handing
-    them out — the bulk kernels below are for tables the caller owns
-    outright (benchmark kernels, the load nonce tracker).
+    them out — the bulk kernel below writes the spent column only.
     """
 
     __slots__ = (
@@ -284,89 +282,8 @@ class AgentTable:
         return bool(self.consent[index] & (1 << channel_bit))
 
     # ------------------------------------------------------------------
-    # Bulk ledger kernels (column-to-column)
-    # ------------------------------------------------------------------
-    def precheck_nonces(
-        self, senders: np.ndarray, nonces: np.ndarray
-    ) -> bool:
-        """Vectorized nonce precheck for an epoch batch.
-
-        Valid iff, taken in order, each sender's nonces continue its
-        column value consecutively (the exact condition the per-tx
-        ``LedgerState.apply`` loop enforces one tx at a time).  Batch
-        order is positional: earlier array entries apply first.
-        """
-        senders = np.asarray(senders, dtype=np.int64)
-        nonces = np.asarray(nonces, dtype=np.int64)
-        if senders.shape != nonces.shape:
-            raise ValueError("senders and nonces must align")
-        if senders.size == 0:
-            return True
-        # Stable-sort by sender; within a sender, positional order is
-        # preserved, so the expected nonce sequence is base, base+1, ...
-        order = np.argsort(senders, kind="stable")
-        s_sorted = senders[order]
-        n_sorted = nonces[order]
-        boundary = np.empty(s_sorted.size, dtype=bool)
-        boundary[0] = True
-        np.not_equal(s_sorted[1:], s_sorted[:-1], out=boundary[1:])
-        group_ids = np.cumsum(boundary) - 1
-        starts = np.flatnonzero(boundary)
-        rank = np.arange(s_sorted.size, dtype=np.int64) - starts[group_ids]
-        expected = self.nonces[s_sorted].astype(np.int64) + rank
-        return bool(np.array_equal(n_sorted, expected))
-
-    def apply_transfers(
-        self,
-        senders: np.ndarray,
-        recipients: np.ndarray,
-        amounts: np.ndarray,
-        fees: np.ndarray,
-        nonces: Optional[np.ndarray] = None,
-        *,
-        fee_sink: Optional[np.ndarray] = None,
-    ) -> None:
-        """Apply an epoch's transfer batch column-to-column.
-
-        Exact-equivalent to applying the batch one transaction at a time
-        *when the whole batch is valid* — which the caller establishes
-        first via :meth:`precheck_nonces` plus the conservative solvency
-        check below (each sender's **total** spend within the batch must
-        fit its starting balance; sequential application can only be
-        more permissive, never less, because intermediate credits only
-        add funds).  Raises ``ValueError`` without touching any column
-        if the batch fails either check; the caller then falls back to
-        the sequential path to surface the per-tx error.
-
-        ``fee_sink`` (an int64 scalar array) accumulates fees, standing
-        in for the validator's credit.
-        """
-        senders = np.asarray(senders, dtype=np.int64)
-        recipients = np.asarray(recipients, dtype=np.int64)
-        amounts = np.asarray(amounts, dtype=np.int64)
-        fees = np.asarray(fees, dtype=np.int64)
-        if amounts.size and (amounts.min() < 0 or fees.min() < 0):
-            raise ValueError("negative amount or fee in batch")
-        if nonces is not None and not self.precheck_nonces(senders, nonces):
-            raise ValueError("nonce precheck failed")
-        n = len(self)
-        spend = np.zeros(n, dtype=np.int64)
-        np.add.at(spend, senders, amounts + fees)
-        if np.any(spend > self.balances):
-            raise ValueError("batch overspends a sender balance")
-        self.balances -= spend
-        credit = np.zeros(n, dtype=np.int64)
-        np.add.at(credit, recipients, amounts)
-        self.balances += credit
-        counts = np.zeros(n, dtype=np.int64)
-        np.add.at(counts, senders, 1)
-        self.nonces += counts.astype(np.int32)
-        if fee_sink is not None:
-            fee_sink += fees.sum()
-
-    # ------------------------------------------------------------------
-    # Bulk privacy kernel (uniform-cap fast charge lives on the budget;
-    # this is the raw column op the benchmarks exercise)
+    # Bulk privacy kernel (``PrivacyBudget.charge_many``'s column fast
+    # path for batches of interned subjects)
     # ------------------------------------------------------------------
     def charge_spent(
         self,

@@ -19,7 +19,7 @@ import os
 import sys
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Any, Callable, Dict, List, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import pytest
@@ -267,12 +267,16 @@ def _market_invariants(runs: Runs) -> None:
 # --- perfbench's workloads at the benchmark's default seed -------------
 
 
-def _perfbench_row(name: str, digests: Dict[str, str]) -> Row:
+def _perfbench_row(
+    name: str, digests: Dict[str, str], bytes_per_agent: Optional[float] = None
+) -> Row:
     workload = WORKLOADS[name]
 
     def check(runs: Runs) -> None:
         for _, result in runs:
             assert workload.examine(result)[2] == []  # no failed checks
+            if bytes_per_agent is not None:
+                assert result.table_bytes_per_agent == bytes_per_agent
 
     return Row(
         f"perfbench/{name}", workload.call, dict(seed=2022), [{}], digests, check
@@ -363,9 +367,12 @@ ROWS = [
         {"__dict__": "e8ca3f59afce3ce967283444347a376bce83784cfec7369c174bb8cb15868454"},
         _market_invariants,
     ),
+    # The society rows hold the agent table to its 37 column bytes per
+    # agent at 100k and 1M agents.
     _perfbench_row(
         "society-100k",
         dict(metrics="8c6bb9cb0e17e8ef23aceda131a3a2596a3ae4f3b0b7e7a3ed90e604d50e2e6c"),
+        bytes_per_agent=37.0,
     ),
     _perfbench_row(
         "serving-flash",
@@ -379,6 +386,7 @@ ROWS = [
     _perfbench_row(
         "society-1m",
         dict(metrics="f9ad65756e3b505b10c3e674758ad6a991fdee4b10bb2e4bc124d7bad1d74697"),
+        bytes_per_agent=37.0,
     ),
 ]
 

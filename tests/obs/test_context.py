@@ -88,6 +88,12 @@ class TestSamplingPolicy:
         with pytest.raises(ValueError, match="top_k_latency"):
             SamplingPolicy(top_k_latency=-1)
 
+    # Each was accepted; a count must be an integer, and a bool is not.
+    @pytest.mark.parametrize("value", [2.5, 25.0, True])
+    def test_non_integer_top_k_rejected(self, value):
+        with pytest.raises(ValueError, match="^top_k_latency"):
+            SamplingPolicy(top_k_latency=value)
+
 
 def _ctx(seed, user, seq, head_rate=0.0):
     return RequestContext.for_request(seed, user, seq, head_rate)

@@ -2,6 +2,7 @@
 the multi-window burn-rate alert timeline."""
 
 import json
+import math
 
 import pytest
 
@@ -64,6 +65,25 @@ class TestSLOSpecValidation:
                 name="x", sli="availability", target=0.9,
                 short_windows=5, long_windows=2,
             )
+
+    # Each was accepted: no latency exceeds a NaN threshold, so its SLO
+    # never fired, and a window count must be an integer.
+    @pytest.mark.parametrize("field, value", [
+        ("threshold_ms", math.nan),
+        ("threshold_ms", math.inf),
+        ("short_windows", 2.5),
+        ("short_windows", 2.0),
+        ("short_windows", True),
+        ("long_windows", 10.5),
+        ("long_windows", 10.0),
+    ])
+    def test_rejected_at_construction(self, field, value):
+        spec = dict(
+            name="x", sli="latency", target=0.9, threshold_ms=40.0,
+            short_windows=2, long_windows=10,
+        )
+        with pytest.raises(ValueError, match=field):
+            SLOSpec(**{**spec, field: value})
 
     @pytest.mark.parametrize("factor", [0.0, -1.0, float("inf")])
     def test_burn_factor_positive_finite(self, factor):

@@ -17,11 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import PrivacyBudgetExceeded, PrivacyError
-from repro.ledger import LedgerState
-from repro.ledger.transactions import InvalidTransactionError
 from repro.privacy import PrivacyBudget
 from repro.world.columnar import AgentTable, ColumnMap
-from repro.workloads.load import agent_addresses, synthetic_transfer
+from repro.workloads.load import agent_addresses
 
 N_AGENTS = 4
 ADDRESSES = agent_addresses(N_AGENTS)
@@ -165,93 +163,6 @@ class TestChargeSpentKernel:
         got = table.charge_spent(subjects, epsilons)
         assert got.tolist() == expected
         assert table.privacy_spent.tolist() == spent
-
-
-def transfer_batch_strategy():
-    """(sender, recipient, amount, fee) rows over the 4-agent society."""
-    return st.lists(
-        st.tuples(
-            subject_idx,
-            subject_idx,
-            st.integers(min_value=0, max_value=40),
-            st.integers(min_value=0, max_value=5),
-        ),
-        min_size=0,
-        max_size=16,
-    )
-
-
-class TestApplyTransfersEquivalence:
-    INITIAL = 120
-
-    def object_reference(self, rows):
-        """Apply the batch tx-by-tx through LedgerState; returns
-        (balances, nonces, total_fees) or the raised exception type."""
-        state = LedgerState({a: self.INITIAL for a in ADDRESSES})
-        fees = 0
-        for sender, recipient, amount, fee in rows:
-            nonce = state.nonce_of(ADDRESSES[sender])
-            stx = synthetic_transfer(
-                ADDRESSES[sender], ADDRESSES[recipient], amount, fee, nonce
-            )
-            state.apply(stx)
-            fees += fee
-        return (
-            [state.balance_of(a) for a in ADDRESSES],
-            [state.nonce_of(a) for a in ADDRESSES],
-            fees,
-        )
-
-    @given(rows=transfer_batch_strategy())
-    @settings(max_examples=200, deadline=None)
-    def test_valid_batches_match_ledger_state_apply(self, rows):
-        try:
-            balances, nonces, fees = self.object_reference(rows)
-        except InvalidTransactionError:
-            # Sequential application refused the batch (overspend).  The
-            # columnar kernel may refuse it too; equivalence for refused
-            # batches is covered below.
-            return
-        table = AgentTable(ADDRESSES, initial_balance=self.INITIAL)
-        senders = np.array([s for s, _, _, _ in rows], dtype=np.int64)
-        recipients = np.array([r for _, r, _, _ in rows], dtype=np.int64)
-        amounts = np.array([a for _, _, a, _ in rows], dtype=np.int64)
-        fee_arr = np.array([f for _, _, _, f in rows], dtype=np.int64)
-        sink = np.zeros(1, dtype=np.int64)
-        try:
-            table.apply_transfers(
-                senders, recipients, amounts, fee_arr, fee_sink=sink
-            )
-        except ValueError:
-            # The batch kernel's solvency precheck is conservative
-            # (total spend vs starting balance); a batch sequential
-            # application accepts via intermediate credits may be
-            # refused wholesale — but never the reverse, and refusal
-            # must leave the columns untouched.
-            assert table.balances.tolist() == [self.INITIAL] * N_AGENTS
-            assert not table.nonces.any()
-            assert int(sink[0]) == 0
-            return
-        assert table.balances.tolist() == balances
-        assert table.nonces.tolist() == nonces
-        assert int(sink[0]) == fees
-
-    @given(rows=transfer_batch_strategy())
-    @settings(max_examples=100, deadline=None)
-    def test_kernel_never_accepts_what_sequential_refuses(self, rows):
-        table = AgentTable(ADDRESSES, initial_balance=self.INITIAL)
-        senders = np.array([s for s, _, _, _ in rows], dtype=np.int64)
-        recipients = np.array([r for _, r, _, _ in rows], dtype=np.int64)
-        amounts = np.array([a for _, _, a, _ in rows], dtype=np.int64)
-        fee_arr = np.array([f for _, _, _, f in rows], dtype=np.int64)
-        try:
-            table.apply_transfers(senders, recipients, amounts, fee_arr)
-        except ValueError:
-            return  # refused — always safe
-        # Accepted by the kernel ⇒ the sequential path must accept too.
-        balances, nonces, _ = self.object_reference(rows)
-        assert table.balances.tolist() == balances
-        assert table.nonces.tolist() == nonces
 
 
 key_strategy = st.one_of(

@@ -1,5 +1,7 @@
 """Tests for the gateway middleware chain on the virtual clock."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from repro.serving.schemas import (
 from repro.sim.metrics import MetricsRegistry
 
 SEED = 99
+DEFAULT = ServingConfig()
 
 
 def build_gateway(config: ServingConfig, n_users: int = 120):
@@ -176,6 +179,62 @@ class TestPlatformTicks:
     def test_config_rejects_zero_servers(self):
         with pytest.raises(ValueError):
             build_gateway(ServingConfig(n_servers=0))
+
+
+def _with(mapping, endpoint, value):
+    return {**mapping, endpoint: value}
+
+
+# Each value was accepted when the config was built.  Run, the zero
+# intervals hung the loop, the negative jitter and service time raised
+# mid-run, the empty maps raised KeyError at the first request, and
+# most of the rest ran to completion on a value out of range or not a
+# count.
+CONFIG_REJECTED = [
+    ("n_servers", 0),
+    ("n_servers", 1.5),
+    ("n_servers", True),
+    ("queue_limit", -1),
+    ("queue_limit", 64.0),
+    ("cache_capacity", 0),
+    ("block_size", 0),
+    ("block_size", -3),
+    ("block_size", 2.5),
+    ("block_interval", 0.0),
+    ("block_interval", math.nan),
+    ("block_interval", math.inf),
+    ("vote_window", 0.0),
+    ("vote_window", math.nan),
+    ("review_interval", 0.0),
+    ("review_interval", math.nan),
+    ("cache_ttl", 0.0),
+    ("cache_ttl", math.nan),
+    ("cache_hit_cost", math.nan),
+    ("validation_cost", -1.0),
+    ("service_jitter", -5.0),
+    ("drain_window", -10.0),
+    ("drain_window", math.nan),
+    ("rate_limits", {}),
+    ("rate_limits",
+     _with(DEFAULT.rate_limits, Endpoint.SUBMIT_TX, (math.nan, 120.0))),
+    ("rate_limits",
+     _with(DEFAULT.rate_limits, Endpoint.GET_TALLY, (2_000.0, math.inf))),
+    ("service_times", {}),
+    ("service_times", _with(DEFAULT.service_times, Endpoint.CAST_VOTE, -0.002)),
+    ("service_times",
+     _with(DEFAULT.service_times, Endpoint.GET_BALANCE, math.inf)),
+]
+
+
+class TestConfigChecks:
+    @pytest.mark.parametrize(
+        "field, value", CONFIG_REJECTED,
+        ids=[f"{field}-{i}" for i, (field, _) in enumerate(CONFIG_REJECTED)],
+    )
+    def test_rejected_at_construction(self, field, value):
+        # Refused before any gateway or loop exists.
+        with pytest.raises(ValueError, match=f"^{field}"):
+            ServingConfig(**{field: value})
 
 
 class TestServiceDraws:

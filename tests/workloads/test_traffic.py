@@ -168,6 +168,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             SpikeWindow(3.0, 2.0, 2.0)
 
+    # Accepted, 2.5 raised TypeError during generation; a count must be
+    # an integer.
+    @pytest.mark.parametrize("value", [2.5, 60.0])
+    def test_non_integer_n_users_rejected(self, value):
+        with pytest.raises(ValueError, match="^n_users"):
+            TrafficConfig(**{**BASE, "n_users": value})
+
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("name", ["rate_per_user", "horizon", "pareto_shape"])
     def test_non_finite_scalar_rejected(self, name, value):
