@@ -656,6 +656,9 @@ def kernel_admission_control() -> Tuple[int, float]:
 #: factor of the dark (NULL_OBS) request path.
 OBS_OVERHEAD_THRESHOLD = 1.10
 OBS_OVERHEAD_REPS = 7
+# Contention only inflates the ratio, so the gate takes the best reading
+# of up to this many attempts.
+OBS_OVERHEAD_ATTEMPTS = 3
 
 
 #: Generated arrival schedule, cached across overhead repetitions: the
@@ -841,6 +844,36 @@ def check_obs_overhead(reps: int = OBS_OVERHEAD_REPS) -> Dict[str, float]:
     }
 
 
+def best_obs_overhead(
+    measure: Callable[[], Dict[str, float]]
+) -> Dict[str, object]:
+    """Run ``measure`` until a reading is within budget, at most
+    ``OBS_OVERHEAD_ATTEMPTS`` times, printing each attempt's own ratio.
+
+    Returns the best (lowest-ratio) reading, with every attempt's
+    reading, in order, under ``"attempts"``.
+    """
+    readings: List[Dict[str, float]] = []
+    while len(readings) < OBS_OVERHEAD_ATTEMPTS:
+        reading = measure()
+        readings.append(reading)
+        within = reading["within_budget"]
+        print(
+            f"  attempt {len(readings)}: {reading['overhead_ratio']:.3f}x "
+            + ("within budget" if within else "over budget")
+            + (
+                " — retrying under contention"
+                if not within and len(readings) < OBS_OVERHEAD_ATTEMPTS
+                else ""
+            )
+        )
+        if within:
+            break
+    best = dict(min(readings, key=lambda r: r["overhead_ratio"]))
+    best["attempts"] = readings
+    return best
+
+
 TRACKED_OPS: Dict[str, Kernel] = {
     "sim_event_throughput_4k": kernel_sim_event_throughput,
     "sim_cancel_churn_3k": kernel_sim_cancel_churn,
@@ -1007,17 +1040,9 @@ def main(argv: List[str] = None) -> int:
     # bills it disproportionately), never deflate it — so the best of
     # up to three attempts is the honest quiet-machine figure, and a
     # passing early attempt skips the rest.
-    obs_overhead = check_obs_overhead(reps=obs_reps)
-    for attempt in range(2):
-        if obs_overhead["within_budget"]:
-            break
-        print(
-            f"  over budget at {obs_overhead['overhead_ratio']:.3f}x "
-            f"(attempt {attempt + 1}) — retrying under contention"
-        )
-        retry = check_obs_overhead(reps=obs_reps)
-        if retry["overhead_ratio"] < obs_overhead["overhead_ratio"]:
-            obs_overhead = retry
+    obs_overhead = best_obs_overhead(
+        lambda: check_obs_overhead(reps=obs_reps)
+    )
     print(
         f"  dark     {obs_overhead['dark_seconds_per_request'] * 1e6:>10.1f}"
         f" us/request\n"

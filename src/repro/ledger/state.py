@@ -22,7 +22,7 @@ from itertools import islice
 from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.world.columnar import AgentTable
+    from repro.world.columnar import AddressBook, AgentTable
 
 from repro.errors import InvalidTransactionError
 from repro.ledger.transactions import SignedTransaction, Transaction, TxKind
@@ -255,10 +255,14 @@ class LedgerState:
         self.records: list = []  # applied RECORD payloads, in order
 
     @classmethod
-    def from_columns(cls, table: "AgentTable") -> "LedgerState":
+    def from_columns(
+        cls, table: "AgentTable", addresses: "AddressBook"
+    ) -> "LedgerState":
         """Genesis state whose balances read straight from an
         :class:`~repro.world.columnar.AgentTable` balance column — no
-        million-entry genesis dict is ever built.
+        million-entry genesis dict is ever built.  ``addresses`` resolves
+        an address key to its row (an address it never derived still
+        reads its genesis balance).
 
         The table's columns become the frozen copy-on-write base: blocks
         apply to :meth:`child` overlays exactly as with a dict genesis,
@@ -271,7 +275,7 @@ class LedgerState:
         if balances.size and int(balances.min()) < 0:
             raise ValueError("negative initial balance in column")
         state = cls.__new__(cls)
-        state.balances = table.balance_map()
+        state.balances = table.balance_map(addresses)
         state.nonces = {}
         state.stakes = {}
         state.contract_storage = {}

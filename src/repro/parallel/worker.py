@@ -11,8 +11,9 @@ What is shard-local (runs here, in parallel):
 
 * **transaction draws + tx-id hashing** — senders are shard-owned, so
   nonce chains never race; each transfer's canonical encoding and hash
-  (the CPU cost of admission) are computed here from its field values,
-  and the parent builds one pinned record per transfer with that id;
+  (the CPU cost of admission) are computed here from its field values
+  and its parties' addresses, and the parent builds one pinned record
+  per transfer with that id;
 * **trust-rating / report edge generation** — edge deltas may point at
   any shard (cross-shard edges are plain data; they merge at the
   barrier);
@@ -34,14 +35,18 @@ shard-id order): mempool/chain state, the EigenTrust solve, DAO tally,
 the moderation case queue, the privacy pipeline's authoritative
 consent/PET/budget/disclosure stages, and all metric observation.
 
-Per-process caches (agent addresses, shard social graphs) hold only
-values that are pure functions of their keys, so cache state can never
-make two schedules diverge.
+Agents travel as dense indices.  A phase that needs an agent's address
+(a transfer's id, a frame's subject) derives it from the index with
+:func:`~repro.workloads.load.agent_address`, so no task ships an
+address list and no process keeps one.  The one per-process cache,
+shard social graphs, holds only values that are pure functions of their
+keys, so cache state can never make two schedules diverge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -166,21 +171,9 @@ class ShardEpochResult:
 
 
 # ----------------------------------------------------------------------
-# Per-process caches (pure functions of their keys)
+# Per-process cache (a pure function of its key)
 # ----------------------------------------------------------------------
-_ADDRESS_CACHE: Dict[int, List[str]] = {}
 _GRAPH_CACHE: Dict[Tuple[int, int, int, int], SocialGraph] = {}
-
-
-def _addresses(n_agents: int) -> List[str]:
-    """The agent address table, built once per process per population."""
-    table = _ADDRESS_CACHE.get(n_agents)
-    if table is None:
-        from repro.workloads.load import agent_addresses
-
-        table = agent_addresses(n_agents)
-        _ADDRESS_CACHE[n_agents] = table
-    return table
 
 
 def shard_graph(plan: ShardPlan, shard: int, members: int) -> SocialGraph:
@@ -207,17 +200,14 @@ def shard_graph(plan: ShardPlan, shard: int, members: int) -> SocialGraph:
     return graph
 
 
-def warm_caches(
-    plan: ShardPlan, addresses: List[str], cascade_members: int
-) -> None:
-    """Pre-build the per-process caches in the parent.
+def warm_caches(plan: ShardPlan, cascade_members: int) -> None:
+    """Pre-build every shard's social graph for ``plan`` in this process.
 
     Called before pool creation so fork-platform workers inherit the
-    warmed address table and every shard's social graph instead of each
-    process rebuilding them lazily (identical results either way — this
-    is purely a cost optimisation, which is why it is safe).
+    graphs instead of each process rebuilding them lazily (identical
+    results either way — this is purely a cost optimisation, which is
+    why it is safe).
     """
-    _ADDRESS_CACHE[plan.n_agents] = list(addresses)
     if cascade_members > 0:
         for shard in range(plan.n_shards):
             members = min(cascade_members, plan.size_of(shard))
@@ -276,7 +266,7 @@ def run_phase(task: ShardTask, result: ShardEpochResult, phase: int) -> None:
     size = hi - lo
     now = float(task.epoch)
     if phase == Phase.TRANSACTIONS:
-        _generate_transactions(task, result, _addresses(plan.n_agents), lo, size, now)
+        _generate_transactions(task, result, lo, size, now)
     elif phase == Phase.RATINGS:
         _generate_ratings(task, result, lo, size)
     elif phase == Phase.REPORTS:
@@ -286,7 +276,7 @@ def run_phase(task: ShardTask, result: ShardEpochResult, phase: int) -> None:
     elif phase == Phase.INTERACTIONS:
         _moderation_prepass(task, result, lo, size, now)
     elif phase == Phase.FRAMES:
-        _privacy_prepass(task, result, _addresses(plan.n_agents), now)
+        _privacy_prepass(task, result, now)
     elif phase == Phase.CASCADE:
         _cascade_rounds(task, result, size)
     else:
@@ -406,7 +396,6 @@ def run_shard_epoch(task: ShardTask) -> ShardEpochResult:
 def _generate_transactions(
     task: ShardTask,
     result: ShardEpochResult,
-    addresses: List[str],
     lo: int,
     size: int,
     now: float,
@@ -422,12 +411,14 @@ def _generate_transactions(
     the values (and leaves the stream where) ``4 * tx_count`` scalar
     calls would.  Each sender's nonces run on from its base nonce in
     draw order, and the id is
-    :func:`~repro.ledger.transactions.transfer_id` of the field values:
-    no transaction object is built.
+    :func:`~repro.ledger.transactions.transfer_id` of the field values
+    and the parties' addresses: no transaction object is built.
     """
     count = task.tx_count
     if count <= 0:
         return
+    from repro.workloads.load import agent_address
+
     n_agents = task.plan.n_agents
     rng = task.plan.rng(task.shard, task.epoch, Phase.TRANSACTIONS)
     draws = rng.integers(
@@ -457,7 +448,7 @@ def _generate_transactions(
     result.tx_fees = draws[:, 3].tolist()
     result.tx_nonces = nonces.tolist()
     result.tx_ids = [
-        transfer_id(addresses[s], addresses[r], amount, fee, nonce)
+        transfer_id(agent_address(s), agent_address(r), amount, fee, nonce)
         for s, r, amount, fee, nonce in zip(
             result.tx_senders,
             result.tx_recipients,
@@ -558,7 +549,6 @@ def _moderation_prepass(
 def _privacy_prepass(
     task: ShardTask,
     result: ShardEpochResult,
-    addresses: List[str],
     now: float,
 ) -> None:
     """Synthesize the shard's sensor frames and charge a local budget.
@@ -577,6 +567,7 @@ def _privacy_prepass(
     if task.frame_count <= 0 or not hot or not task.channels:
         return
     from repro.workloads.generators import synthetic_frame_burst
+    from repro.workloads.load import agent_address
 
     rng = task.plan.rng(task.shard, task.epoch, Phase.FRAMES)
     channel_eps = dict(task.channels)
@@ -589,7 +580,8 @@ def _privacy_prepass(
         channel_of=lambda subject: channel_of(
             subject, task.channels, task.plan.hot_stride
         ),
-        subject_id_of=addresses.__getitem__,
+        # Each picked subject's address, derived once per burst.
+        subject_id_of=lru_cache(maxsize=None)(agent_address),
         value_dims=FRAME_VALUE_DIMS,
     )
 

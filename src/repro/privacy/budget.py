@@ -19,7 +19,7 @@ import numpy as np
 from repro.errors import PrivacyBudgetExceeded, PrivacyError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.world.columnar import AgentTable
+    from repro.world.columnar import AddressBook, AgentTable
 
 # Below this batch size the vectorized columnar charge path costs more
 # in numpy dispatch than the plain loop saves.
@@ -69,14 +69,20 @@ class PrivacyBudget:
         self._ledger_epsilons = array("d")
         self._ledger_channels: List[str] = []
         self._ledger_times = array("d")
-        self._table: Optional["AgentTable"] = None  # columnar backing
+        # Columnar backing: the table and the book resolving its rows.
+        self._table: Optional["AgentTable"] = None
+        self._addresses: Optional["AddressBook"] = None
 
     @classmethod
     def from_table(
-        cls, table: "AgentTable", default_cap: Optional[float] = None
+        cls,
+        table: "AgentTable",
+        addresses: "AddressBook",
+        default_cap: Optional[float] = None,
     ) -> "PrivacyBudget":
         """Column-backed budget over an
-        :class:`~repro.world.columnar.AgentTable`.
+        :class:`~repro.world.columnar.AgentTable`, whose rows
+        ``addresses`` resolves from subject addresses.
 
         Spent and cap accounting read and write the table's
         ``privacy_spent`` / ``privacy_cap`` columns directly (dict views
@@ -89,9 +95,10 @@ class PrivacyBudget:
         if default_cap is None:
             default_cap = float(table.privacy_cap[0]) if len(table) else 10.0
         budget = cls(default_cap=default_cap)
-        budget._caps = table.cap_map()
-        budget._spent = table.spent_map()
+        budget._caps = table.cap_map(addresses)
+        budget._spent = table.spent_map(addresses)
         budget._table = table
+        budget._addresses = addresses
         return budget
 
     def set_cap(self, subject: str, cap: float) -> None:
@@ -173,10 +180,11 @@ class PrivacyBudget:
         where a per-release ledger would dominate memory.
 
         Column-backed budgets (:meth:`from_table`) route batches whose
-        subjects are all interned through a vectorized kernel writing
-        straight into the spent column; acceptance decisions, skip-not-
-        suffix refusal ordering, and float accumulation are bit-identical
-        to the sequential loop (the property suite pins this).
+        subjects' addresses the book has all derived through a
+        vectorized kernel writing straight into the spent column;
+        acceptance decisions, skip-not-suffix refusal ordering, and
+        float accumulation are bit-identical to the sequential loop (the
+        property suite pins this).
 
         Raises
         ------
@@ -197,8 +205,8 @@ class PrivacyBudget:
                 )
         table = self._table
         if table is not None and len(subjects) >= _VECTOR_MIN_BATCH:
-            indices = table.interner.bulk_indices(subjects)
-            if indices is not None:  # all interned → column fast path
+            indices = self._addresses.bulk_indices(subjects)
+            if indices is not None:  # all resolved → column fast path
                 eps_arr = np.asarray(epsilons, dtype=np.float64)
                 if not np.isfinite(eps_arr).all() or (
                     eps_arr.size and eps_arr.min() < 0

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, Hashable, Iterable, List, Optional
 
 from repro.errors import ReputationError
 from repro.obs.instrument import NULL_OBS, Instrumentation
@@ -34,8 +34,8 @@ class FeedbackEvent:
     """One rating of ``target`` by ``rater``."""
 
     time: float
-    rater: str
-    target: str
+    rater: Hashable
+    target: Hashable
     positive: bool
     weight: float
     context: str
@@ -48,6 +48,8 @@ class ReputationSystem:
     ----------
     pretrusted:
         Identities seeding EigenTrust (e.g. platform-audited operators).
+        Identities are any sortable, hashable values: addresses, or a
+        society's dense agent indices (see :meth:`register_identities`).
     blend:
         Weight of the beta (local) estimate in the final score; the
         remaining weight goes to normalised EigenTrust.  ``blend=1``
@@ -70,7 +72,7 @@ class ReputationSystem:
 
     def __init__(
         self,
-        pretrusted: Optional[Iterable[str]] = None,
+        pretrusted: Optional[Iterable[Hashable]] = None,
         blend: float = 0.5,
         decay_factor: float = 0.95,
         anchor: Optional[ReputationAnchor] = None,
@@ -84,20 +86,20 @@ class ReputationSystem:
         self._anchor = anchor
         self._obs = obs if obs is not None else NULL_OBS
         self._times = array("d")
-        self._raters: List[str] = []
-        self._targets: List[str] = []
+        self._raters: List[Hashable] = []
+        self._targets: List[Hashable] = []
         self._positives = bytearray()
         self._weights = array("d")
         self._contexts: List[str] = []
-        self._global_cache: Optional[Dict[str, float]] = None
+        self._global_cache: Optional[Dict[Hashable, float]] = None
 
     # ------------------------------------------------------------------
     # Feedback
     # ------------------------------------------------------------------
     def record(
         self,
-        rater: str,
-        target: str,
+        rater: Hashable,
+        target: Hashable,
         positive: bool,
         time: float = 0.0,
         weight: float = 1.0,
@@ -139,23 +141,26 @@ class ReputationSystem:
             )
         return event
 
-    def register_identity(self, identity: str) -> None:
+    def register_identity(self, identity: Hashable) -> None:
         """Make an identity visible to EigenTrust before any feedback."""
         self._eigentrust.add_identity(identity)
 
-    def register_identities(self, identities: Iterable[str]) -> None:
+    def register_identities(self, identities: Iterable[Hashable]) -> None:
         """Bulk :meth:`register_identity` — one index invalidation for
-        the whole society instead of one per agent."""
+        the whole society instead of one per agent.  A society of agent
+        indices registers ``range(n)``, which EigenTrust keeps as a
+        range: identity ``i`` is trust row ``i``, with no identity set,
+        sort or identity→row dict."""
         self._eigentrust.add_identities(identities)
 
     # ------------------------------------------------------------------
     # Scores
     # ------------------------------------------------------------------
-    def local_score(self, entity: str) -> float:
+    def local_score(self, entity: Hashable) -> float:
         """Beta-reputation estimate in (0, 1)."""
         return self._beta.score(entity)
 
-    def global_trust(self) -> Dict[str, float]:
+    def global_trust(self) -> Dict[Hashable, float]:
         """EigenTrust vector (cached until new feedback arrives)."""
         if self._global_cache is None:
             computes_before = self._eigentrust.compute_count
@@ -197,7 +202,7 @@ class ReputationSystem:
         keep this growing by a few per write instead of ~dozens."""
         return self._eigentrust.sweep_count
 
-    def score(self, entity: str) -> float:
+    def score(self, entity: Hashable) -> float:
         """Blended reputation in [0, 1].
 
         EigenTrust values sum to 1 over identities, so they are rescaled
@@ -211,7 +216,7 @@ class ReputationSystem:
         normalised = trust.get(entity, 0.0) / top if top > 0 else 0.0
         return self._blend * local + (1 - self._blend) * normalised
 
-    def ranking(self, top_n: Optional[int] = None) -> List[str]:
+    def ranking(self, top_n: Optional[int] = None) -> List[Hashable]:
         """Entities ordered by blended score, best first."""
         entities = set(self._beta.entities()) | set(self.global_trust())
         ordered = sorted(entities, key=lambda e: (-self.score(e), e))
@@ -245,7 +250,7 @@ class ReputationSystem:
             )
         ]
 
-    def feedback_count(self, target: Optional[str] = None) -> int:
+    def feedback_count(self, target: Optional[Hashable] = None) -> int:
         if target is None:
             return len(self._targets)
         return self._targets.count(target)

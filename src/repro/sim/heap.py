@@ -1,8 +1,8 @@
 """Keeping the cyclic collector off a run's set-up heap.
 
 A run builds long-lived, mostly acyclic tables before its main loop —
-the serving arrival table, the society's address table, agent columns
-and trust index.  Left in the collector's generations, every full
+the serving arrival table, the society's agent columns and DAO
+electorate.  Left in the collector's generations, every full
 collection re-traverses all of them during set-up and again during the
 loop.  :class:`FrozenSetup` builds them with the collector off and
 freezes them (``gc.freeze``) for the loop; :func:`frozen_setup` runs a

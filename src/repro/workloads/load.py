@@ -50,6 +50,15 @@ and cost profile (``_fold``) and applies them at the barriers, one
 ``_apply_*`` stage per substrate in the order ledger, reputation,
 governance, moderation, privacy, cascade, trust.
 
+An agent is its dense index: its row in the
+:class:`~repro.world.columnar.AgentTable`, its place in the shard plan
+and its identity in the reputation layer, whose trust rows follow the
+index.  Its 64-hex address, its pseudonym on the ledger, is derived on
+first use through the run's :class:`~repro.world.columnar.AddressBook`,
+only for the agents that transact, vote, stream frames or appear in a
+moderation case; shard workers derive the addresses their transfer ids
+and frames need from the indices.  No address outlives the run.
+
 Cross-shard effects use a two-phase protocol: transfer debits are
 validated shard-locally (senders are shard-owned), credits to other
 shards apply at the barrier through the parent ledger; workers predict
@@ -79,6 +88,7 @@ block.
 
 from __future__ import annotations
 
+import hashlib
 import pickle
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
@@ -136,7 +146,7 @@ from repro.sim.heap import FrozenSetup, frozen_setup
 from repro.sim.metrics import MetricsRegistry
 from repro.sim.rng import RngRegistry
 from repro.sim.tracing import TraceLog
-from repro.world.columnar import AgentTable
+from repro.world.columnar import AddressBook, AgentTable
 
 __all__ = [
     "synthetic_transfer",
@@ -160,34 +170,15 @@ def synthetic_transfer(
     return Transaction.pinned(sender, recipient, amount, fee, nonce)
 
 
-# Addresses are pure in the agent index, so one growing process-global
-# table serves every population size.  Hot per-epoch loops used to
-# re-format and re-hash the string on every call; now the first request
-# for a population bulk-generates the prefix once and every later call
-# is a list index.
-_ADDRESS_TABLE: List[str] = []
-
-
-def _extend_address_table(n: int) -> None:
-    start = len(_ADDRESS_TABLE)
-    _ADDRESS_TABLE.extend(
-        sha256(f"load-agent-{i}".encode()).hex() for i in range(start, n)
-    )
-
-
 def agent_address(i: int) -> str:
-    """Deterministic 32-byte hex address for synthetic agent ``i``
-    (served from the bulk-generated, memoized address table)."""
-    if i >= len(_ADDRESS_TABLE):
-        _extend_address_table(i + 1)
-    return _ADDRESS_TABLE[i]
+    """Deterministic 32-byte hex address for synthetic agent ``i``: its
+    pseudonym on the ledger, derived from the index on every call."""
+    return hashlib.sha256(f"load-agent-{i}".encode()).hexdigest()
 
 
 def agent_addresses(n: int) -> List[str]:
-    """The first ``n`` agent addresses as a list (bulk-generated)."""
-    if n > len(_ADDRESS_TABLE):
-        _extend_address_table(n)
-    return _ADDRESS_TABLE[:n]
+    """The first ``n`` agent addresses as a list."""
+    return [agent_address(i) for i in range(n)]
 
 
 # Privacy-hot subjects are agent indices 0, HOT_STRIDE, 2*HOT_STRIDE, …
@@ -278,7 +269,7 @@ class _Run:
     plan: ShardPlan
     activity: np.ndarray
     activity_cum: np.ndarray
-    agents: List[str]
+    addresses: AddressBook
     table: AgentTable
     validator: str
     chain: Blockchain
@@ -369,9 +360,9 @@ def run_load(
     least 0, ``n_shards`` None or in ``[1, n_agents]``; anything else
     raises ``ValueError`` naming the parameter.
 
-    Everything built before the first epoch — address table, agent
-    columns, trust index, DAO electorate — is built with the collector
-    off and frozen (``gc.freeze``) for the epoch loop, so full
+    Everything built before the first epoch — agent columns, DAO
+    electorate, the addresses set-up derives — is built with the
+    collector off and frozen (``gc.freeze``) for the epoch loop, so full
     collections do not re-traverse it.  On return or on an exception,
     set-up's included, the heap is unfrozen and the caller's collector
     flag restored.  If the caller has frozen objects of its own, nothing
@@ -417,7 +408,7 @@ def run_load(
             # Replanned cuts change per-shard cascade member counts:
             # building the new shard graphs here keeps that cost out of
             # the timed cascade phase.  No-op when the cuts did not move.
-            warm_caches(epoch_plan, run.agents, cascade_members)
+            warm_caches(epoch_plan, cascade_members)
             tasks = _shard_tasks(run, epoch_plan, epoch)
             results = pool.map_ordered(run_shard_epoch, tasks)
             _fold(run, epoch_plan, results, epoch)
@@ -526,29 +517,32 @@ def _set_up(
             trace=trace_log, metrics=registry, run_id=f"load-{seed}"
         )
 
-    agents = agent_addresses(n_agents)
+    # An agent's identity is its index; its address is derived on first
+    # use, for the agents the ledger, the electorate, consent and
+    # moderation name.  The validator is not an agent.
     validator = sha256(b"load-validator").hex()
+    addresses = AddressBook(n_agents, agent_address, non_agents=(validator,))
     # Struct-of-arrays hot state: genesis balances live in an int64
     # column (the ledger's copy-on-write base), the nonce tracker in an
     # int32 column shipped to shards as slices, and the privacy
     # spent/cap accounting in float64 columns the budget charges
-    # directly.  No million-entry dict is ever built.
+    # directly.  No population-sized dict or string table is built.
     table = AgentTable(
-        agents, initial_balance=1_000_000, privacy_cap=privacy_cap
+        n_agents, initial_balance=1_000_000, privacy_cap=privacy_cap
     )
     chain = Blockchain(
         PoAConsensus([validator]),
-        genesis_state=LedgerState.from_columns(table),
+        genesis_state=LedgerState.from_columns(table, addresses),
     )
-    reputation = ReputationSystem(pretrusted=agents[: max(1, n_agents // 1000)])
+    reputation = ReputationSystem(pretrusted=range(max(1, n_agents // 1000)))
     # The whole population is known to the reputation layer up front, so
     # the per-epoch trust solve runs at population scale (the point of
     # this workload), not just over the handful of agents sampled so far.
-    reputation.register_identities(agents)
+    reputation.register_identities(range(n_agents))
 
     dao = DAO(name="load")
-    for address in agents[:n_members]:
-        dao.add_member(Member(address=address, tokens=1.0))
+    for member in range(n_members):
+        dao.add_member(Member(address=addresses.address_of(member), tokens=1.0))
 
     # Moderation: classification/report draws happen in shard workers;
     # the parent keeps the stateful queue, bounded review, and sanctions
@@ -569,7 +563,7 @@ def _set_up(
     # disclosure).  Workers predict its admissions; the barrier asserts.
     pipeline = PrivacyPipeline(
         consent=ConsentRegistry(),
-        budget=PrivacyBudget.from_table(table),
+        budget=PrivacyBudget.from_table(table, addresses),
         obs=obs,
     )
     for channel, epsilon in DEFAULT_CHANNELS:
@@ -577,11 +571,12 @@ def _set_up(
             channel,
             LaplaceMechanism(epsilon, rng=rngs.stream(f"load.pets.{channel}")),
         )
+    # Every hot subject streams frames under its address.
     for subject in range(0, n_agents, HOT_STRIDE):
+        address = addresses.address_of(subject)
         if (subject // HOT_STRIDE) % CONSENT_DENIED_MOD != 0:
             pipeline.consent.grant(
-                agents[subject],
-                channel_of(subject, DEFAULT_CHANNELS, HOT_STRIDE),
+                address, channel_of(subject, DEFAULT_CHANNELS, HOT_STRIDE)
             )
 
     run = _Run(
@@ -594,7 +589,7 @@ def _set_up(
         plan=plan,
         activity=activity,
         activity_cum=activity_cum,
-        agents=agents,
+        addresses=addresses,
         table=table,
         validator=validator,
         chain=chain,
@@ -611,11 +606,10 @@ def _set_up(
         carries=[0] * plan.n_shards,
     )
     # Warm the per-process caches before run_load's pool exists: on fork
-    # platforms every worker inherits the address table and the epoch-0
-    # shard graphs instead of rebuilding them.  Later cuts fill
-    # per-process caches lazily (pure functions of their keys, so
-    # identical wherever they are built).
-    warm_caches(_epoch_plan(run), agents, cascade_members)
+    # platforms every worker inherits the epoch-0 shard graphs instead of
+    # rebuilding them.  Later cuts fill per-process caches lazily (pure
+    # functions of their keys, so identical wherever they are built).
+    warm_caches(_epoch_plan(run), cascade_members)
     return run
 
 
@@ -787,7 +781,7 @@ def _apply_ledger(
 ) -> None:
     """Submit the workers' transfers in shard order, then fill blocks
     until the mempool is empty."""
-    agents, chain, registry = run.agents, run.chain, run.registry
+    address, chain, registry = run.addresses.address_of, run.chain, run.registry
     nonces = run.table.nonces
     # No block is proposed until every transfer is admitted.
     state = chain.state
@@ -806,7 +800,9 @@ def _apply_ledger(
             result.tx_ids,
         ):
             # One pinned record per transfer, carrying the worker's id.
-            tx = row(agents[s], agents[r], amount, fee, nonce, transfer, {}, tx_id)
+            tx = row(
+                address(s), address(r), amount, fee, nonce, transfer, {}, tx_id
+            )
             if not submit(tx, state, time=now):
                 raise RuntimeError(
                     "two-phase ledger protocol diverged: worker-admitted "
@@ -830,15 +826,14 @@ def _apply_ledger(
 def _apply_reputation(
     run: _Run, results: List[ShardEpochResult], now: float
 ) -> None:
-    """Record every rating, then every report, in shard order."""
-    agents, reputation, registry = run.agents, run.reputation, run.registry
+    """Record every rating, then every report, in shard order; the
+    identities are agent indices."""
+    reputation, registry = run.reputation, run.registry
     for result in results:
         for a, b, weight in zip(
             result.rating_raters, result.rating_ratees, result.rating_weights
         ):
-            reputation.record(
-                agents[a], agents[b], positive=True, time=now, weight=weight
-            )
+            reputation.record(a, b, positive=True, time=now, weight=weight)
             registry.histogram("load.rating.weight").observe(weight)
         run.ratings += len(result.rating_raters)
     for result in results:
@@ -848,8 +843,8 @@ def _apply_reputation(
             result.report_severities,
         ):
             reputation.record(
-                agents[reporter],
-                agents[accused],
+                reporter,
+                accused,
                 positive=False,
                 time=now,
                 weight=severity,
@@ -867,7 +862,7 @@ def _apply_governance(
     now = float(epoch)
     proposal = run.dao.submit_proposal(
         title=f"epoch-{epoch} parameter change",
-        proposer=run.agents[0],
+        proposer=run.addresses.address_of(0),
         topic="governance",
         created_at=now,
         voting_period=0.5,
@@ -877,7 +872,7 @@ def _apply_governance(
             try:
                 run.dao.cast_ballot(
                     proposal.proposal_id,
-                    run.agents[voter],
+                    run.addresses.address_of(voter),
                     option="yes" if yes else "no",
                     time=now + 0.2,
                 )
@@ -896,6 +891,8 @@ def _apply_moderation(
     if merged is None:
         return
     batch, flagged_rows, report_rows = merged
+    # Cases name their parties by address, derived through the run.
+    batch.id_of = run.addresses.address_of
     summary = run.moderation.process_prepared(
         batch, flagged_rows, report_rows, time=now
     )

@@ -9,7 +9,7 @@ potential-field redirected walking.
 from repro.world.avatar import Avatar, AvatarStatus
 from repro.world.columnar import (
     BYTES_PER_AGENT_COLUMNS,
-    AddressInterner,
+    AddressBook,
     AgentTable,
     ColumnMap,
 )
@@ -25,7 +25,7 @@ from repro.world.space import SpatialGrid
 from repro.world.world import World
 
 __all__ = [
-    "AddressInterner",
+    "AddressBook",
     "AgentTable",
     "Avatar",
     "AvatarStatus",

@@ -18,22 +18,24 @@ column                  dtype       backs
 ======================  ==========  =======================================
 
 That is :data:`BYTES_PER_AGENT_COLUMNS` = 37 bytes of column data per
-agent — the address strings themselves (interned once, shared
-everywhere) dominate actual memory.
+agent.  An agent's identity is its dense row index; its 64-hex address
+is the pseudonym the ledger, the DAO electorate, consent and moderation
+read, and only the agents that reach those layers ever need one.
 
 Three pieces:
 
-* :class:`AddressInterner` — bidirectional address↔index table so hot
-  paths pass ``int`` indices instead of hashing 64-char strings.
+* :class:`AddressBook` — index ↔ address for one run, each address
+  derived on first use, so a run holds the addresses it touched and no
+  population-sized string table.
 * :class:`AgentTable` — the columns that hold the load workload's
   society, plus :meth:`AgentTable.charge_spent`, the sequential-exact
   bulk privacy charge behind ``PrivacyBudget.charge_many``.
 * :class:`ColumnMap` — a :class:`~collections.abc.MutableMapping` view
   presenting one column under the existing ``Dict[str, number]``
-  contract, so ``LedgerState``, ``PrivacyBudget`` and the serving
-  repository keep working unchanged on top of columns.  Unknown
-  (non-interned) keys — e.g. the block validator collecting fees — spill
-  into a small overflow dict.
+  contract (address keys, resolved through an :class:`AddressBook`), so
+  ``LedgerState`` and ``PrivacyBudget`` keep working unchanged on top
+  of columns.  Keys that are not agents — e.g. the block validator
+  collecting fees — spill into a small overflow dict.
 
 Determinism: every value stored in a column round-trips exactly
 (int64 / IEEE float64 are the same numbers Python uses), so a workload
@@ -45,12 +47,12 @@ from __future__ import annotations
 
 from collections.abc import MutableMapping
 from operator import itemgetter
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
 __all__ = [
-    "AddressInterner",
+    "AddressBook",
     "AgentTable",
     "ColumnMap",
     "BYTES_PER_AGENT_COLUMNS",
@@ -61,56 +63,75 @@ __all__ = [
 BYTES_PER_AGENT_COLUMNS = 37
 
 
-class AddressInterner:
-    """Bidirectional address ↔ dense-index table.
+class AddressBook:
+    """Dense agent index ↔ address for ``n_agents`` agents, each address
+    derived on first use.
 
-    Built once per society; hot paths then pass ``int`` indices and only
-    rehydrate strings at the boundary (transactions, metrics labels).
+    :meth:`address_of` derives an agent's address once (``derive(i)``)
+    and remembers both directions, so a run pays for the addresses it
+    touches, not for the population.  :meth:`get` resolves an address
+    to its index.  An address the book has not derived is a *miss*: the
+    first miss derives every remaining address, so any agent's address
+    still resolves to its row and no lookup can silently read the wrong
+    value.  ``misses`` counts those lookups; a run whose reads all name
+    addresses it derived keeps it at 0.  Keys listed in ``non_agents``
+    (e.g. a block validator) are known not to be agents and never miss.
     """
 
-    __slots__ = ("_addresses", "_index")
+    __slots__ = (
+        "_n", "_derive", "_addresses", "_index", "_non_agents", "_complete",
+        "misses",
+    )
 
-    def __init__(self, addresses: Sequence[str]):
-        self._addresses: List[str] = list(addresses)
-        # dict(zip(...)) builds the index entirely in C — measurably
-        # faster than a comprehension at the 1M tier.
-        self._index: Dict[str, int] = dict(
-            zip(self._addresses, range(len(self._addresses)))
-        )
-        if len(self._index) != len(self._addresses):
-            raise ValueError("duplicate address in interner")
+    def __init__(
+        self,
+        n_agents: int,
+        derive: Callable[[int], str],
+        non_agents: Iterable[str] = (),
+    ):
+        self._n = n_agents
+        self._derive = derive
+        self._addresses: Dict[int, str] = {}
+        self._index: Dict[str, int] = {}
+        self._non_agents = frozenset(non_agents)
+        self._complete = False
+        self.misses = 0
 
     def __len__(self) -> int:
-        return len(self._addresses)
-
-    def __contains__(self, address: object) -> bool:
-        return address in self._index
-
-    @property
-    def addresses(self) -> List[str]:
-        """The interned address list (do not mutate)."""
-        return self._addresses
-
-    def index_of(self, address: str) -> int:
-        """Dense index of ``address``; raises ``KeyError`` if unknown."""
-        return self._index[address]
-
-    def get(self, address: str, default: int = -1) -> int:
-        return self._index.get(address, default)
+        return self._n
 
     def address_of(self, index: int) -> str:
-        return self._addresses[index]
+        """Agent ``index``'s address, derived on first use."""
+        address = self._addresses.get(index)
+        if address is None:
+            if not 0 <= index < self._n:
+                raise IndexError(f"agent index {index} out of range")
+            address = self._derive(index)
+            if self._index.setdefault(address, index) != index:
+                raise ValueError(f"duplicate address {address!r}")
+            self._addresses[index] = address
+        return address
 
-    def indices_of(self, addresses: Iterable[str]) -> np.ndarray:
-        """Vectorize a batch lookup; raises ``KeyError`` on any miss."""
-        index = self._index
-        return np.fromiter(
-            (index[a] for a in addresses), dtype=np.int64
-        )
+    def addresses(self) -> List[str]:
+        """Every agent's address in index order (derives the rest)."""
+        self._derive_all()
+        return [self._addresses[i] for i in range(self._n)]
+
+    def get(self, address: str) -> int:
+        """Index of ``address``, or -1 if it is no agent's."""
+        index = self._index.get(address)
+        if index is not None:
+            return index
+        if address in self._non_agents:
+            return -1
+        self.misses += 1
+        self._derive_all()
+        return self._index.get(address, -1)
 
     def bulk_indices(self, addresses: Sequence[str]) -> Optional[np.ndarray]:
-        """Batch address→index lookup; ``None`` if any address is
-        unknown (callers fall back to their per-key path).
+        """Batch address→index lookup over derived addresses; ``None`` if
+        any address is not one of them (callers fall back to their
+        per-key path, which resolves it through :meth:`get`).
 
         ``operator.itemgetter`` resolves the whole batch in C, roughly
         twice as fast as a Python-level generator over ``dict.get`` —
@@ -127,21 +148,29 @@ class AddressInterner:
             return np.array([got], dtype=np.int64)
         return np.array(got, dtype=np.int64)
 
+    def _derive_all(self) -> None:
+        if not self._complete:
+            for i in range(self._n):
+                self.address_of(i)
+            self._complete = True
+
 
 class ColumnMap(MutableMapping):
     """``Dict[str, number]`` view over one :class:`AgentTable` column.
 
-    Reads and writes on interned addresses go straight to the column;
-    non-interned keys (rare — e.g. the fee-collecting validator) spill
-    into an overflow dict.  Values are returned as plain Python ``int``
-    / ``float`` so callers (JSON metrics included) never see numpy
-    scalars.
+    Keys are addresses, resolved to rows through an
+    :class:`AddressBook`.  Reads and writes on agents' addresses go
+    straight to the column; other keys (rare — e.g. the fee-collecting
+    validator) spill into an overflow dict.  Values are returned as
+    plain Python ``int`` / ``float`` so callers (JSON metrics included)
+    never see numpy scalars.  Iterating the view lists every agent's
+    address, so it derives them all.
     """
 
-    __slots__ = ("_interner", "_column", "_cast", "_overflow")
+    __slots__ = ("_book", "_column", "_cast", "_overflow")
 
-    def __init__(self, interner: AddressInterner, column: np.ndarray, cast=None):
-        self._interner = interner
+    def __init__(self, book: AddressBook, column: np.ndarray, cast=None):
+        self._book = book
         self._column = column
         self._cast = cast if cast is not None else (
             float if column.dtype.kind == "f" else int
@@ -149,13 +178,13 @@ class ColumnMap(MutableMapping):
         self._overflow: Dict[str, object] = {}
 
     def __getitem__(self, key: str):
-        i = self._interner.get(key)
+        i = self._book.get(key)
         if i >= 0:
             return self._cast(self._column[i])
         return self._overflow[key]
 
     def __setitem__(self, key: str, value) -> None:
-        i = self._interner.get(key)
+        i = self._book.get(key)
         if i >= 0:
             self._column[i] = value
         else:
@@ -165,19 +194,19 @@ class ColumnMap(MutableMapping):
         raise TypeError("ColumnMap entries cannot be deleted")
 
     def __contains__(self, key: object) -> bool:
-        return key in self._interner or key in self._overflow
+        return self._book.get(key) >= 0 or key in self._overflow
 
     def __iter__(self) -> Iterator[str]:
-        yield from self._interner.addresses
+        yield from self._book.addresses()
         yield from self._overflow
 
     def __len__(self) -> int:
-        return len(self._interner) + len(self._overflow)
+        return len(self._book) + len(self._overflow)
 
     def items(self):
         cast = self._cast
         column = self._column
-        for i, address in enumerate(self._interner.addresses):
+        for i, address in enumerate(self._book.addresses()):
             yield address, cast(column[i])
         yield from self._overflow.items()
 
@@ -186,7 +215,7 @@ class ColumnMap(MutableMapping):
             yield value
 
     def get(self, key: str, default=None):
-        i = self._interner.get(key)
+        i = self._book.get(key)
         if i >= 0:
             return self._cast(self._column[i])
         return self._overflow.get(key, default)
@@ -196,16 +225,17 @@ class ColumnMap(MutableMapping):
 
 
 class AgentTable:
-    """Struct-of-arrays hot state for a synthetic society.
+    """Struct-of-arrays hot state for a synthetic society of ``n_agents``.
 
-    The table owns the columns; views handed to the ledger / privacy
-    substrates alias them (no copies).  Columns used as a copy-on-write
-    *base* (ledger genesis balances) must not be mutated after handing
-    them out — the bulk kernel below writes the spent column only.
+    Columns only: row ``i`` is agent ``i``.  The table owns the columns;
+    views handed to the ledger / privacy substrates alias them (no
+    copies) and take the run's :class:`AddressBook` to resolve address
+    keys.  Columns used as a copy-on-write *base* (ledger genesis
+    balances) must not be mutated after handing them out — the bulk
+    kernel below writes the spent column only.
     """
 
     __slots__ = (
-        "interner",
         "balances",
         "nonces",
         "reputation",
@@ -216,33 +246,27 @@ class AgentTable:
 
     def __init__(
         self,
-        addresses: Sequence[str],
+        n_agents: int,
         *,
         initial_balance: int = 0,
         privacy_cap: float = 0.0,
     ):
-        n = len(addresses)
-        self.interner = (
-            addresses
-            if isinstance(addresses, AddressInterner)
-            else AddressInterner(addresses)
-        )
-        self.balances = np.full(n, int(initial_balance), dtype=np.int64)
-        self.nonces = np.zeros(n, dtype=np.int32)
-        self.reputation = np.zeros(n, dtype=np.float64)
-        self.privacy_spent = np.zeros(n, dtype=np.float64)
-        self.privacy_cap = np.full(n, float(privacy_cap), dtype=np.float64)
-        self.consent = np.zeros(n, dtype=np.uint8)
+        self.balances = np.full(n_agents, int(initial_balance), dtype=np.int64)
+        self.nonces = np.zeros(n_agents, dtype=np.int32)
+        self.reputation = np.zeros(n_agents, dtype=np.float64)
+        self.privacy_spent = np.zeros(n_agents, dtype=np.float64)
+        self.privacy_cap = np.full(n_agents, float(privacy_cap), dtype=np.float64)
+        self.consent = np.zeros(n_agents, dtype=np.uint8)
 
     # ------------------------------------------------------------------
     # Shape / memory accounting
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self.interner)
+        return len(self.balances)
 
     @property
     def nbytes(self) -> int:
-        """Total column bytes (excludes the interned address strings)."""
+        """Total column bytes."""
         return (
             self.balances.nbytes
             + self.nonces.nbytes
@@ -260,17 +284,17 @@ class AgentTable:
     # ------------------------------------------------------------------
     # Dict-compatible views
     # ------------------------------------------------------------------
-    def balance_map(self) -> ColumnMap:
-        return ColumnMap(self.interner, self.balances, int)
+    def balance_map(self, book: AddressBook) -> ColumnMap:
+        return ColumnMap(book, self.balances, int)
 
-    def nonce_map(self) -> ColumnMap:
-        return ColumnMap(self.interner, self.nonces, int)
+    def nonce_map(self, book: AddressBook) -> ColumnMap:
+        return ColumnMap(book, self.nonces, int)
 
-    def spent_map(self) -> ColumnMap:
-        return ColumnMap(self.interner, self.privacy_spent, float)
+    def spent_map(self, book: AddressBook) -> ColumnMap:
+        return ColumnMap(book, self.privacy_spent, float)
 
-    def cap_map(self) -> ColumnMap:
-        return ColumnMap(self.interner, self.privacy_cap, float)
+    def cap_map(self, book: AddressBook) -> ColumnMap:
+        return ColumnMap(book, self.privacy_cap, float)
 
     # ------------------------------------------------------------------
     # Consent bitmap
@@ -283,7 +307,7 @@ class AgentTable:
 
     # ------------------------------------------------------------------
     # Bulk privacy kernel (``PrivacyBudget.charge_many``'s column fast
-    # path for batches of interned subjects)
+    # path for batches of subjects given as rows)
     # ------------------------------------------------------------------
     def charge_spent(
         self,

@@ -371,7 +371,7 @@ ROWS = [
     # agent at 100k and 1M agents.
     _perfbench_row(
         "society-100k",
-        dict(metrics="8c6bb9cb0e17e8ef23aceda131a3a2596a3ae4f3b0b7e7a3ed90e604d50e2e6c"),
+        dict(metrics="f6ac7fdfc0f0c6c6c3bb121be649fb7e753fda86a3d5f87e802d9215cb390298"),
         bytes_per_agent=37.0,
     ),
     _perfbench_row(
@@ -385,7 +385,7 @@ ROWS = [
     ),
     _perfbench_row(
         "society-1m",
-        dict(metrics="f9ad65756e3b505b10c3e674758ad6a991fdee4b10bb2e4bc124d7bad1d74697"),
+        dict(metrics="8907614302efe4d31eca2b975cef4c55b34b5cc15565bed8380bd4abcd5406ad"),
         bytes_per_agent=37.0,
     ),
 ]

@@ -201,14 +201,16 @@ class TestCopyOnWriteChild:
         assert state.balance_of(alice.address) == 100
 
     def test_deep_chains_over_column_base_read_like_dict_base(self):
-        from repro.world.columnar import AgentTable
+        from repro.world.columnar import AddressBook, AgentTable
 
         addresses = [f"{i:064x}" for i in range(40)]
-        outsider = "ee" * 32  # not interned: lands in overlays only
-        table = AgentTable(addresses, initial_balance=500)
+        outsider = "ee" * 32  # not an agent: lands in overlays only
+        table = AgentTable(40, initial_balance=500)
+        # Derived on first use, as in a society run.
+        book = AddressBook(40, addresses.__getitem__)
         balances = {address: 500 for address in addresses}
         nonces = {}
-        states = [LedgerState.from_columns(table), LedgerState(balances)]
+        states = [LedgerState.from_columns(table, book), LedgerState(balances)]
         for depth in range(50):
             # Each layer writes keys the next few layers leave alone, so
             # reads must reach every layer down to the base.

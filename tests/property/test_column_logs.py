@@ -14,7 +14,7 @@ import pytest
 from repro.errors import ConsentError, PrivacyBudgetExceeded, PrivacyError
 from repro.privacy import BudgetLedgerEntry, DisclosureIndicator, PrivacyBudget
 from repro.reputation import FeedbackEvent, ReputationSystem
-from repro.world.columnar import AgentTable
+from repro.world.columnar import AddressBook, AgentTable
 from repro.workloads.load import agent_addresses
 
 SEEDS = [0, 1, 2, 3]
@@ -108,7 +108,11 @@ def dict_budget(cap):
 
 
 def column_budget(cap):
-    return PrivacyBudget.from_table(AgentTable(SUBJECTS, privacy_cap=cap))
+    book = AddressBook(len(SUBJECTS), SUBJECTS.__getitem__)
+    book.addresses()  # every subject derived: batches take the column path
+    return PrivacyBudget.from_table(
+        AgentTable(len(SUBJECTS), privacy_cap=cap), book
+    )
 
 
 @pytest.mark.parametrize("seed", SEEDS)

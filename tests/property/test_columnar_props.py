@@ -18,12 +18,19 @@ from hypothesis import strategies as st
 
 from repro.errors import PrivacyBudgetExceeded, PrivacyError
 from repro.privacy import PrivacyBudget
-from repro.world.columnar import AgentTable, ColumnMap
-from repro.workloads.load import agent_addresses
+from repro.world.columnar import AddressBook, AgentTable, ColumnMap
+from repro.workloads.load import agent_address, agent_addresses
 
 N_AGENTS = 4
 ADDRESSES = agent_addresses(N_AGENTS)
 CAP = 1.0
+
+
+def derived_book():
+    """A book that has derived every address in ADDRESSES."""
+    book = AddressBook(N_AGENTS, ADDRESSES.__getitem__)
+    book.addresses()
+    return book
 
 valid_epsilon = st.one_of(
     st.floats(min_value=0.0, max_value=0.6, allow_nan=False, allow_infinity=False),
@@ -39,8 +46,8 @@ valid_batch = st.lists(
 
 
 def column_budget(cap: float = CAP):
-    table = AgentTable(ADDRESSES, privacy_cap=cap)
-    return table, PrivacyBudget.from_table(table)
+    table = AgentTable(N_AGENTS, privacy_cap=cap)
+    return table, PrivacyBudget.from_table(table, derived_book())
 
 
 def sequential_reference(budget, batch):
@@ -147,7 +154,7 @@ class TestChargeSpentKernel:
     )
     @settings(max_examples=200, deadline=None)
     def test_matches_scalar_loop_bitwise(self, entries):
-        table = AgentTable(ADDRESSES, privacy_cap=CAP)
+        table = AgentTable(N_AGENTS, privacy_cap=CAP)
         subjects = np.array([i for i, _ in entries], dtype=np.int64)
         epsilons = np.array([e for _, e in entries], dtype=np.float64)
         # Scalar reference on plain Python floats.
@@ -166,9 +173,47 @@ class TestChargeSpentKernel:
 
 
 key_strategy = st.one_of(
-    st.sampled_from(ADDRESSES),  # interned
+    st.sampled_from(ADDRESSES),  # an agent's address
     st.sampled_from(["ff" * 32, "validator", "aa" * 32]),  # overflow
 )
+
+
+class TestAddressBook:
+    def test_derives_each_address_once_on_first_use(self):
+        calls = []
+        book = AddressBook(N_AGENTS, lambda i: calls.append(i) or ADDRESSES[i])
+        assert book.address_of(2) == book.address_of(2) == ADDRESSES[2]
+        assert calls == [2]
+        assert book.get(ADDRESSES[2]) == 2
+        assert book.misses == 0
+
+    def test_a_miss_derives_every_address_once(self):
+        calls = []
+        book = AddressBook(
+            N_AGENTS,
+            lambda i: calls.append(i) or agent_address(i),
+            non_agents=["validator"],
+        )
+        # A known non-agent never misses.
+        assert book.get("validator") == -1
+        assert book.misses == 0
+        assert book.get(ADDRESSES[3]) == 3
+        assert book.misses == 1
+        assert sorted(calls) == list(range(N_AGENTS))
+        assert book.get("ff" * 32) == -1
+        assert book.misses == 2
+        assert book.addresses() == ADDRESSES
+        assert len(calls) == N_AGENTS
+
+    def test_out_of_range_index_and_duplicate_address_raise(self):
+        book = AddressBook(N_AGENTS, agent_address)
+        for index in (-1, N_AGENTS):
+            with pytest.raises(IndexError):
+                book.address_of(index)
+        clash = AddressBook(2, lambda i: "same")
+        clash.address_of(0)
+        with pytest.raises(ValueError):
+            clash.address_of(1)
 
 
 class TestColumnMapDictSemantics:
@@ -185,8 +230,10 @@ class TestColumnMapDictSemantics:
     )
     @settings(max_examples=200, deadline=None)
     def test_interleaved_ops_match_plain_dict(self, ops):
-        table = AgentTable(ADDRESSES, initial_balance=7)
-        view = table.balance_map()
+        # The book derives addresses on first use, so the first lookup
+        # of an address it has not derived takes the miss path.
+        table = AgentTable(N_AGENTS, initial_balance=7)
+        view = table.balance_map(AddressBook(N_AGENTS, agent_address))
         reference = {a: 7 for a in ADDRESSES}
         for op, key, value in ops:
             if op == "set":
@@ -206,8 +253,8 @@ class TestColumnMapDictSemantics:
         assert all(type(v) is int for v in view.values())
 
     def test_delete_is_rejected(self):
-        table = AgentTable(ADDRESSES)
-        view = table.balance_map()
+        table = AgentTable(N_AGENTS)
+        view = table.balance_map(derived_book())
         with pytest.raises(TypeError):
             del view[ADDRESSES[0]]
 
@@ -229,10 +276,11 @@ class TestInterleavedMutations:
     )
     @settings(max_examples=150, deadline=None)
     def test_columnar_state_matches_dicts(self, ops):
-        table = AgentTable(ADDRESSES, initial_balance=100, privacy_cap=CAP)
-        col_budget = PrivacyBudget.from_table(table)
-        balance_view = table.balance_map()
-        nonce_view = table.nonce_map()
+        table = AgentTable(N_AGENTS, initial_balance=100, privacy_cap=CAP)
+        book = AddressBook(N_AGENTS, agent_address)
+        col_budget = PrivacyBudget.from_table(table, book)
+        balance_view = table.balance_map(book)
+        nonce_view = table.nonce_map(book)
 
         balances = {a: 100 for a in ADDRESSES}
         nonces = {}

@@ -131,3 +131,37 @@ class TestBulkRegistrationAndTrustTop:
             assert bulk.trust_sweep_count == single.trust_sweep_count
         # The trust dict lists identities in EigenTrust's row order.
         assert list(bulk.global_trust()) == list(trust)
+
+
+class TestRangeIdentities:
+    """A society of agent indices registers ``range(n)``, which
+    EigenTrust keeps as a range (row ``i`` is identity ``i``); every
+    read must equal the same society registered as a list, whose sorted
+    rows are the same order."""
+
+    @given(
+        n=st.one_of(st.integers(min_value=2, max_value=12), st.just(600)),
+        rounds=feedback_rounds,
+        leave=st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_listed_society(self, n, rounds, leave):
+        ranged = ReputationSystem(pretrusted=range(1))
+        ranged.register_identities(range(n))
+        listed = ReputationSystem(pretrusted=[0])
+        listed.register_identities(list(range(n)))
+        systems = (ranged, listed)
+        for feedback in rounds:
+            for a, b, positive, weight in feedback:
+                if a % n != b % n:
+                    for system in systems:
+                        system.record(a % n, b % n, positive, weight=weight)
+            assert ranged.global_trust_top() == listed.global_trust_top()
+            assert ranged.trust_compute_count == listed.trust_compute_count
+            assert ranged.trust_sweep_count == listed.trust_sweep_count
+        if leave:
+            # An identity past the range: both hold it in a set now.
+            for system in systems:
+                system.record(0, n + 3, True, weight=1.0)
+        assert ranged.global_trust() == listed.global_trust()
+        assert list(ranged.global_trust()) == list(listed.global_trust())

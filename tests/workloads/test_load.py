@@ -12,6 +12,7 @@ from repro.ledger.chain import Blockchain
 from repro.ledger.consensus import PoAConsensus
 from repro.ledger.crypto import sha256
 from repro.workloads.load import (
+    HOT_STRIDE,
     LoadRunResult,
     agent_address,
     run_load,
@@ -100,6 +101,83 @@ class TestSyntheticTransactions:
         address = agent_address(123)
         assert len(address) == 64
         bytes.fromhex(address)
+
+
+class TestAddresses:
+    """An agent's identity is its index: a run derives an agent's
+    address only when the ledger, the electorate, consent or moderation
+    names it, and keeps no address state between runs."""
+
+    CONFIG = {**SMALL, "n_agents": 20_000}
+
+    def _run(self, monkeypatch):
+        """Run CONFIG; return the run's state and every index whose
+        address was derived during it."""
+        from repro.workloads import load
+
+        derived, runs = [], []
+
+        def deriving(i):
+            derived.append(i)
+            return agent_address(i)
+
+        apply_trust = load._apply_trust
+
+        def keeping(run):
+            apply_trust(run)
+            runs.append(run)
+
+        monkeypatch.setattr(load, "agent_address", deriving)
+        monkeypatch.setattr(load, "_apply_trust", keeping)
+        run_load(**self.CONFIG)
+        return runs[-1], derived
+
+    def test_each_run_derives_the_addresses_it_touches(self, monkeypatch):
+        first, derived = self._run(monkeypatch)
+        second, again = self._run(monkeypatch)
+        # Nothing carries over: the second run derives what the first did.
+        assert sorted(again) == sorted(derived)
+        touched = set(derived)
+        n_agents = self.CONFIG["n_agents"]
+        # Each run derives its electorate's and hot subjects' addresses,
+        # and far fewer than the population's.
+        assert (
+            set(range(self.CONFIG["electorate_size"]))
+            | set(range(0, n_agents, HOT_STRIDE))
+        ) <= touched
+        assert len(touched) < n_agents // 4
+
+    def test_an_address_the_run_never_derived_reads_its_genesis(
+        self, monkeypatch
+    ):
+        run, derived = self._run(monkeypatch)
+        book, state = run.addresses, run.chain.state
+        # The run's own reads, the validator's fee credits included,
+        # never missed the addresses it derived.
+        assert book.misses == 0
+        genesis = 1_000_000
+        expected = {}
+        fees = 0
+        for _, tx in run.chain.iter_transactions():
+            expected[tx.sender] = (
+                expected.get(tx.sender, genesis) - tx.amount - tx.fee
+            )
+            expected[tx.recipient] = expected.get(tx.recipient, genesis) + tx.amount
+            fees += tx.fee
+        assert expected
+        for address, balance in expected.items():
+            assert state.balance_of(address) == balance
+        assert set(expected) <= {agent_address(i) for i in derived}
+        assert state.balance_of(run.validator) == fees
+        assert book.misses == 0
+        # An agent whose address was never derived reads its genesis
+        # balance, through the one slow lookup.
+        touched = set(derived)
+        untouched = next(
+            i for i in range(self.CONFIG["n_agents"]) if i not in touched
+        )
+        assert state.balance_of(agent_address(untouched)) == genesis
+        assert book.misses == 1
 
 
 class TestLoadWorkload:

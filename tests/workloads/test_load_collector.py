@@ -54,7 +54,7 @@ def _raising_registration(self, identities):
     raise _Boom("registration failed")
 
 
-def _setup_must_not_run(n):
+def _setup_must_not_run(*args, **kwargs):
     raise AssertionError("set-up ran before the config was checked")
 
 
@@ -91,8 +91,9 @@ REJECTED = [
 
 
 def _assert_refused_at_entry(monkeypatch, parameter, value):
-    # The config is refused before set-up builds anything.
-    monkeypatch.setattr(load, "agent_addresses", _setup_must_not_run)
+    # The config is refused before set-up builds anything: the shard
+    # plan is the first thing set-up builds.
+    monkeypatch.setattr(load, "ShardPlan", _setup_must_not_run)
     before = _state()
     with pytest.raises(ValueError, match=f"^{parameter} "):
         run_load(**{**TINY, parameter: value})
@@ -206,6 +207,9 @@ class TestCollectorOffDuringSetup:
     def test_rejected_config_restores(self, monkeypatch):
         for parameter, value in REJECTED:
             _assert_refused_at_entry(monkeypatch, parameter, value)
+        # The sentinel is on set-up's path: a valid config reaches it.
+        with pytest.raises(AssertionError, match="set-up ran"):
+            run_load(**TINY)
 
     # Every transport but "pickle" is rejected at entry.
     @pytest.mark.parametrize("transport", ["shm", "shm-full", "auto"])
