@@ -6,8 +6,8 @@ instrumentation facade substrates are wired with
 deterministic sampling (:mod:`repro.obs.context`), windowed telemetry
 on the virtual clock (:mod:`repro.obs.timeseries`), declarative SLOs
 with burn-rate alerting (:mod:`repro.obs.slo`), and exporters — JSONL
-traces, Prometheus-style metrics text, transparency and per-request
-critical-path reports (:mod:`repro.obs.exporters`).
+traces, Prometheus-style metrics text, transparency reports and
+per-request critical-path breakdowns (:mod:`repro.obs.exporters`).
 
 The paper's §IV-C requires that "all the active parts of the metaverse
 (including code) should be transparent and understandable to any
@@ -31,9 +31,7 @@ from repro.obs.context import (
     request_span_id,
 )
 from repro.obs.exporters import (
-    REQUEST_STAGES,
     SpanNode,
-    critical_path_report,
     escape_label_value,
     export_trace_jsonl,
     hot_handlers_report,
@@ -80,8 +78,6 @@ __all__ = [
     "latency_report",
     "hot_handlers_report",
     "request_breakdowns",
-    "critical_path_report",
-    "REQUEST_STAGES",
     "RequestContext",
     "RequestTraceSampler",
     "SamplingPolicy",

@@ -5,10 +5,10 @@ The serving tier answers the paper's per-decision accountability bar
 :class:`RequestContext` whose ``trace_id`` is a **pure function of
 (seed, user, arrival seq)** — the traffic generator derives it, the
 gateway threads it through the middleware chain and the event loop's
-queue/service phases, and the sampled requests are exported as span
-trees that :func:`repro.obs.exporters.span_forest` reconstructs into a
-per-request critical path (queue wait vs cache vs admission vs
-substrate time).
+queue/service phases and keeps it in its response log, and the sampled
+requests are exported as span trees that
+:func:`repro.obs.exporters.span_forest` reconstructs into a per-request
+critical path (queue wait vs cache vs admission vs substrate time).
 
 Sampling is split the way production tracers split it:
 
@@ -18,8 +18,10 @@ Sampling is split the way production tracers split it:
   counts, and even independent consumers of the exported ids).
 * **Tail-based keep rules** — shed (429) and error (500) responses are
   always kept, and the top-``k`` highest-latency requests of the run
-  are kept regardless of the head decision (a bounded min-heap; emitted
-  deterministically at :meth:`RequestTraceSampler.finalize`).
+  are kept regardless of the head decision.  Both are folded from the
+  serving tier's response log after the run
+  (:meth:`RequestTraceSampler.finalize`): status keeps in log order,
+  then tail keeps by descending latency — byte-identical across reruns.
 
 Span ids inside a request tree are pure functions of the trace id
 (``sha256(trace_id : part)``), so two runs of one seed export
@@ -32,7 +34,9 @@ import hashlib
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import check_count
 from repro.obs.spans import SPAN_KIND
@@ -53,7 +57,7 @@ __all__ = [
 
 #: Source tag on every request-scoped span record.
 REQUEST_SOURCE = "serving.request"
-#: Root span name of a request tree (the critical-path reports key on it).
+#: Root span name of a request tree (``request_breakdowns`` keys on it).
 REQUEST_ROOT_NAME = "request"
 #: Stage spans are named ``stage.<name>`` under the request root.
 STAGE_PREFIX = "stage."
@@ -113,11 +117,14 @@ def head_sampled(trace_id: str, rate: float) -> bool:
 
 @dataclass
 class RequestContext:
-    """Per-request causal identity, threaded arrival → response.
+    """Per-request causal identity, threaded arrival → response and
+    kept with the request's row in the gateway's response log, which
+    holds its arrival and completion times.
 
-    Mutable on purpose: the gateway stamps the phase boundaries
-    (``service_start``) as the request crosses them, and the sampler
-    reads them back when it assembles the stage spans.
+    Mutable on purpose: ``service_start`` is NaN until the gateway
+    starts serving the request and stamps it, so a context whose
+    ``service_start`` is set belongs to a served request; the sampler
+    reads it back when it assembles the stage spans.
     """
 
     __slots__ = (
@@ -125,7 +132,6 @@ class RequestContext:
         "user",
         "seq",
         "sampled",
-        "arrived",
         "service_start",
         "substrate_traced",
     )
@@ -134,24 +140,8 @@ class RequestContext:
     user: int
     seq: int
     sampled: bool
-    arrived: float
     service_start: float
     substrate_traced: bool
-
-    @classmethod
-    def for_request(
-        cls, seed: int, user: int, seq: int, head_rate: float
-    ) -> "RequestContext":
-        trace_id = derive_trace_id(seed, user, seq)
-        return cls(
-            trace_id=trace_id,
-            user=user,
-            seq=seq,
-            sampled=head_sampled(trace_id, head_rate),
-            arrived=0.0,
-            service_start=0.0,
-            substrate_traced=False,
-        )
 
 
 @dataclass(frozen=True)
@@ -179,19 +169,13 @@ class SamplingPolicy:
         check_count("top_k_latency", self.top_k_latency)
 
 
-# One buffered tail candidate: orderable by (latency, trace_id) so heap
-# ties never compare payload dicts.
-_TailEntry = Tuple[float, str, Tuple]
-
-
 class RequestTraceSampler:
     """Emits sampled request trees into a :class:`TraceLog`.
 
-    Head-kept and status-kept traces are emitted at response time (the
-    deterministic completion order of the virtual clock); top-latency
-    tail keeps are buffered in a bounded min-heap and emitted at
-    :meth:`finalize` in ``(-latency, trace_id)`` order — byte-identical
-    across reruns.
+    Head-kept traces are emitted at response time, through
+    :meth:`on_response`, so that their live substrate spans and the
+    request tree share the run's trace order.  Status and tail keeps
+    are folded from the response log's columns by :meth:`finalize`.
     """
 
     def __init__(
@@ -199,26 +183,11 @@ class RequestTraceSampler:
     ):
         self.trace = trace
         self.policy = policy if policy is not None else SamplingPolicy()
-        self._keep_statuses = frozenset(self.policy.keep_statuses)
-        # Read once per response — skip the frozen-dataclass attribute
-        # walk on the hot drop path.
-        self._top_k = self.policy.top_k_latency
-        self._tail_heap: List[_TailEntry] = []
-        self._tail_floor = self._empty_floor()
         self._emitted_ids: set = set()
         self.kept_head = 0
         self.kept_status = 0
         self.kept_tail = 0
         self.seen = 0
-
-    # ------------------------------------------------------------------
-    # Per-response hook (called by the gateway)
-    # ------------------------------------------------------------------
-    def context(self, seed: int, user: int, seq: int) -> RequestContext:
-        """A request context carrying this policy's head decision."""
-        return RequestContext.for_request(
-            seed, user, seq, self.policy.head_rate
-        )
 
     def on_response(
         self,
@@ -227,75 +196,80 @@ class RequestTraceSampler:
         status: int,
         arrived: float,
         completed: float,
-        stages: Optional[Tuple[Tuple[str, float, float], ...]],
         cached: bool = False,
     ) -> None:
-        """Decide keep/drop for one finished request.
+        """Emit one head-sampled request's tree; the gateway calls this
+        only for contexts whose head decision kept them."""
+        self.kept_head += 1
+        self._emit_tree(
+            ctx, endpoint, status, arrived, completed, cached, kept_by="head"
+        )
 
-        ``stages`` is the gateway's critical-path decomposition:
-        ``(name, start, end)`` triples covering the request's latency —
-        or ``None``, the served-path marker, in which case the standard
-        admission/queue/substrate decomposition is derived from the
-        context at emit time (and only for kept traces, keeping the
-        per-response drop path allocation-free).
+    def finalize(
+        self,
+        contexts: Sequence[Optional[RequestContext]],
+        endpoints: Sequence[str],
+        statuses: Sequence[int],
+        arrived: Sequence[float],
+        completed: Sequence[float],
+        cached: Sequence[bool],
+    ) -> int:
+        """Fold the status and tail keeps over a run's response columns,
+        in log order; call once, after the run.  Returns how many
+        traces it emitted.
+
+        Rows without a context are not seen, and head-sampled rows were
+        emitted by :meth:`on_response`.  Of the rest, a row whose status
+        is in ``keep_statuses`` is emitted at once, in log order; the
+        others compete for the ``top_k_latency`` slowest by ``(latency,
+        trace_id)``, emitted after all status keeps by descending
+        latency (trace id breaks exact ties) — a deterministic function
+        of the run.
         """
-        self.seen += 1
-        if ctx.sampled:
-            self.kept_head += 1
-            self._emit_tree(
-                ctx, endpoint, status, arrived, completed, stages, cached,
-                kept_by="head",
-            )
-            return
-        if status in self._keep_statuses:
+        before = self.kept_status + self.kept_tail
+        # Per row: 0 without a context, 1 head-sampled, 2 open to the
+        # status and tail rules.
+        kind = np.fromiter(
+            (0 if ctx is None else 1 if ctx.sampled else 2 for ctx in contexts),
+            np.int8, len(contexts),
+        )
+        self.seen += int(np.count_nonzero(kind))
+        open_rows = kind == 2
+        status_kept = np.isin(np.asarray(statuses), self.policy.keep_statuses)
+        for row in np.flatnonzero(open_rows & status_kept).tolist():
             self.kept_status += 1
             self._emit_tree(
-                ctx, endpoint, status, arrived, completed, stages, cached,
-                kept_by="status",
+                contexts[row], endpoints[row], statuses[row], arrived[row],
+                completed[row], cached[row], kept_by="status",
             )
-            return
-        latency = completed - arrived
-        if latency < self._tail_floor:
-            # Fast drop: almost every response loses to the current
-            # top-k floor — one compare, no payload tuple.
-            return
-        heap = self._tail_heap
-        entry = (
-            latency,
-            ctx.trace_id,
-            (ctx, endpoint, status, arrived, completed, stages, cached),
-        )
-        if len(heap) >= self._top_k:
-            floor = heap[0]
-            if latency == floor[0] and ctx.trace_id <= floor[1]:
-                return
-            heapq.heapreplace(heap, entry)
-        else:
-            heapq.heappush(heap, entry)
-        if len(heap) >= self._top_k:
-            self._tail_floor = heap[0][0]
-
-    def _empty_floor(self) -> float:
-        """The tail floor of an empty heap: no response enters it when
-        ``top_k`` is 0, every response does until it fills."""
-        return -math.inf if self._top_k > 0 else math.inf
-
-    def finalize(self) -> int:
-        """Emit the buffered top-latency traces; returns how many.
-
-        Ordered by descending latency (trace id breaks exact ties), so
-        the emission order — and therefore the exported bytes — is a
-        deterministic function of the run.
-        """
-        ordered = sorted(
-            self._tail_heap, key=lambda e: (-e[0], e[1])
-        )
-        self._tail_heap = []
-        self._tail_floor = self._empty_floor()
-        for _latency, _tid, payload in ordered:
-            self.kept_tail += 1
-            self._emit_tree(*payload, kept_by="tail_latency")
-        return self.kept_tail
+        top_k = self.policy.top_k_latency
+        rows = np.flatnonzero(open_rows & ~status_kept)
+        if top_k and len(rows):
+            latency = (
+                np.asarray(completed, dtype=np.float64)[rows]
+                - np.asarray(arrived, dtype=np.float64)[rows]
+            )
+            if len(rows) > top_k:
+                # Only rows at or above the k-th largest latency compete
+                # (ties at that floor included).
+                competing = latency >= np.partition(latency, -top_k)[-top_k]
+                rows, latency = rows[competing], latency[competing]
+            slowest = heapq.nlargest(
+                top_k,
+                zip(latency.tolist(), rows.tolist()),
+                key=lambda entry: (entry[0], contexts[entry[1]].trace_id),
+            )
+            slowest.sort(
+                key=lambda entry: (-entry[0], contexts[entry[1]].trace_id)
+            )
+            for _latency, row in slowest:
+                self.kept_tail += 1
+                self._emit_tree(
+                    contexts[row], endpoints[row], statuses[row],
+                    arrived[row], completed[row], cached[row],
+                    kept_by="tail_latency",
+                )
+        return self.kept_status + self.kept_tail - before
 
     @property
     def kept(self) -> int:
@@ -311,19 +285,30 @@ class RequestTraceSampler:
         status: int,
         arrived: float,
         completed: float,
-        stages: Optional[Tuple[Tuple[str, float, float], ...]],
         cached: bool,
         kept_by: str,
     ) -> None:
         """One request root plus its stage children, ids pure functions
-        of the trace id."""
-        if stages is None:  # the served-path decomposition, derived late
-            service_start = ctx.service_start
-            stages = (
+        of the trace id.
+
+        The stages cover the request's latency: a served request (its
+        context's ``service_start`` is set) splits into admission, queue
+        and substrate; otherwise the one stage that answered it is the
+        cache if cached, admission if shed and validation if neither.
+        """
+        service_start = ctx.service_start
+        if not math.isnan(service_start):
+            stages: Tuple[Tuple[str, float, float], ...] = (
                 ("admission", arrived, arrived),
                 ("queue", arrived, service_start),
                 ("substrate", service_start, completed),
             )
+        elif cached:
+            stages = (("cache", arrived, completed),)
+        elif status == 429:
+            stages = (("admission", arrived, completed),)
+        else:
+            stages = (("validation", arrived, completed),)
         trace_id = ctx.trace_id
         if trace_id in self._emitted_ids:  # defensive: never double-emit
             return

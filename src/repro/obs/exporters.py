@@ -40,7 +40,6 @@ __all__ = [
     "transparency_report",
     "latency_report",
     "request_breakdowns",
-    "critical_path_report",
     "hot_handlers_report",
 ]
 
@@ -363,11 +362,6 @@ def latency_report(
 # ----------------------------------------------------------------------
 # Per-request critical paths
 # ----------------------------------------------------------------------
-#: The named stages a request's latency decomposes into (fixed column
-#: order for the report table).
-REQUEST_STAGES = ("validation", "cache", "admission", "queue", "substrate")
-
-
 def request_breakdowns(
     records: Union[TraceLog, Iterable[TraceRecord]],
 ) -> List[Dict[str, Any]]:
@@ -412,45 +406,6 @@ def request_breakdowns(
         })
     out.sort(key=lambda row: (row["start"], row["trace_id"]))
     return out
-
-
-def critical_path_report(
-    records: Union[TraceLog, Iterable[TraceRecord]],
-    top_n: Optional[int] = None,
-) -> ResultTable:
-    """Per-request critical-path table from an exported trace.
-
-    One row per sampled request — where its latency went, stage by
-    stage.  ``top_n`` keeps only the slowest ``n`` requests (ties broken
-    by trace id), which is the operator's "show me the worst offenders"
-    view.
-    """
-    breakdowns = request_breakdowns(records)
-    if top_n is not None:
-        breakdowns = sorted(
-            breakdowns, key=lambda r: (-r["latency_ms"], r["trace_id"])
-        )[:top_n]
-    table = ResultTable(
-        "per-request critical paths (ms)",
-        columns=(
-            ["trace_id", "endpoint", "status", "kept_by", "latency_ms"]
-            + [f"{stage}_ms" for stage in REQUEST_STAGES]
-            + ["coverage"]
-        ),
-    )
-    for row in breakdowns:
-        cells = {
-            "trace_id": row["trace_id"],
-            "endpoint": row["endpoint"],
-            "status": row["status"],
-            "kept_by": row["kept_by"],
-            "latency_ms": row["latency_ms"],
-            "coverage": row["coverage"],
-        }
-        for stage in REQUEST_STAGES:
-            cells[f"{stage}_ms"] = row["stages_ms"].get(stage, 0.0)
-        table.add_row(**cells)
-    return table
 
 
 def hot_handlers_report(simulator, top_n: int = 10) -> ResultTable:

@@ -18,18 +18,25 @@ moderation review capacity drains every ``review_interval`` — so the
 fronted substrates advance exactly as they would under the epoch
 workload, but interleaved with live request traffic.
 
-Per-endpoint latency histograms, queue-wait histograms, queue-depth
-gauges, and status counters land in the shared
-:class:`~repro.sim.metrics.MetricsRegistry`; with observability wired,
-every response and platform tick also emits trace events/spans.  Each
-endpoint's instruments, token bucket, repository method, service time
-and read surface are resolved once, on the endpoint's first request,
-into a route that every later request of the endpoint reads.
+The response log is the one record of each served request.  The
+queue-wait histogram, the cache and shed counters and the queue-depth
+gauge are kept live in the shared
+:class:`~repro.sim.metrics.MetricsRegistry`, and the queue depth at each
+change is kept as two columns, time and depth; the offered and status
+counters and the latency histograms are folded from the log by
+:meth:`ServingGateway.fold_metrics` after the loop.  With observability
+wired, platform ticks and head-sampled responses also emit trace
+events/spans; the sampler's status and tail keeps are folded from the
+log too.  Each endpoint's queue-wait histogram, token bucket, repository
+method, service time and read surface are resolved once, on the
+endpoint's first request, into a route that every later request of the
+endpoint reads.
 """
 
 from __future__ import annotations
 
 import collections
+import itertools
 import math
 from array import array
 from dataclasses import dataclass, field
@@ -47,7 +54,6 @@ from repro.obs.context import (
     request_span_id,
 )
 from repro.obs.instrument import NULL_OBS, Instrumentation
-from repro.obs.timeseries import WindowedTelemetry
 from repro.serving.loop import (
     EventLoop,
     PRIORITY_COMPLETION,
@@ -60,6 +66,9 @@ from repro.sim.metrics import MetricsRegistry
 
 __all__ = ["ServingConfig", "ServingGateway", "ResponseLog"]
 
+
+#: Each endpoint's name (an enum ``.value`` read costs a descriptor call).
+_ENDPOINT_NAMES = {endpoint: endpoint.value for endpoint in Endpoint}
 
 #: Which repository surface (version namespace) each read endpoint
 #: fronts — the cache invalidates on that surface's writes.
@@ -189,18 +198,21 @@ def _exponential_draws(rng: np.random.Generator, block: int) -> Iterator[float]:
 class ResponseLog(Sequence[Response]):
     """The gateway's responses, stored as one column per field.
 
-    Appending stores six values and builds no object: the endpoint, the
+    Appending stores seven values and builds no object: the endpoint, the
     integer status code, the arrival and completion times, the cached
-    flag and the body.  Reading by index (negative too), slice or
+    flag, the body and the request's trace context (None when the run
+    carries no contexts).  Reading by index (negative too), slice or
     iteration builds :class:`Response` rows equal to the ones a list of
     responses would hold, and :meth:`status_counts` counts the status
-    column without building any.  A log equals another log, or a list
-    or tuple of responses, holding the same rows in the same order.
+    column without building any.  :meth:`columns` and :attr:`contexts`
+    hand the columns, in log order, to the folds that run after the loop.
+    A log equals another log, or a list or tuple of responses, holding
+    the same rows in the same order.
     """
 
     __slots__ = (
         "_endpoints", "_statuses", "_arrived", "_completed", "_cached",
-        "_bodies",
+        "_bodies", "_contexts",
     )
 
     def __init__(self) -> None:
@@ -210,6 +222,7 @@ class ResponseLog(Sequence[Response]):
         self._completed = array("d")
         self._cached = bytearray()
         self._bodies: List[Dict[str, Any]] = []
+        self._contexts: List[Optional[RequestContext]] = []
 
     def append(
         self,
@@ -219,6 +232,7 @@ class ResponseLog(Sequence[Response]):
         completed: float,
         cached: bool,
         body: Dict[str, Any],
+        ctx: Optional[RequestContext] = None,
     ) -> None:
         self._endpoints.append(endpoint)
         self._statuses.append(status)
@@ -226,6 +240,7 @@ class ResponseLog(Sequence[Response]):
         self._completed.append(completed)
         self._cached.append(cached)
         self._bodies.append(body)
+        self._contexts.append(ctx)
 
     def __len__(self) -> int:
         return len(self._endpoints)
@@ -256,33 +271,53 @@ class ResponseLog(Sequence[Response]):
         """Responses per integer status code, codes in first-seen order."""
         return dict(collections.Counter(self._statuses))
 
+    def columns(self) -> Tuple[List[str], array, array, array, bytearray]:
+        """``(endpoint names, status codes, arrival times, completion
+        times, cached flags)``, one entry per response in log order.
+
+        These are the arguments of
+        :meth:`~repro.obs.timeseries.WindowedTelemetry.record_responses`
+        and, after :attr:`contexts`, of
+        :meth:`~repro.obs.context.RequestTraceSampler.finalize`.  The
+        columns are the log's own; do not mutate them.
+        """
+        return (
+            list(map(_ENDPOINT_NAMES.__getitem__, self._endpoints)),
+            self._statuses,
+            self._arrived,
+            self._completed,
+            self._cached,
+        )
+
+    @property
+    def contexts(self) -> List[Optional[RequestContext]]:
+        """Each response's trace context (None without one), in log order."""
+        return self._contexts
+
 
 class _Route:
     """One endpoint's request path, resolved on its first request.
 
-    Every request of the endpoint reads its name, ``serving.offered``
-    counter, token bucket, repository method, base service time and read
-    surface (None for writes).  The queue-wait and latency histograms
-    and the per-status counters are resolved when a request first takes
-    the path that feeds them, so the registry holds the same instruments
-    that lookups by name per request would create.
+    Every request of the endpoint reads its name, token bucket,
+    repository method, base service time and read surface (None for
+    writes).  The queue-wait histogram is resolved when a request of the
+    endpoint first starts service, so the registry holds the same
+    instruments that lookups by name per request would create.
     """
 
     __slots__ = (
-        "endpoint", "name", "offered", "bucket", "dispatch", "service_time",
-        "surface", "queue_wait", "latency", "latency_all", "statuses",
+        "endpoint", "name", "bucket", "dispatch", "service_time", "surface",
+        "queue_wait",
     )
 
     def __init__(self, gateway: "ServingGateway", endpoint: Endpoint):
         self.endpoint = endpoint
-        self.name = name = endpoint.value
-        self.offered = gateway.registry.counter(f"serving.offered.{name}")
+        self.name = endpoint.value
         self.bucket = gateway._buckets[endpoint]
         self.dispatch = gateway._dispatch[endpoint]
         self.service_time = gateway.config.service_times[endpoint]
         self.surface = _READ_SURFACE.get(endpoint)
-        self.queue_wait = self.latency = self.latency_all = None
-        self.statuses: Dict[int, Any] = {}  # status code -> its counter
+        self.queue_wait = None
 
 
 class ServingGateway:
@@ -297,7 +332,9 @@ class ServingGateway:
     config:
         Queueing/caching/rate knobs.
     registry:
-        Metrics sink (latency histograms, queue gauges, status counters).
+        Metrics sink: queue-wait histograms, queue gauges and the cache
+        and shed counters live; the offered and status counters and the
+        latency histograms once :meth:`fold_metrics` runs.
     service_rng:
         Seeded generator for service-time draws.  The gateway owns it:
         it draws ``exponential(1.0)`` in blocks of ``_DRAW_BLOCK`` and
@@ -305,16 +342,16 @@ class ServingGateway:
         deterministic loop fixes.  Each value equals the one a per-call
         draw would give; the stream itself runs up to a block ahead.
     obs:
-        Optional observability; responses and ticks emit trace events.
-    telemetry:
-        Optional :class:`WindowedTelemetry` rollup; every response and
-        queue-depth change is windowed on the virtual clock.
+        Optional observability; ticks and responses without a context or
+        with a head-sampled one emit trace events.
     sampler:
-        Optional :class:`RequestTraceSampler`; requests arriving with a
-        :class:`RequestContext` are offered for trace export under its
-        head/status/tail keep rules.
+        Optional :class:`RequestTraceSampler`; each head-sampled request
+        has its trace exported at response time.  Its status and tail
+        keeps are folded from :attr:`responses` after the loop.
 
-    Responses are kept in :attr:`responses`, a :class:`ResponseLog`.
+    Responses are kept in :attr:`responses`, a :class:`ResponseLog`, and
+    the admission queue's depth after each change in the columns
+    :attr:`depth_times` and :attr:`depths`.
     """
 
     def __init__(
@@ -325,7 +362,6 @@ class ServingGateway:
         registry: MetricsRegistry,
         service_rng: np.random.Generator,
         obs: Optional[Instrumentation] = None,
-        telemetry: Optional[WindowedTelemetry] = None,
         sampler: Optional[RequestTraceSampler] = None,
     ):
         self.repo = repo
@@ -335,7 +371,6 @@ class ServingGateway:
         self._draws = _exponential_draws(service_rng, _DRAW_BLOCK)
         self._jitter = config.service_jitter
         self._obs = obs if obs is not None else NULL_OBS
-        self._telemetry = telemetry
         self._sampler = sampler
         self.cache = ReadCache(config.cache_ttl, config.cache_capacity)
         self.queue = BoundedQueue(config.queue_limit)
@@ -345,6 +380,8 @@ class ServingGateway:
         }
         self._busy = 0
         self.responses = ResponseLog()
+        self.depth_times = array("d")
+        self.depths = array("d")
         self._horizon: Optional[float] = None
         self._dispatch = {
             Endpoint.SUBMIT_TX: repo.submit_tx,
@@ -412,28 +449,22 @@ class ServingGateway:
 
         ``ctx`` is the request's trace context (None when request-scoped
         tracing is off — the dark path stays exactly as cheap as before).
-        Every terminal outcome hands the sampler a stage decomposition
-        ``(name, start, end)`` that covers the response's full latency,
-        which is what makes the critical-path attribution ≥ 95% by
-        construction.
+        Every outcome ends in one :meth:`_respond`, which logs the
+        response; the context rides along in the log, and its
+        ``service_start`` is set only if the request reached a server.
         """
         now = self.loop.now
         endpoint = request.endpoint
         route = self._routes.get(endpoint)
         if route is None:
             route = self._routes[endpoint] = _Route(self, endpoint)
-        route.offered.inc()
-        if ctx is not None:
-            ctx.arrived = now
 
         # Stage 1: validation — malformed requests never go further.
         error = request.validate()
         if error is not None:
-            completed = now + self.config.validation_cost
             self._respond(
-                route, Status.INVALID, now, completed, False,
-                {"error": error}, ctx,
-                (("validation", now, completed),) if ctx is not None else (),
+                route, Status.INVALID, now, now + self.config.validation_cost,
+                False, {"error": error}, ctx,
             )
             return
 
@@ -445,10 +476,9 @@ class ServingGateway:
             )
             if body is not None:
                 self.registry.counter("serving.cache.hit").inc()
-                completed = now + self.config.cache_hit_cost
                 self._respond(
-                    route, Status.OK, now, completed, True, body, ctx,
-                    (("cache", now, completed),) if ctx is not None else (),
+                    route, Status.OK, now, now + self.config.cache_hit_cost,
+                    True, body, ctx,
                 )
                 return
             self.registry.counter("serving.cache.miss").inc()
@@ -457,27 +487,25 @@ class ServingGateway:
         if not route.bucket.try_take(now):
             self.registry.counter("serving.shed.rate_limit").inc()
             self._respond(
-                route, Status.SHED, now, now, False,
-                {"error": "rate limit"}, ctx,
-                (("admission", now, now),) if ctx is not None else (),
+                route, Status.SHED, now, now, False, {"error": "rate limit"},
+                ctx,
             )
             return
         if self._busy < self.config.n_servers:
             self._start_service(route, request, now, ctx)
         elif self.queue.offer((route, request, now, ctx)):
-            depth = len(self.queue)
-            self.registry.gauge("serving.queue.depth").set(float(depth))
+            depth = float(len(self.queue))
+            self.registry.gauge("serving.queue.depth").set(depth)
             self.registry.histogram("serving.queue.depth_at_enqueue").observe(
-                float(depth)
+                depth
             )
-            if self._telemetry is not None:
-                self._telemetry.observe_queue_depth(now, float(depth))
+            self.depth_times.append(now)
+            self.depths.append(depth)
         else:
             self.registry.counter("serving.shed.queue_full").inc()
             self._respond(
-                route, Status.SHED, now, now, False,
-                {"error": "queue full"}, ctx,
-                (("admission", now, now),) if ctx is not None else (),
+                route, Status.SHED, now, now, False, {"error": "queue full"},
+                ctx,
             )
 
     def _start_service(
@@ -559,20 +587,14 @@ class ServingGateway:
                 self.cache.store(
                     key, body, now, self.repo.version(route.surface)
                 )
-        # stages=None is the served-path marker: the sampler derives the
-        # standard admission/queue/substrate decomposition lazily, only
-        # for traces it actually keeps.
-        self._respond(
-            route, status, arrived, now, False, body, ctx,
-            None if ctx is not None else (),
-        )
+        self._respond(route, status, arrived, now, False, body, ctx)
         self._busy -= 1
         if len(self.queue) > 0:
             queued = self.queue.take()
-            depth = len(self.queue)
-            self.registry.gauge("serving.queue.depth").set(float(depth))
-            if self._telemetry is not None:
-                self._telemetry.observe_queue_depth(now, float(depth))
+            depth = float(len(self.queue))
+            self.registry.gauge("serving.queue.depth").set(depth)
+            self.depth_times.append(now)
+            self.depths.append(depth)
             self._start_service(*queued)
 
     def _respond(
@@ -584,48 +606,71 @@ class ServingGateway:
         cached: bool,
         body: Optional[Dict],
         ctx: Optional[RequestContext],
-        stages: Optional[Tuple[Tuple[str, float, float], ...]],
     ) -> None:
-        name = route.name
         status_code = int(status)
         self.responses.append(
             route.endpoint, status_code, arrived, completed, cached,
-            body if body is not None else {},
+            body if body is not None else {}, ctx,
         )
-        counter = route.statuses.get(status_code)
-        if counter is None:
-            counter = route.statuses[status_code] = self.registry.counter(
-                f"serving.status.{name}.{status_code}"
-            )
-        counter.inc()
-        if status != Status.SHED:
-            latency_ms = (completed - arrived) * 1e3
-            if route.latency is None:
-                route.latency = self.registry.histogram(
-                    f"serving.latency_ms.{name}"
+        if ctx is not None:
+            if not ctx.sampled:
+                # With sampling active, sampled-out requests leave no
+                # trace rows here; the sampler's status and tail keeps
+                # are folded from the log after the loop.
+                return
+            if self._sampler is not None:
+                self._sampler.on_response(
+                    ctx, route.name, status_code, arrived, completed, cached,
                 )
-                route.latency_all = self.registry.histogram(
-                    "serving.latency_ms.all"
+        self._obs.event(
+            "serving",
+            "request.served",
+            time=completed,
+            endpoint=route.name,
+            status=status_code,
+            cached=cached,
+            arrived=arrived,
+        )
+
+    # ------------------------------------------------------------------
+    # Folds over the response log
+    # ------------------------------------------------------------------
+    def fold_metrics(self) -> None:
+        """Fold the response log into the registry; call once, after the
+        loop.
+
+        Per endpoint seen, the ``serving.offered.<endpoint>`` counter
+        counts its responses (every offered request gets exactly one)
+        and ``serving.status.<endpoint>.<code>`` each status code seen.
+        The latencies of the non-shed responses, in milliseconds, are
+        observed in log order into ``serving.latency_ms.<endpoint>`` and
+        ``serving.latency_ms.all`` (the exact histograms' mean is an
+        insertion-order sum), and only for endpoints that have one.
+        """
+        log = self.responses
+        counter = self.registry.counter
+        for (endpoint, status), count in collections.Counter(
+            zip(log._endpoints, log._statuses)
+        ).items():
+            counter(f"serving.offered.{endpoint.value}").inc(count)
+            counter(f"serving.status.{endpoint.value}.{status}").inc(count)
+        served = np.asarray(log._statuses) != Status.SHED
+        if not served.any():
+            return
+        # One float per latency, shared by its endpoint's histogram and
+        # ``.all`` as when each response observed the same value twice.
+        latency_ms = (
+            (np.asarray(log._completed) - np.asarray(log._arrived)) * 1e3
+        )[served].tolist()
+        histogram = self.registry.histogram
+        histogram("serving.latency_ms.all").observe_many(latency_ms)
+        codes = {endpoint: code for code, endpoint in enumerate(Endpoint)}
+        endpoint_codes = np.fromiter(
+            map(codes.__getitem__, log._endpoints), np.int8, len(log)
+        )[served]
+        for endpoint, code in codes.items():
+            mine = endpoint_codes == code
+            if mine.any():
+                histogram(f"serving.latency_ms.{endpoint.value}").observe_many(
+                    itertools.compress(latency_ms, mine.tolist())
                 )
-            route.latency.observe(latency_ms)
-            route.latency_all.observe(latency_ms)
-        if self._telemetry is not None:
-            self._telemetry.record_response(
-                name, status_code, arrived, completed, cached
-            )
-        if self._sampler is not None and ctx is not None:
-            self._sampler.on_response(
-                ctx, name, status_code, arrived, completed, stages, cached,
-            )
-        if ctx is None or ctx.sampled:
-            # With sampling active, per-request trace events follow the
-            # head decision — sampled-out requests leave no trace rows.
-            self._obs.event(
-                "serving",
-                "request.served",
-                time=completed,
-                endpoint=name,
-                status=status_code,
-                cached=cached,
-                arrived=arrived,
-            )

@@ -10,9 +10,10 @@ measurements: same seed, same bytes, on any host.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable, Dict, Iterable, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,6 +39,7 @@ __all__ = [
     "ServingRunResult",
     "run_serving",
     "schedule_arrivals",
+    "fold_telemetry",
     "SERVICE_TIME_DOMAIN",
 ]
 
@@ -50,6 +52,9 @@ SERVICE_TIME_DOMAIN = 8
 class ServingRunResult:
     """Everything a seeded serving run measured.
 
+    ``responses`` is the gateway's :class:`ResponseLog`, the one record
+    of each request; the counts, latencies, telemetry windows and
+    sampled traces below are folded from it after the loop.
     ``endpoint_stats[endpoint]`` holds offered/status counts plus
     p50/p99 latency in simulated milliseconds; ``status_counts`` is the
     run-wide breakdown keyed by integer status code.  ``metrics`` is the
@@ -59,11 +64,11 @@ class ServingRunResult:
     ``trace_jsonl`` the JSONL trace export when tracing was requested.
 
     The observability layer adds, when SLOs are given: ``telemetry``
-    (the live rollup in 1 s windows) with its byte-comparable
-    ``timeseries_json`` export, and ``slo_report`` (budgets + burn-rate
-    alert timeline) with ``alerts_json``; with a sampling policy,
-    ``sampling_stats`` (how many request traces each keep rule
-    exported).  The registry keeps every latency sample (the
+    (the log and the queue-depth columns rolled into 1 s windows) with
+    its byte-comparable ``timeseries_json`` export, and ``slo_report``
+    (budgets + burn-rate alert timeline) with ``alerts_json``; with a
+    sampling policy, ``sampling_stats`` (how many request traces each
+    keep rule exported).  The registry keeps every latency sample (the
     ``"exact"`` histogram backend).
     """
 
@@ -124,13 +129,30 @@ def schedule_arrivals(
     for arrival in arrivals:
         time = arrival.time
         trace_id = arrival.trace_id
-        # Positional: trace_id, user, seq, sampled, arrived,
-        # service_start, substrate_traced.
+        # Positional: trace_id, user, seq, sampled, service_start,
+        # substrate_traced.
         ctx = RequestContext(
             trace_id, arrival.user, arrival.seq,
-            head_sampled(trace_id, head_rate), time, time, False,
+            head_sampled(trace_id, head_rate), math.nan, False,
         )
         schedule(time, partial(submit, arrival.request, ctx), PRIORITY_ARRIVAL)
+
+
+def fold_telemetry(
+    gateway: ServingGateway, latency_thresholds_ms: Tuple[float, ...] = ()
+) -> WindowedTelemetry:
+    """The gateway's run rolled into 1 s windows, after the loop.
+
+    The response log's columns go through one column fold, in log
+    order, and the queue depth after each change through
+    :meth:`~WindowedTelemetry.observe_queue_depth`.
+    """
+    telemetry = WindowedTelemetry(latency_thresholds_ms=latency_thresholds_ms)
+    telemetry.record_responses(*gateway.responses.columns())
+    observe = telemetry.observe_queue_depth
+    for time, depth in zip(gateway.depth_times, gateway.depths):
+        observe(time, depth)
+    return telemetry
 
 
 def run_serving(
@@ -158,7 +180,10 @@ def run_serving(
 
     The result's ``responses`` is the gateway's :class:`ResponseLog`
     (one column per :class:`~repro.serving.schemas.Response` field, rows
-    built on read), and ``status_counts`` is counted from its status
+    built on read).  After the loop, in log order, it is folded into
+    the registry's offered and status counters and latency histograms,
+    the sampler's status and tail keeps (before the trace export) and
+    the telemetry windows; ``status_counts`` is counted from its status
     column.
 
     The cyclic collector is off while the arrival table is built; the
@@ -178,9 +203,6 @@ def run_serving(
             clock=lambda: loop.now,
             run_id=f"serve-{traffic.seed}",
         )
-    telemetry: Optional[WindowedTelemetry] = None
-    if slos is not None:
-        telemetry = WindowedTelemetry(latency_thresholds_ms=thresholds_for(slos))
     sampler: Optional[RequestTraceSampler] = None
     if sampling is not None:
         sampler = RequestTraceSampler(obs.trace, sampling)
@@ -193,8 +215,7 @@ def run_serving(
         )
     )
     gateway = ServingGateway(
-        repo, loop, serving, registry, service_rng, obs=obs,
-        telemetry=telemetry, sampler=sampler,
+        repo, loop, serving, registry, service_rng, obs=obs, sampler=sampler,
     )
 
     with FrozenSetup() as setup:
@@ -208,10 +229,12 @@ def run_serving(
         gateway.start(horizon=traffic.horizon)
         setup.loaded()
         loop.run()
-        if sampler is not None:
-            sampler.finalize()  # flush tail keeps before the trace export
-
+        gateway.fold_metrics()
         responses = gateway.responses
+        if sampler is not None:
+            # Status and tail keeps, before the trace export.
+            sampler.finalize(responses.contexts, *responses.columns())
+
         status_counts = responses.status_counts()
 
         counters = registry.counters()
@@ -240,8 +263,10 @@ def run_serving(
         cache_hits = gateway.cache.hits
         cache_lookups = cache_hits + gateway.cache.misses
 
+        telemetry: Optional[WindowedTelemetry] = None
         slo_report: Optional[SLOReport] = None
-        if telemetry is not None:
+        if slos is not None:
+            telemetry = fold_telemetry(gateway, thresholds_for(slos))
             slo_report = SLOEngine(slos).evaluate(telemetry)
         sampling_stats: Optional[Dict[str, int]] = None
         if sampler is not None:

@@ -69,8 +69,8 @@ seed the neighbouring shard's cascade next epoch.
 
 Everything is deterministic given the seed: agent addresses are hash
 derived, no wall-clock value ever enters the metrics, and histograms
-default to the bounded ``sketch`` backend so memory stays O(1) per
-metric no matter how many samples stream through.
+use the bounded ``sketch`` backend so memory stays O(1) per metric no
+matter how many samples stream through.
 
 Signing is the one place the workload diverges from production objects:
 real Lamport/Merkle wallets cost seconds *each* to derive, which at
@@ -311,7 +311,6 @@ def run_load(
     reports_per_epoch: int = 200,
     votes_per_epoch: int = 300,
     block_size: int = 250,
-    histogram_backend: str = "sketch",
     electorate_size: Optional[int] = 5_000,
     interactions_per_epoch: int = 2_000,
     frames_per_epoch: int = 2_000,
@@ -390,7 +389,6 @@ def run_load(
         epochs=epochs,
         mix=mix,
         block_size=block_size,
-        histogram_backend=histogram_backend,
         electorate_size=electorate_size,
         privacy_cap=privacy_cap,
         cascade_members=cascade_members,
@@ -482,7 +480,6 @@ def _set_up(
     epochs: int,
     mix: Dict[str, int],
     block_size: int,
-    histogram_backend: str,
     electorate_size: Optional[int],
     privacy_cap: float,
     cascade_members: int,
@@ -508,7 +505,7 @@ def _set_up(
     )
 
     rngs = RngRegistry(seed=seed)
-    registry = MetricsRegistry(histogram_backend=histogram_backend)
+    registry = MetricsRegistry(histogram_backend="sketch")
     obs: Optional[Instrumentation] = None
     trace_log: Optional[TraceLog] = None
     if trace:

@@ -325,7 +325,7 @@ ROWS = [
         [{}],
         dict(
             metrics=FLASH_CROWD_METRICS,
-            trace_jsonl="6a9bb59622e823fc4abdb554357aa9ed1be5f1a2e6f88599eaaea14d14aaf69b",
+            trace_jsonl="41a5a28ae0fa42cd9487f7e42bfed6da691b16f0707f58a929e9e31547df39c3",
             timeseries_json="546a49f56a4cc3658f87238bd15e0b90adfd2765c5988b90dc9992b4f90e8218",
             alerts_json="95af7728f128d8c708495c8752ff0e515d1b46269d919eb705cbc7de2e68492a",
         ),
@@ -378,7 +378,7 @@ ROWS = [
         "serving-flash",
         dict(
             metrics="a9e1476800b7d5db0c5ff03002cb51f5cf52913bc7638ba7de913e9b17a5bb3e",
-            trace_jsonl="6c24c210bb8913c5d4550af4dfaad369601efbd4d0110ec48c607970de8ceea5",
+            trace_jsonl="b58a40f8820f24182359f1428a3fada7f2742f86e0891741df927cc76b4704d4",
             timeseries_json="664bb34e19fadd3fecdf0d4a0fee08e7e3d97e50e1daaff04e82b841569b48cd",
             alerts_json="75b7505b0dbf25a738661fc6dd72e1fff6019735ff9a50ca896f336366147378",
         ),

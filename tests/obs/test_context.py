@@ -1,6 +1,8 @@
 """Tests for request-scoped trace propagation and deterministic
 sampling: trace-id purity, head/tail keep rules, and span emission."""
 
+import math
+
 import pytest
 
 from repro.obs.context import (
@@ -95,16 +97,42 @@ class TestSamplingPolicy:
             SamplingPolicy(top_k_latency=value)
 
 
-def _ctx(seed, user, seq, head_rate=0.0):
-    return RequestContext.for_request(seed, user, seq, head_rate)
-
-
-def _respond(sampler, ctx, status=200, arrived=0.0, completed=0.01):
-    ctx.arrived = arrived
-    ctx.service_start = arrived
-    sampler.on_response(
-        ctx, "submit_tx", status, arrived, completed, None, False
+def _ctx(seed, user, seq, head_rate=0.0, service_start=math.nan):
+    """A context as ``schedule_arrivals`` builds one; ``service_start``
+    is set for a request that reached a server."""
+    trace_id = derive_trace_id(seed, user, seq)
+    return RequestContext(
+        trace_id, user, seq, head_sampled(trace_id, head_rate),
+        service_start, False,
     )
+
+
+def _finalize(sampler, rows):
+    """Fold ``(ctx, status, arrived, completed, cached)`` rows, given in
+    log order, through ``finalize`` as the response log's columns."""
+    contexts = [row[0] for row in rows]
+    columns = [list(column) for column in zip(*(row[1:] for row in rows))]
+    if not columns:
+        columns = [[], [], [], []]
+    statuses, arrived, completed, cached = columns
+    return sampler.finalize(
+        contexts, ["submit_tx"] * len(rows), statuses, arrived, completed,
+        cached,
+    )
+
+
+def _roots(trace):
+    return [
+        r for r in trace.records if r.payload.get("name") == REQUEST_ROOT_NAME
+    ]
+
+
+def _stages(trace):
+    return {
+        r.payload["name"][len(STAGE_PREFIX):]: r.payload
+        for r in trace.records
+        if r.payload.get("name", "").startswith(STAGE_PREFIX)
+    }
 
 
 class TestRequestTraceSampler:
@@ -113,15 +141,16 @@ class TestRequestTraceSampler:
         sampler = RequestTraceSampler(
             trace, SamplingPolicy(head_rate=1.0, top_k_latency=0)
         )
-        _respond(sampler, _ctx(1, 0, 0, head_rate=1.0))
+        ctx = _ctx(1, 0, 0, head_rate=1.0, service_start=0.0)
+        sampler.on_response(ctx, "submit_tx", 200, 0.0, 0.01)
         assert sampler.kept_head == 1
-        roots = [
-            r for r in trace.records
-            if r.payload.get("name") == REQUEST_ROOT_NAME
-        ]
-        assert len(roots) == 1
-        assert roots[0].source == REQUEST_SOURCE
-        assert roots[0].payload["attributes"]["kept_by"] == "head"
+        (root,) = _roots(trace)
+        assert root.source == REQUEST_SOURCE
+        assert root.payload["attributes"]["kept_by"] == "head"
+        # The fold sees the head-sampled row but does not emit it again.
+        assert _finalize(sampler, [(ctx, 200, 0.0, 0.01, False)]) == 0
+        assert sampler.seen == 1 and sampler.kept == 1
+        assert len(_roots(trace)) == 1
 
     @pytest.mark.parametrize("status", [429, 500])
     def test_page_statuses_always_kept(self, status):
@@ -129,15 +158,17 @@ class TestRequestTraceSampler:
         sampler = RequestTraceSampler(
             trace, SamplingPolicy(head_rate=0.0, top_k_latency=0)
         )
-        _respond(sampler, _ctx(1, 0, 0), status=status)
+        assert _finalize(sampler, [(_ctx(1, 0, 0), status, 0.0, 0.0, False)]) == 1
         assert sampler.kept_status == 1
+        (root,) = _roots(trace)
+        assert root.payload["attributes"]["kept_by"] == "status"
 
     def test_ok_response_dropped_without_tail(self):
         trace = TraceLog()
         sampler = RequestTraceSampler(
             trace, SamplingPolicy(head_rate=0.0, top_k_latency=0)
         )
-        _respond(sampler, _ctx(1, 0, 0))
+        assert _finalize(sampler, [(_ctx(1, 0, 0), 200, 0.0, 0.01, False)]) == 0
         assert sampler.kept == 0
         assert len(trace) == 0
 
@@ -147,16 +178,13 @@ class TestRequestTraceSampler:
             trace, SamplingPolicy(head_rate=0.0, top_k_latency=3)
         )
         latencies = [0.010, 0.050, 0.020, 0.040, 0.030]
-        for seq, latency in enumerate(latencies):
-            _respond(
-                sampler, _ctx(1, 0, seq), arrived=0.0, completed=latency
-            )
-        assert sampler.kept_tail == 0  # buffered until finalize
-        assert sampler.finalize() == 3
-        roots = [
-            r for r in trace.records
-            if r.payload.get("name") == REQUEST_ROOT_NAME
+        rows = [
+            (_ctx(1, 0, seq), 200, 0.0, latency, False)
+            for seq, latency in enumerate(latencies)
         ]
+        assert _finalize(sampler, rows) == 3
+        assert sampler.kept_tail == 3
+        roots = _roots(trace)
         kept_ms = [r.payload["attributes"]["latency_ms"] for r in roots]
         assert kept_ms == [50.0, 40.0, 30.0]  # descending latency
         assert all(
@@ -164,44 +192,85 @@ class TestRequestTraceSampler:
             for r in roots
         )
 
-    def test_seen_counts_every_response(self):
+    def test_tail_ties_at_the_floor_keep_the_larger_trace_ids(self):
+        trace = TraceLog()
+        sampler = RequestTraceSampler(
+            trace, SamplingPolicy(head_rate=0.0, top_k_latency=2)
+        )
+        contexts = [_ctx(1, 0, seq) for seq in range(4)]
+        latencies = [0.020, 0.010, 0.010, 0.010]
+        _finalize(sampler, [
+            (ctx, 200, 0.0, latency, False)
+            for ctx, latency in zip(contexts, latencies)
+        ])
+        tied = max(ctx.trace_id for ctx in contexts[1:])
+        assert [r.payload["trace_id"] for r in _roots(trace)] == [
+            contexts[0].trace_id, tied,
+        ]
+
+    def test_status_keeps_in_log_order_before_tail_keeps(self):
+        trace = TraceLog()
+        sampler = RequestTraceSampler(
+            trace, SamplingPolicy(head_rate=0.0, top_k_latency=1)
+        )
+        rows = [
+            (_ctx(1, 0, 0), 200, 0.0, 0.5, False),
+            (_ctx(1, 0, 1), 500, 0.2, 0.3, False),
+            (_ctx(1, 0, 2), 429, 0.1, 0.1, False),
+        ]
+        assert _finalize(sampler, rows) == 3
+        assert [
+            (r.payload["attributes"]["seq"], r.payload["attributes"]["kept_by"])
+            for r in _roots(trace)
+        ] == [(1, "status"), (2, "status"), (0, "tail_latency")]
+
+    def test_seen_counts_every_response_with_a_context(self):
         sampler = RequestTraceSampler(
             TraceLog(), SamplingPolicy(head_rate=0.0, top_k_latency=1)
         )
-        for seq in range(10):
-            _respond(sampler, _ctx(1, 0, seq))
+        rows = [(_ctx(1, 0, seq), 200, 0.0, 0.01, False) for seq in range(10)]
+        rows.append((None, 200, 0.0, 0.01, False))
+        assert _finalize(sampler, rows) == 1
         assert sampler.seen == 10
-        assert sampler.kept <= 1 + sampler.finalize()
+        assert sampler.kept == 1
 
-    def test_derived_stage_decomposition_covers_latency(self):
-        # stages=None (the served-path marker) must derive the
-        # admission/queue/substrate split from the context at emit time.
+    def test_served_request_splits_into_admission_queue_substrate(self):
+        trace = TraceLog()
+        sampler = RequestTraceSampler(
+            trace, SamplingPolicy(head_rate=1.0, top_k_latency=0)
+        )
+        ctx = _ctx(1, 0, 0, head_rate=1.0, service_start=2.3)
+        sampler.on_response(ctx, "submit_tx", 200, 2.0, 2.5)
+        stages = _stages(trace)
+        assert set(stages) == {"admission", "queue", "substrate"}
+        queue, substrate = stages["queue"], stages["substrate"]
+        assert queue["end"] - queue["start"] == pytest.approx(0.3)
+        assert substrate["end"] - substrate["start"] == pytest.approx(0.2)
+
+    @pytest.mark.parametrize(
+        "status, cached, stage",
+        [(200, True, "cache"), (429, False, "admission"),
+         (400, False, "validation")],
+    )
+    def test_unserved_request_is_one_stage(self, status, cached, stage):
         trace = TraceLog()
         sampler = RequestTraceSampler(
             trace, SamplingPolicy(head_rate=1.0, top_k_latency=0)
         )
         ctx = _ctx(1, 0, 0, head_rate=1.0)
-        ctx.arrived = 2.0
-        ctx.service_start = 2.3
-        sampler.on_response(ctx, "submit_tx", 200, 2.0, 2.5, None, False)
-        stages = {
-            r.payload["name"][len(STAGE_PREFIX):]: r
-            for r in trace.records
-            if r.payload.get("name", "").startswith(STAGE_PREFIX)
-        }
-        assert set(stages) == {"admission", "queue", "substrate"}
-        queue = stages["queue"].payload
-        substrate = stages["substrate"].payload
-        assert queue["end"] - queue["start"] == pytest.approx(0.3)
-        assert substrate["end"] - substrate["start"] == pytest.approx(0.2)
+        completed = 1.0 if status == 429 else 1.0001
+        sampler.on_response(ctx, "submit_tx", status, 1.0, completed, cached)
+        stages = _stages(trace)
+        assert list(stages) == [stage]
+        assert (stages[stage]["start"], stages[stage]["end"]) == (1.0, completed)
 
     def test_never_double_emits_a_trace(self):
         trace = TraceLog()
         sampler = RequestTraceSampler(
             trace, SamplingPolicy(head_rate=1.0, top_k_latency=0)
         )
-        ctx = _ctx(1, 0, 0, head_rate=1.0)
-        _respond(sampler, ctx)
+        ctx = _ctx(1, 0, 0, head_rate=1.0, service_start=0.0)
+        sampler.on_response(ctx, "submit_tx", 200, 0.0, 0.01)
         before = len(trace)
-        _respond(sampler, ctx)
+        sampler.on_response(ctx, "submit_tx", 200, 0.0, 0.01)
         assert len(trace) == before

@@ -1,6 +1,7 @@
-"""Tests for windowed telemetry: window assignment, the deferred fold,
+"""Tests for windowed telemetry: window assignment, the column fold,
 threshold counting, queue depth, and export determinism."""
 
+import numpy as np
 import pytest
 
 from repro.obs.timeseries import WindowScope, WindowedTelemetry
@@ -25,15 +26,16 @@ def _ingest(telemetry, rows=ROWS):
     return telemetry
 
 
+def _fold(telemetry, rows=ROWS):
+    telemetry.record_responses(*(list(column) for column in zip(*rows)))
+    return telemetry
+
+
 class TestValidation:
     @pytest.mark.parametrize("window", [0.0, -1.0, float("inf"), float("nan")])
     def test_bad_window_rejected(self, window):
         with pytest.raises(ValueError, match="window"):
             WindowedTelemetry(window=window)
-
-    def test_bad_backend_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            WindowedTelemetry(backend="hdr")
 
     def test_thresholds_deduped_and_sorted(self):
         t = WindowedTelemetry(latency_thresholds_ms=(40.0, 10.0, 40.0))
@@ -62,21 +64,21 @@ class TestWindowAssignment:
 
 class TestStatusAndLatency:
     def test_status_classes_counted(self):
-        t = _ingest(WindowedTelemetry(window=10.0, backend="exact"))
+        t = _ingest(WindowedTelemetry(window=10.0))
         cell = t.scope_stats(0)
         assert (cell.ok, cell.invalid, cell.refused, cell.shed, cell.error) \
             == (4, 1, 1, 1, 1)
         assert cell.cached == 2
 
     def test_shed_excluded_from_latency(self):
-        t = _ingest(WindowedTelemetry(window=10.0, backend="exact"))
+        t = _ingest(WindowedTelemetry(window=10.0))
         cell = t.scope_stats(0)
         # 8 responses, 1 shed: latency observed for the other 7 only.
         assert cell.latency.count == 7
 
     def test_threshold_counts_exact(self):
         t = _ingest(WindowedTelemetry(
-            window=10.0, backend="exact", latency_thresholds_ms=(20.0, 50.0)
+            window=10.0, latency_thresholds_ms=(20.0, 50.0)
         ))
         cell = t.scope_stats(0)
         # Latencies (ms, sheds out): 10, 45, 2, 60, 80, 5, 30.
@@ -95,53 +97,74 @@ class TestStatusAndLatency:
         assert total == by_endpoint == len(ROWS)
 
 
-class TestDeferredFold:
-    """The ingest path buffers raw rows and folds them on first query;
-    folding must be invisible to every reader."""
+class TestColumnFold:
+    """``record_responses`` folds columns in log order, one batch per run
+    of rows completing in one window; ``record_response`` is its one-row
+    form."""
 
-    def test_query_after_every_record_matches_one_flush(self):
-        folded_once = _ingest(WindowedTelemetry(
-            window=1.0, backend="exact", latency_thresholds_ms=(20.0,)
-        ))
-        folded_eagerly = WindowedTelemetry(
-            window=1.0, backend="exact", latency_thresholds_ms=(20.0,)
-        )
-        for endpoint, status, arrived, completed, cached in ROWS:
-            folded_eagerly.record_response(
-                endpoint, status, arrived, completed, cached
-            )
-            folded_eagerly.n_windows  # force a flush mid-ingest
-        assert folded_once.to_json() == folded_eagerly.to_json()
+    def test_one_row_entry_point_feeds_the_same_fold(self):
+        by_row = _ingest(WindowedTelemetry(latency_thresholds_ms=(20.0,)))
+        by_columns = _fold(WindowedTelemetry(latency_thresholds_ms=(20.0,)))
+        assert by_row.to_json() == by_columns.to_json()
+        assert by_row.responses == by_columns.responses == len(ROWS)
 
-    def test_continued_ingest_into_same_window_after_query(self):
-        # A mid-run query consumes the boundary markers; rows recorded
-        # afterwards into the SAME window must still fold additively.
-        t = WindowedTelemetry(window=1.0, backend="exact")
+    def test_segments_cut_where_the_window_changes(self, monkeypatch):
+        batches = []
+        record_batch = WindowScope.record_batch
+
+        def spy(cell, statuses, latencies_ms, cached, thresholds):
+            batches.append((cell, len(statuses)))
+            record_batch(cell, statuses, latencies_ms, cached, thresholds)
+
+        monkeypatch.setattr(WindowScope, "record_batch", spy)
+        t = WindowedTelemetry(window=1.0)
+        # Completion windows 0, 0, 1, 0, 1, 1: the fourth row completes
+        # before the third and steps back across the boundary.
+        rows = [
+            ("a", 200, 0.1, 0.2, False),
+            ("b", 200, 0.3, 0.4, False),
+            ("a", 200, 0.9, 1.1, False),
+            ("a", 400, 0.95, 0.9501, False),
+            ("b", 200, 1.0, 1.2, False),
+            ("a", 429, 1.3, 1.3, False),
+        ]
+        _fold(t, rows)
+        all_cells = {t.scope_stats(0), t.scope_stats(1)}
+        sizes = [size for cell, size in batches if cell in all_cells]
+        assert sizes == [2, 1, 1, 2]
+        assert t.scope_stats(0).count == 3 and t.scope_stats(1).count == 3
+        assert t.scope_stats(0, "a").count == 2
+        assert t.scope_stats(1, "a").shed == 1
+
+    def test_a_later_fold_adds_to_the_same_window(self):
+        t = WindowedTelemetry(window=1.0)
         t.record_response("a", 200, 0.0, 0.1)
-        assert t.scope_stats(0).count == 1  # flush window 0
-        t.record_response("a", 200, 0.0, 0.2)
-        t.record_response("a", 429, 0.5, 0.5)
+        assert t.scope_stats(0).count == 1
+        _fold(t, [("a", 200, 0.0, 0.2, False), ("a", 429, 0.5, 0.5, False)])
         cell = t.scope_stats(0)
-        assert cell.count == 3
-        assert cell.ok == 2
-        assert cell.shed == 1
+        assert (cell.count, cell.ok, cell.shed) == (3, 2, 1)
         assert cell.latency.count == 2
+        assert t.responses == 3
 
-    def test_batch_fold_equals_per_record_fold(self):
-        thresholds = (20.0,)
-        loop = WindowScope(thresholds, "exact", 100)
-        batch = WindowScope(thresholds, "exact", 100)
-        statuses = [200, 429, 400, 200, 500]
-        latencies = [5.0, 0.0, 25.0, 60.0, 30.0]
-        for status, latency in zip(statuses, latencies):
-            loop.record(status, latency, status == 200, thresholds)
-        batch.record_batch(statuses, latencies, 2, thresholds)
-        assert loop.snapshot(1.0, thresholds) == batch.snapshot(1.0, thresholds)
-
-    def test_responses_counter_live_before_flush(self):
+    def test_empty_columns_fold_nothing(self):
         t = WindowedTelemetry()
-        t.record_response("a", 200, 0.0, 0.1)
-        assert t.responses == 1
+        t.record_responses([], [], [], [], [])
+        assert t.responses == 0 and t.n_windows == 0
+
+    def test_batch_counts_statuses_cached_and_thresholds(self):
+        thresholds = (20.0,)
+        cell = WindowScope(thresholds)
+        cell.record_batch(
+            np.array([200, 429, 400, 200, 500]),
+            np.array([5.0, 0.0, 25.0, 60.0, 30.0]),
+            2,
+            thresholds,
+        )
+        assert (cell.count, cell.ok, cell.shed, cell.invalid, cell.error) \
+            == (5, 2, 1, 1, 1)
+        assert cell.cached == 2
+        assert cell.latency.count == 4  # the shed's latency is skipped
+        assert cell.over == [3]
 
 
 class TestQueueDepth:

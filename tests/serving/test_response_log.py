@@ -26,9 +26,7 @@ class _ReferenceGateway(ServingGateway):
         super().__init__(*args, **kwargs)
         self.reference: List[Response] = []
 
-    def _respond(
-        self, route, status, arrived, completed, cached, body, ctx, stages
-    ):
+    def _respond(self, route, status, arrived, completed, cached, body, ctx):
         self.reference.append(
             Response(
                 endpoint=route.endpoint,
@@ -39,9 +37,7 @@ class _ReferenceGateway(ServingGateway):
                 body=body if body is not None else {},
             )
         )
-        super()._respond(
-            route, status, arrived, completed, cached, body, ctx, stages
-        )
+        super()._respond(route, status, arrived, completed, cached, body, ctx)
 
 
 @pytest.fixture(scope="module")

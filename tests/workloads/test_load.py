@@ -265,15 +265,6 @@ class TestLoadWorkload:
         assert "timestamp" not in payload
         assert "wall" not in payload
 
-    def test_exact_backend_also_supported(self):
-        result = run_load(**{**SMALL, "histogram_backend": "exact"})
-        sketch = run_load(**SMALL)
-        # Counts agree across backends; quantiles may differ slightly.
-        assert (
-            result.metrics["histograms"]["load.tx.fee"]["count"]
-            == sketch.metrics["histograms"]["load.tx.fee"]["count"]
-        )
-
 
 class TestElasticSharding:
     def test_imbalance_report_is_timing_only(self):
