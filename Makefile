@@ -27,14 +27,16 @@ bench:
 	$(PYTHON) -m pytest benchmarks -q --benchmark-only
 
 # One untimed repetition of every bench suite plus a single pass over
-# the tracked regression kernels and the observability-overhead gate;
+# the 12 tracked kernels (the layers no perfbench workload or ratio gate
+# runs; 3x smoke threshold) and the observability-overhead gate;
 # finishes in under a minute.  Like every harness below, it writes its
 # report into the untracked .bench_build/.
 bench-smoke:
 	$(PYTHON) -m benchmarks.regression --smoke
 
-# Full perf gate: 3 reps per tracked op, compares against
-# benchmarks/baseline.json, fails on >25% regression.
+# Full kernel gate: 3 reps of each of the 12 tracked kernels, compared
+# against benchmarks/baseline.json, fails on >25% regression; then the
+# observability-overhead gate.
 bench-regression:
 	$(PYTHON) -m benchmarks.regression
 
@@ -42,8 +44,8 @@ bench-baseline:
 	$(PYTHON) -m benchmarks.regression --update-baseline
 
 # Serving latency/saturation sweep: open-loop arrival rates vs p50/p99
-# and the saturation knee, all in simulated time; asserts a seeded
-# replay is byte-identical.  Full sweep:
+# and the saturation knee, all in simulated time, one run per rate
+# point (the determinism matrix pins serving runs).  Full sweep:
 #   python -m benchmarks.serving
 bench-serving:
 	$(PYTHON) -m benchmarks.serving --smoke

@@ -1,21 +1,28 @@
-"""Perf-regression gate for the substrate hot paths.
+"""Perf-regression gate for the substrate layers no workload times.
 
-Times a fixed set of tracked operations (sim event dispatch with
-observability hooks on, ``Histogram.summary()`` at 10k samples, repeated
-``EigenTrust.trust_of`` lookups, ledger block appends with and without
-transactions, indexed mempool selection, warm reputation writes, cached
-contract dispatch, sketch-histogram streaming, and the serving tier's
-read cache and admission control) against the committed baseline in
-``benchmarks/baseline.json`` and fails if any tracked op regresses more
-than the gate threshold (25%; 3x with ``--smoke``).  The serving
-request path as a whole is measured end to end by ``perfbench/``'s
-serving-flash workload, not here.
+Times twelve tracked kernels against the committed baseline in
+``benchmarks/baseline.json`` and fails if any of them regresses more
+than the gate threshold (25%; 3x with ``--smoke``):
 
-Alongside wall-time, every tracked op records the process peak RSS
-high-water mark (``ru_maxrss``) and how much the op grew it.  Like the
-host fingerprint, RSS is compared against the baseline but only ever
-**warns** — memory high-water marks depend on allocator behaviour and
-op ordering, so they inform rather than gate.
+* the ``Simulator``: event dispatch with a snapshot-taking tick hook,
+  schedule/cancel churn, and dispatch with engine profiling on;
+* ``Histogram.summary()`` over 10k samples, alone and interleaved with
+  observes;
+* repeated ``EigenTrust.trust_of`` lookups with no write between them;
+* ledger blocks of signed transactions;
+* span emit through a live ``Instrumentation``;
+* indexed ``TraceLog`` queries;
+* cached contract dispatch;
+* sketch-histogram observes with periodic summaries;
+* weighted shard-plan builds.
+
+No perfbench workload and no ``benchmarks/scaling.py`` ratio gate runs
+these paths.  The other hot paths are timed there: mempool selection,
+warm reputation writes, cascade rounds and batch classification by the
+scaling suite's ratio gates; block appends, budget charges, the read
+cache and admission control by the per-layer times of a traced
+perfbench run (``--trace 1``).  Peak memory is perfbench's
+``peak_rss_mib``.
 
 Also gates the **observability tax**: the serving event loop with live
 tracing and head-sampled request contexts attached must stay within
@@ -51,7 +58,6 @@ import json
 import os
 import platform
 import random
-import resource
 import subprocess
 import sys
 import time
@@ -67,19 +73,11 @@ REPS = 3  # repetitions per tracked op outside smoke mode
 # warmup); gate only on catastrophic blowups there and leave the tight
 # 25% gate to the full multi-rep run.
 SMOKE_GATE_THRESHOLD = 3.0
-# Peak-RSS drift beyond this factor of the baseline prints a warning;
-# memory never fails the gate (allocator and op-ordering dependent).
-RSS_WARN_FACTOR = 1.5
 SEED = 2022
 
 # Each kernel returns (n_ops, seconds) for the timed section only
 # (setup cost is excluded).
 Kernel = Callable[[], Tuple[int, float]]
-
-
-def _peak_rss_kib() -> int:
-    """Process peak-RSS high-water mark in KiB (Linux ``ru_maxrss``)."""
-    return int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 
 
 def _cpu_model() -> str:
@@ -209,68 +207,26 @@ def kernel_histogram_observe_then_summary() -> Tuple[int, float]:
     return reps, elapsed
 
 
-def _build_trust_graph(n_ids: int = 120, n_edges: int = 900):
-    from repro.reputation import EigenTrust
-
-    rng = random.Random(SEED)
-    ids = [f"peer-{i:03d}" for i in range(n_ids)]
-    trust = EigenTrust(pretrusted=ids[:5], alpha=0.15)
-    for _ in range(n_edges):
-        a, b = rng.sample(ids, 2)
-        trust.record_interaction(a, b, rng.uniform(0.1, 1.0))
-    return trust, ids
-
-
 def kernel_eigentrust_trust_of_repeated() -> Tuple[int, float]:
     """Many single-identity lookups with no interleaved writes.
 
     Dashboards and admission checks (``ReputationVetted``) do exactly
     this; recomputing the power iteration per lookup is the bug.
     """
-    trust, ids = _build_trust_graph()
+    from repro.reputation import EigenTrust
+
+    rng = random.Random(SEED)
+    ids = [f"peer-{i:03d}" for i in range(120)]
+    trust = EigenTrust(pretrusted=ids[:5], alpha=0.15)
+    for _ in range(900):
+        a, b = rng.sample(ids, 2)
+        trust.record_interaction(a, b, rng.uniform(0.1, 1.0))
     reps = 60
     t0 = time.perf_counter()
     for i in range(reps):
         trust.trust_of(ids[i % len(ids)])
     elapsed = time.perf_counter() - t0
     return reps, elapsed
-
-
-def kernel_eigentrust_recompute() -> Tuple[int, float]:
-    """Full recompute after each write — bounds the cost of the
-    vectorised matrix build (cache gives no help here)."""
-    trust, ids = _build_trust_graph()
-    rng = random.Random(SEED + 1)
-    reps = 15
-    t0 = time.perf_counter()
-    for i in range(reps):
-        a, b = rng.sample(ids, 2)
-        trust.record_interaction(a, b, 0.5)
-        trust.trust_of(ids[i % len(ids)])
-    elapsed = time.perf_counter() - t0
-    return reps, elapsed
-
-
-def kernel_ledger_append_1k() -> Tuple[int, float]:
-    """Append 1000 empty blocks over a 3000-account genesis.
-
-    Isolates per-block fixed costs: parent-state snapshotting and
-    header/Merkle hashing. Full per-block state copies make this scale
-    with account count instead of with what the block actually touches.
-    """
-    from repro.ledger import Blockchain, PoAConsensus, Wallet
-
-    validator = Wallet(seed=b"regression-validator", height=6)
-    balances = {f"{i:064x}": 100 for i in range(3000)}
-    balances[validator.address] = 1000
-    chain = Blockchain(PoAConsensus([validator.address]), genesis_balances=balances)
-    n = 1000
-    t0 = time.perf_counter()
-    for i in range(n):
-        chain.propose_block(validator.address, timestamp=float(i + 1), transactions=[])
-    elapsed = time.perf_counter() - t0
-    assert chain.height == n
-    return n, elapsed
 
 
 def kernel_ledger_append_txs() -> Tuple[int, float]:
@@ -371,60 +327,6 @@ def kernel_sim_profiled_dispatch() -> Tuple[int, float]:
     return n, elapsed
 
 
-def kernel_mempool_indexed_select() -> Tuple[int, float]:
-    """Repeated 200-pick block assembly over a 2000-sender pool.
-
-    The persistent fee/nonce indexes make this ``O(picks log senders)``;
-    a per-pick rescan of every sender would be ~100x slower here and
-    unusable at the 100k tier the scaling suite covers.
-    """
-    from repro.ledger import LedgerState, Mempool
-    from repro.workloads.load import agent_address, synthetic_transfer
-
-    rng = random.Random(SEED)
-    n_senders = 2000
-    state = LedgerState(
-        {agent_address(i): 1_000_000 for i in range(n_senders)}
-    )
-    pool = Mempool(capacity=n_senders * 2 + 1)
-    for i in range(n_senders):
-        sender = agent_address(i)
-        for nonce in range(2):
-            pool.submit(
-                synthetic_transfer(
-                    sender, "ee" * 32, 1, rng.randint(1, 10_000), nonce
-                ),
-                state,
-            )
-    reps = 10
-    t0 = time.perf_counter()
-    for _ in range(reps):
-        picked = pool.select(state, max_count=200)
-    elapsed = time.perf_counter() - t0
-    assert len(picked) == 200
-    return reps * 200, elapsed
-
-
-def kernel_reputation_warm_write() -> Tuple[int, float]:
-    """Rating writes with a fresh trust read after each one.
-
-    The moderation/admission loop at scale: the warm-started sparse
-    solve plus in-place edge updates keep each write-then-read cheap
-    even on a 600-identity graph.
-    """
-    trust, ids = _build_trust_graph(n_ids=600, n_edges=2400)
-    trust.compute()  # prime the warm-start vector
-    rng = random.Random(SEED + 2)
-    reps = 20
-    t0 = time.perf_counter()
-    for i in range(reps):
-        a, b = rng.sample(ids, 2)
-        trust.record_interaction(a, b, rng.uniform(0.1, 1.0))
-        trust.trust_of(ids[i % len(ids)])
-    elapsed = time.perf_counter() - t0
-    return reps, elapsed
-
-
 def kernel_contract_dispatch_cached() -> Tuple[int, float]:
     """Repeated calls into one contract method through the registry.
 
@@ -482,86 +384,6 @@ def kernel_sketch_observe_summary() -> Tuple[int, float]:
     return n, elapsed
 
 
-def kernel_cascade_round_vectorized() -> Tuple[int, float]:
-    """Full vectorized cascades over a 2000-member scale-free graph.
-
-    Each round is one CSR gather plus a single ``rng.random(total)``
-    call; the scalar loop this replaced costs ~15-30x more at this size
-    (the scaling suite gates the ratio).  Reported per round.
-    """
-    import numpy as np
-
-    from repro.social import MisinformationModel, SocialGraph
-
-    graph = SocialGraph.scale_free(2000, 3, np.random.default_rng(SEED))
-    seeds = list(graph.sorted_members()[:3])
-    graph.csr()  # compile outside the timed section
-
-    def cascade(i: int) -> int:
-        model = MisinformationModel(
-            graph, np.random.default_rng(SEED + i), base_share_prob=0.3
-        )
-        return model.spread(seeds).rounds
-
-    cascade(0)  # warm caches/allocator before timing
-    reps = 15
-    rounds = 0
-    t0 = time.perf_counter()
-    for i in range(reps):
-        rounds += cascade(i)
-    elapsed = time.perf_counter() - t0
-    assert rounds > 0
-    return rounds, elapsed
-
-
-def kernel_moderation_batch_classify() -> Tuple[int, float]:
-    """One vectorized classifier pass over a 20k-interaction batch.
-
-    The scalar path draws one ``rng.random()`` per interaction;
-    ``flag_array`` consumes the identical stream in a single call.
-    """
-    import numpy as np
-
-    from repro.governance import AbuseClassifier
-    from repro.workloads.generators import synthetic_interaction_batch
-
-    batch = synthetic_interaction_batch(
-        20_000, 20_000, time=0.0, rng=np.random.default_rng(SEED)
-    )
-    reps = 200  # each pass is ~0.1ms; keep the timed section noise-robust
-    t0 = time.perf_counter()
-    for i in range(reps):
-        classifier = AbuseClassifier(np.random.default_rng(SEED + i))
-        flags = classifier.flag_array(batch.abusive)
-    elapsed = time.perf_counter() - t0
-    assert flags.size == len(batch)
-    return reps * len(batch), elapsed
-
-
-def kernel_privacy_batch_charge() -> Tuple[int, float]:
-    """20k budget charges through ``charge_many`` over 200 hot subjects.
-
-    The O(1) accumulator path with the ledger off — the population-scale
-    spend loop of the load workload, including cap-refusal traffic.
-    """
-    import numpy as np
-
-    from repro.privacy import PrivacyBudget
-
-    rng = np.random.default_rng(SEED)
-    n = 20_000
-    subjects = [f"subject-{i:03d}" for i in rng.integers(0, 200, size=n)]
-    epsilons = rng.uniform(0.01, 0.2, size=n).tolist()
-    budget = PrivacyBudget(default_cap=5.0)
-    t0 = time.perf_counter()
-    accepted = budget.charge_many(
-        subjects, epsilons, channel="bench", record_ledger=False
-    )
-    elapsed = time.perf_counter() - t0
-    assert 0 < sum(accepted) < n  # caps genuinely bound the stream
-    return n, elapsed
-
-
 def kernel_plan_build_weighted() -> Tuple[int, float]:
     """200 weighted shard-plan builds over a 50k-agent activity profile.
 
@@ -599,56 +421,6 @@ def kernel_plan_build_weighted() -> Tuple[int, float]:
     elapsed = time.perf_counter() - t0
     assert plan.boundaries is not None and plan.boundaries[-1] == n_agents
     return reps, elapsed
-
-
-def kernel_read_cache_lookup() -> Tuple[int, float]:
-    """Mixed hit/miss/stale traffic against a warm 2k-entry read cache.
-
-    The cache sits on every read before admission control; a lookup must
-    stay a couple of dict operations even with TTL and version checks.
-    """
-    from repro.serving.middleware import ReadCache
-
-    cache = ReadCache(ttl=10.0, capacity=4096)
-    n_keys = 2000
-    for i in range(n_keys):
-        cache.store(("balance", i), {"balance": i}, now=0.0, version=1)
-    n = 50_000
-    t0 = time.perf_counter()
-    for i in range(n):
-        # ~96% hits, the rest version-stale (forces the eviction branch).
-        version = 2 if i % 25 == 0 else 1
-        body = cache.lookup(("balance", i % n_keys), now=1.0, version=version)
-        if body is None:
-            cache.store(("balance", i % n_keys), {"balance": i}, 1.0, version)
-    elapsed = time.perf_counter() - t0
-    assert cache.hits > 0 and cache.stale_version > 0
-    return n, elapsed
-
-
-def kernel_admission_control() -> Tuple[int, float]:
-    """Token-bucket takes plus bounded-queue churn on the virtual clock.
-
-    The admission decision runs once per non-cached request; its cost is
-    pure float arithmetic plus deque ops and must stay sub-microsecond.
-    """
-    from repro.serving.middleware import BoundedQueue, TokenBucket
-
-    bucket = TokenBucket(rate=500.0, burst=100.0)
-    queue = BoundedQueue(limit=64)
-    n = 100_000
-    t0 = time.perf_counter()
-    admitted = 0
-    for i in range(n):
-        now = i * 1e-3
-        if bucket.try_take(now):
-            admitted += 1
-            if not queue.offer(i):
-                queue.take()
-                queue.offer(i)
-    elapsed = time.perf_counter() - t0
-    assert 0 < admitted < n  # the bucket genuinely limited
-    return n, elapsed
 
 
 # ----------------------------------------------------------------------
@@ -891,22 +663,13 @@ TRACKED_OPS: Dict[str, Kernel] = {
     "histogram_summary_10k": kernel_histogram_summary_10k,
     "histogram_observe_then_summary_10k": kernel_histogram_observe_then_summary,
     "eigentrust_trust_of_repeated": kernel_eigentrust_trust_of_repeated,
-    "eigentrust_recompute_after_write": kernel_eigentrust_recompute,
-    "ledger_append_1k_blocks": kernel_ledger_append_1k,
     "ledger_append_tx_blocks": kernel_ledger_append_txs,
     "trace_span_emit_5k": kernel_trace_span_emit,
     "trace_indexed_query_20k": kernel_trace_indexed_query,
     "sim_profiled_dispatch_4k": kernel_sim_profiled_dispatch,
-    "mempool_indexed_select_2k": kernel_mempool_indexed_select,
-    "reputation_warm_write_600": kernel_reputation_warm_write,
     "contract_dispatch_cached_2k": kernel_contract_dispatch_cached,
     "sketch_observe_summary_50k": kernel_sketch_observe_summary,
-    "cascade_round_vectorized_2k": kernel_cascade_round_vectorized,
-    "moderation_batch_classify_20k": kernel_moderation_batch_classify,
-    "privacy_batch_charge_20k": kernel_privacy_batch_charge,
     "plan_build_weighted_200": kernel_plan_build_weighted,
-    "serving_read_cache_50k": kernel_read_cache_lookup,
-    "serving_admission_100k": kernel_admission_control,
 }
 
 
@@ -918,11 +681,9 @@ def run_tracked_ops(reps: int) -> Dict[str, Dict[str, float]]:
     for name, kernel in TRACKED_OPS.items():
         best = float("inf")
         ops = 0
-        rss_before = _peak_rss_kib()
         for _ in range(reps):
             ops, seconds = kernel()
             best = min(best, seconds)
-        rss_after = _peak_rss_kib()
         per_op = best / ops if ops else float("inf")
         results[name] = {
             "ops": ops,
@@ -930,16 +691,10 @@ def run_tracked_ops(reps: int) -> Dict[str, Dict[str, float]]:
             "seconds_per_op": per_op,
             "ops_per_second": (1.0 / per_op) if per_op > 0 else float("inf"),
             "reps": reps,
-            # High-water mark after the op, and how much the op raised
-            # it.  Growth 0 means the op fit inside already-charted
-            # memory (ru_maxrss is monotonic, so ordering matters).
-            "peak_rss_kib": rss_after,
-            "rss_growth_kib": rss_after - rss_before,
         }
         print(
             f"  {name:<40s} {per_op * 1e6:>10.1f} us/op   "
-            f"({ops} ops, best of {reps}, rss {rss_after / 1024:.0f} MiB"
-            f"{f' +{(rss_after - rss_before) / 1024:.0f}' if rss_after > rss_before else ''})"
+            f"({ops} ops, best of {reps})"
         )
     return results
 
@@ -948,10 +703,9 @@ def compare(
     current: Dict[str, Dict[str, float]],
     baseline: Dict[str, Dict[str, float]],
     threshold: float,
-) -> Tuple[Dict[str, Dict[str, float]], List[str], List[str]]:
+) -> Tuple[Dict[str, Dict[str, float]], List[str]]:
     comparison: Dict[str, Dict[str, float]] = {}
     regressions: List[str] = []
-    rss_warnings: List[str] = []
     for name, entry in current.items():
         base = baseline.get(name)
         if base is None:
@@ -968,19 +722,7 @@ def compare(
         }
         if regressed:
             regressions.append(name)
-        # Peak RSS: warn-only, like the host fingerprint.  Baselines
-        # recorded before RSS tracking simply have no reference point.
-        base_rss = base.get("peak_rss_kib")
-        cur_rss = entry.get("peak_rss_kib")
-        if base_rss and cur_rss:
-            comparison[name]["baseline_peak_rss_kib"] = base_rss
-            comparison[name]["current_peak_rss_kib"] = cur_rss
-            if cur_rss > base_rss * RSS_WARN_FACTOR:
-                rss_warnings.append(
-                    f"{name}: peak RSS {cur_rss / 1024:.0f} MiB vs baseline "
-                    f"{base_rss / 1024:.0f} MiB (>{RSS_WARN_FACTOR:.1f}x)"
-                )
-    return comparison, regressions, rss_warnings
+    return comparison, regressions
 
 
 def run_smoke_suites() -> int:
@@ -1092,21 +834,13 @@ def main(argv: List[str] = None) -> int:
                 print(f"  {diff}")
             print("  (gate still applies; re-record with --update-baseline "
                   "if this machine is the new reference)")
-        comparison, regressions, rss_warnings = compare(
-            current, baseline, threshold
-        )
+        comparison, regressions = compare(current, baseline, threshold)
         report["comparison"] = comparison
         report["regressions"] = regressions
-        report["rss_warnings"] = rss_warnings
         print("\nvs committed baseline:")
         for name, row in comparison.items():
             flag = "  REGRESSED" if row["regressed"] else ""
             print(f"  {name:<40s} {row['speedup_vs_baseline']:>7.2f}x{flag}")
-        if rss_warnings:
-            # Memory drift informs but never gates (see RSS_WARN_FACTOR).
-            print("\nWARNING: peak RSS grew beyond the baseline:")
-            for warning in rss_warnings:
-                print(f"  {warning}")
         if regressions:
             print(f"\nFAIL: {len(regressions)} tracked op(s) regressed >"
                   f"{(threshold - 1) * 100:.0f}%: {', '.join(regressions)}")

@@ -7,17 +7,19 @@ knee**: the first sweep point where the tier visibly stops keeping up
 (shed rate above 1%, or p99 blown past ``KNEE_P99_FACTOR`` × the
 lightest point's p99).
 
-Because every number is virtual-clock simulated time, the report is
-**byte-identical across hosts and reruns** for the same seed — the
-bench asserts this by replaying one mid-sweep point and comparing the
-full metrics payload, and the numbers in its report are exact, not
-samples of host noise.  Reports go to the untracked ``.bench_build/``.
+Every number is virtual-clock simulated time, so the report is the
+same on every host and rerun for the same seed: its numbers are exact,
+not samples of host noise.  The golden-digest matrix
+(``tests/integration/test_determinism.py``, rows ``serving`` and
+``perfbench/serving-flash``) is what pins serving runs byte for byte;
+this bench runs each rate point once.  Reports go to the untracked
+``.bench_build/``.
 
 Usage
 -----
 ``python -m benchmarks.serving``
     Full sweep (5 rate points), writes ``.bench_build/serving.json``,
-    exits non-zero if determinism or sanity assertions fail.
+    exits non-zero if a sanity assertion fails.
 
 ``python -m benchmarks.serving --smoke``
     Two rate points (one unsaturated, one past the knee), same
@@ -91,7 +93,6 @@ def _run_point(rate_per_user: float) -> Dict[str, object]:
         "status_counts": {str(k): v for k, v in sorted(result.status_counts.items())},
         "blocks_produced": result.blocks_produced,
         "txs_included": result.txs_included,
-        "_metrics_payload": json.dumps(result.metrics, sort_keys=True),
     }
 
 
@@ -99,16 +100,13 @@ def find_knee(points: List[Dict[str, object]]) -> Optional[Dict[str, object]]:
     """First sweep point where the tier stops keeping up."""
     reference_p99 = points[0]["p99_ms"]
     for point in points:
-        saturated_by_shed = point["shed_rate"] > KNEE_SHED_RATE
-        saturated_by_tail = (
-            reference_p99 > 0 and point["p99_ms"] > KNEE_P99_FACTOR * reference_p99
-        )
-        if saturated_by_shed or saturated_by_tail:
+        if _is_saturated(point, reference_p99):
             return {
                 "rate_per_user": point["rate_per_user"],
                 "offered_rps": point["offered_rps"],
-                "by_shed_rate": saturated_by_shed,
-                "by_p99_blowup": saturated_by_tail,
+                "reference_p99_ms": reference_p99,
+                "knee_p99_ms": point["p99_ms"],
+                "knee_shed_rate": point["shed_rate"],
             }
     return None
 
@@ -204,12 +202,6 @@ def main(argv: List[str] = None) -> int:
               f"bracket [{SWEEP_RATES[0]}, {SWEEP_RATES[-1]}] /user, "
               f"tol {BISECT_TOL}/user")
         knee = bisect_knee()
-        # Determinism: replay the knee point; full payload must match.
-        probe = _run_point(knee["knee_rate_per_user"])
-        replay = _run_point(knee["knee_rate_per_user"])
-        assert probe["_metrics_payload"] == replay["_metrics_payload"], (
-            "serving bench is not deterministic at the knee point"
-        )
         print(f"  refined knee: rate={knee['knee_rate_per_user']:.4f}/user "
               f"({knee['knee_offered_rps']:.1f} rps offered, "
               f"bracket width {knee['bracket_width']:.4f})")
@@ -222,7 +214,6 @@ def main(argv: List[str] = None) -> int:
             "spike": SPIKE,
             "mode": "bisect",
             "saturation_knee": knee,
-            "replay_byte_identical": True,
         }
         args.output.write_text(json.dumps(report, indent=2) + "\n")
         print(f"report written to {args.output}")
@@ -244,14 +235,6 @@ def main(argv: List[str] = None) -> int:
             f"  shed={point['shed_rate']:>6.2%}  (wall {wall:.1f}s)"
         )
 
-    # Determinism: replay the heaviest point; the full metrics payload
-    # (every counter, gauge, and histogram summary) must match bytewise.
-    replay = _run_point(rates[-1])
-    assert replay["_metrics_payload"] == points[-1]["_metrics_payload"], (
-        "serving bench is not deterministic: same seed, different metrics"
-    )
-    print("  replay of heaviest point: byte-identical")
-
     # Sanity: the sweep must actually bracket the knee.
     assert points[0]["shed_rate"] == 0.0, (
         "lightest sweep point already sheds — lower SWEEP_RATES[0]"
@@ -262,10 +245,9 @@ def main(argv: List[str] = None) -> int:
     )
     print(f"  saturation knee: rate={knee['rate_per_user']}/user "
           f"({knee['offered_rps']:.1f} rps offered; "
-          f"shed={knee['by_shed_rate']}, p99_blowup={knee['by_p99_blowup']})")
+          f"shed={knee['knee_shed_rate']:.2%}, p99={knee['knee_p99_ms']:.3f} ms "
+          f"against {knee['reference_p99_ms']:.3f} ms at the lightest point)")
 
-    for point in points:
-        del point["_metrics_payload"]  # asserted above; too big to keep
     report = {
         "schema": 1,
         "recorded_unix": time.time(),
@@ -276,7 +258,6 @@ def main(argv: List[str] = None) -> int:
         "smoke": args.smoke,
         "points": points,
         "saturation_knee": knee,
-        "replay_byte_identical": True,
     }
     args.output.write_text(json.dumps(report, indent=2) + "\n")
     print(f"report written to {args.output}")

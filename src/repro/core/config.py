@@ -84,12 +84,6 @@ class FrameworkConfig:
     # Wall-clock timing of engine event callbacks; off by default since
     # wall times are not deterministic (they never enter the trace log).
     enable_profiling: bool = False
-    # Histogram storage: "exact" keeps every sample (byte-identical
-    # summaries, unbounded memory); "sketch" bounds memory per metric
-    # with a deterministic quantile sketch (±~0.5% rank error) for
-    # population-scale runs.  Exact stays the default so replay
-    # comparisons are bit-for-bit.
-    histogram_backend: str = "exact"
 
     def __post_init__(self) -> None:
         if self.n_users < 1:
@@ -118,11 +112,6 @@ class FrameworkConfig:
             raise ConfigurationError(
                 "sensor_sample_fraction must be in [0, 1], "
                 f"got {self.sensor_sample_fraction}"
-            )
-        if self.histogram_backend not in ("exact", "sketch"):
-            raise ConfigurationError(
-                f"histogram_backend must be exact|sketch, "
-                f"got {self.histogram_backend!r}"
             )
 
     # ------------------------------------------------------------------

@@ -120,9 +120,7 @@ class MetaverseFramework:
         self.simulator = Simulator(profile=config.enable_profiling)
         self.bus = EventBus()
         self.trace = TraceLog()
-        self.metrics = MetricsRegistry(
-            histogram_backend=config.histogram_backend
-        )
+        self.metrics = MetricsRegistry()
         if config.enable_observability:
             self.obs: Instrumentation = Instrumentation(
                 trace=self.trace,

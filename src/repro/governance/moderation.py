@@ -394,68 +394,24 @@ class ModerationService:
 
         The scale-safe sibling of :meth:`process_epoch`: classification
         and report willingness are single vectorized draws over the
-        whole batch, and :class:`Interaction` objects are materialised
-        only for the (few) rows that actually become cases.  Returns a
-        summary of what happened this epoch.
+        whole batch (classifier first, then the report desk), and
+        :meth:`process_prepared` does the stateful rest, materialising
+        :class:`Interaction` objects only for the (few) rows that
+        actually become cases.  Returns a summary of what happened this
+        epoch.
         """
-        delivered_rows = np.flatnonzero(batch.delivered)
-
-        with self._obs.span(
-            "moderation",
-            "batch.process",
-            time=time,
-            delivered=int(delivered_rows.size),
-        ) as span:
-            flagged_rows = np.empty(0, dtype=np.int64)
-            if self._classifier is not None and delivered_rows.size:
+        flagged_rows = np.empty(0, dtype=np.int64)
+        if self._classifier is not None:
+            delivered_rows = np.flatnonzero(batch.delivered)
+            if delivered_rows.size:
                 flags = self._classifier.flag_array(
                     batch.abusive[delivered_rows]
                 )
                 flagged_rows = delivered_rows[flags]
-
-            opened = 0
-            for row in flagged_rows:
-                interaction = batch.interaction_at(int(row))
-                case = self._open_case(interaction, CaseSource.AUTOMATED, time)
-                if case is None:
-                    continue
-                opened += 1
-                if self._reviewer is None:
-                    case.decide(True, time, decider="auto")
-                    self._emit_verdict(case, time)
-                    self._apply_sanction(
-                        interaction.initiator,
-                        time,
-                        case_id=case.case_id,
-                        reason="automated flag",
-                    )
-
-            reported = 0
-            if self._report_desk is not None:
-                report_rows = self._report_desk.collect_batch(batch)
-                reported = int(report_rows.size)
-                if reported:
-                    self._obs.counter("moderation.reports_filed").inc(reported)
-                for row in report_rows:
-                    interaction = batch.interaction_at(int(row))
-                    if self._open_case(
-                        interaction, CaseSource.REPORT, time
-                    ) is not None:
-                        opened += 1
-
-            reviewed = self._drain_queue(time)
-            span.set_attribute("flagged", int(flagged_rows.size))
-            span.set_attribute("reviewed", reviewed)
-            span.set_attribute("backlog", len(self._queue))
-
-        return {
-            "delivered": int(delivered_rows.size),
-            "flagged": int(flagged_rows.size),
-            "reported": reported,
-            "opened": opened,
-            "reviewed": reviewed,
-            "backlog": len(self._queue),
-        }
+        report_rows = np.empty(0, dtype=np.int64)
+        if self._report_desk is not None:
+            report_rows = self._report_desk.collect_batch(batch)
+        return self.process_prepared(batch, flagged_rows, report_rows, time)
 
     def file_report(
         self, interaction: Interaction, time: float

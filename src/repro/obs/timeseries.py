@@ -161,9 +161,6 @@ class WindowedTelemetry:
     # ------------------------------------------------------------------
     # Ingest
     # ------------------------------------------------------------------
-    def window_index(self, time: float) -> int:
-        return int(time // self.window)
-
     def _scope(self, index: int, scope: str) -> WindowScope:
         per_window = self._windows.get(index)
         if per_window is None:

@@ -36,8 +36,6 @@ from repro.parallel.plan import (
 from repro.parallel.pool import (
     ProcessPool,
     SerialPool,
-    make_pool,
-    parallel_map,
     shared_pool,
     shutdown_shared_pools,
 )
@@ -60,10 +58,8 @@ __all__ = [
     "blend_profile",
     "SerialPool",
     "ProcessPool",
-    "make_pool",
     "shared_pool",
     "shutdown_shared_pools",
-    "parallel_map",
     "ShardTask",
     "ShardEpochResult",
     "run_shard_epoch",

@@ -8,16 +8,16 @@ reduction that folds results in order is byte-identical for any worker
 count, including the inline path.
 
 On platforms with ``fork`` (Linux), worker processes inherit the
-parent's warmed module caches (agent addresses, shard social graphs) at
+parent's warmed module cache (the shard social graphs) at
 pool-creation time for free; on ``spawn`` platforms workers rebuild
-those caches deterministically on first use.  Either way the *results*
-are identical — only the warm-up cost differs.
+it deterministically on first use.  Either way the *results* are
+identical — only the warm-up cost differs.
 
 Two behaviours keep pooled runs cheap:
 
-* **Bounded in-flight submission.**  ``map_ordered`` keeps at most a
-  small window of tasks pickled-and-pending instead of submitting the
-  whole list eagerly — long task lists do not double peak memory, and
+* **Bounded in-flight submission.**  ``map_ordered`` keeps at most
+  ``2 * workers + 2`` tasks pickled-and-pending instead of submitting
+  the whole list eagerly — long task lists do not double peak memory, and
   the first worker exception surfaces as soon as its future completes
   instead of after every earlier task has been gathered.
 * **Persistent workers.**  :func:`shared_pool` hands out long-lived
@@ -32,15 +32,13 @@ from __future__ import annotations
 import atexit
 import multiprocessing
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, TypeVar
+from typing import Callable, Dict, List, Optional, Sequence, TypeVar
 
 __all__ = [
     "SerialPool",
     "ProcessPool",
-    "make_pool",
     "shared_pool",
     "shutdown_shared_pools",
-    "parallel_map",
 ]
 
 T = TypeVar("T")
@@ -81,20 +79,18 @@ class ProcessPool:
     runs), so process start-up and per-process cache warm-up are paid
     once, not per barrier.
 
-    ``window`` bounds in-flight submissions: at most that many tasks are
-    pickled and queued at once (default ``2 * workers + 2`` — enough to
-    keep every worker fed while the parent gathers).  Results still fill
-    slots by task index, so the window size can never reorder — or
-    otherwise change — a single output byte.
+    ``window`` bounds in-flight submissions: at most ``2 * workers + 2``
+    tasks are pickled and queued at once — enough to keep every worker
+    fed while the parent gathers.  Results still fill slots by task
+    index, so the window can never reorder — or otherwise change — a
+    single output byte.
     """
 
-    def __init__(self, workers: int, window: Optional[int] = None):
+    def __init__(self, workers: int):
         if workers < 2:
             raise ValueError(f"ProcessPool needs workers >= 2, got {workers}")
-        if window is not None and window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
         self.workers = workers
-        self.window = window if window is not None else 2 * workers + 2
+        self.window = 2 * workers + 2
         context = _fork_context()
         self._executor = ProcessPoolExecutor(
             max_workers=workers, mp_context=context
@@ -198,62 +194,3 @@ def shutdown_shared_pools() -> None:
     for pool in list(_SHARED_POOLS.values()):
         pool.shutdown()
     _SHARED_POOLS.clear()
-
-
-def make_pool(workers: Optional[int]):
-    """A **caller-owned** pool for a requested worker count.
-
-    ``None``, 0, and 1 all mean inline execution — the serial path *is*
-    the one-worker path, which is what makes ``workers=K`` a pure
-    scheduling knob rather than a semantics switch.  The caller must
-    ``close()`` it; for the long-lived variant see :func:`shared_pool`.
-    """
-    if workers is None or workers <= 1:
-        return SerialPool()
-    return ProcessPool(workers)
-
-
-def parallel_map(
-    fn: Callable[[T], R],
-    items: Sequence[T],
-    pool=None,
-    chunk_size: Optional[int] = None,
-) -> List[R]:
-    """Chunked ordered map: the kernel helper behind shard dispatch.
-
-    Splits ``items`` into contiguous chunks, maps ``fn`` over each item
-    of each chunk on ``pool`` (inline when None), and concatenates in
-    item order.  The chunking changes *scheduling granularity only* —
-    results are positionally identical to ``[fn(x) for x in items]`` for
-    any pool and any chunk size, provided ``fn`` is pure.  Batched
-    classification and PET benchmarking reuse this to fan their chunk
-    kernels out over the same pools the load workload uses.
-    """
-    if chunk_size is not None and chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-    if pool is None:
-        pool = SerialPool()
-    if not items:
-        return []
-    if chunk_size is None:
-        chunk_size = max(1, len(items) // (pool.workers * 4) or 1)
-    chunks = [
-        list(items[i : i + chunk_size])
-        for i in range(0, len(items), chunk_size)
-    ]
-    chunk_results = pool.map_ordered(_MapChunk(fn), chunks)
-    out: List[R] = []
-    for result in chunk_results:
-        out.extend(result)
-    return out
-
-
-class _MapChunk:
-    """Picklable 'map fn over a chunk' callable (lambdas cannot cross
-    process boundaries)."""
-
-    def __init__(self, fn: Callable[[Any], Any]):
-        self._fn = fn
-
-    def __call__(self, chunk: Iterable[Any]) -> List[Any]:
-        return [self._fn(item) for item in chunk]

@@ -165,7 +165,6 @@ class PrivacyBudget:
         epsilons: Sequence[float],
         channel: Union[str, Sequence[str]] = "",
         time: Union[float, Sequence[float]] = 0.0,
-        record_ledger: bool = True,
     ) -> List[bool]:
         """Meter a batch of releases; returns per-entry acceptance.
 
@@ -175,9 +174,7 @@ class PrivacyBudget:
         and write no ledger row, while later entries for the same
         subject may still fit (order matters).  ``channel`` and ``time``
         are either one value for every entry or a sequence with one per
-        entry (the ledger row's channel and time).  ``record_ledger=False``
-        keeps only the accumulator updates, for population-scale runs
-        where a per-release ledger would dominate memory.
+        entry (the ledger row's channel and time).
 
         Column-backed budgets (:meth:`from_table`) route batches whose
         subjects' addresses the book has all derived through a
@@ -220,8 +217,7 @@ class PrivacyBudget:
                         "invalid epsilon in batch"
                     )
                 accepted = table.charge_spent(indices, eps_arr).tolist()
-                if record_ledger:
-                    self._log(accepted, subjects, epsilons, channel, time)
+                self._log(accepted, subjects, epsilons, channel, time)
                 return accepted
         for epsilon in epsilons:
             self._check_epsilon(epsilon)
@@ -237,8 +233,7 @@ class PrivacyBudget:
                 continue
             spent[subject] = used + epsilon
             accepted.append(True)
-        if record_ledger:
-            self._log(accepted, subjects, epsilons, channel, time)
+        self._log(accepted, subjects, epsilons, channel, time)
         return accepted
 
     def _log(

@@ -396,8 +396,7 @@ class SketchHistogram:
         }
 
 
-#: Histogram backends selectable per registry (and, via
-#: ``FrameworkConfig.histogram_backend``, per framework).
+#: Histogram backends selectable per registry.
 _HISTOGRAM_BACKENDS = ("exact", "sketch")
 
 

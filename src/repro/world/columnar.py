@@ -11,16 +11,16 @@ column                  dtype       backs
 ======================  ==========  =======================================
 ``balances``            int64       ledger genesis balances
 ``nonces``              int32       the load-workload nonce tracker
-``reputation``          float64     cached per-agent trust readout
 ``privacy_spent``       float64     :class:`repro.privacy.PrivacyBudget`
 ``privacy_cap``         float64     per-subject budget caps
-``consent``             uint8       consent bitmap (bit per channel)
 ======================  ==========  =======================================
 
-That is :data:`BYTES_PER_AGENT_COLUMNS` = 37 bytes of column data per
-agent.  An agent's identity is its dense row index; its 64-hex address
-is the pseudonym the ledger, the DAO electorate, consent and moderation
-read, and only the agents that reach those layers ever need one.
+That is :data:`BYTES_PER_AGENT_COLUMNS` = 28 bytes of column data per
+agent.  Trust lives in :class:`repro.reputation.EigenTrust` and consent
+in :class:`repro.privacy.ConsentRegistry`, not here.  An agent's
+identity is its dense row index; its 64-hex address is the pseudonym
+the ledger, the DAO electorate, consent and moderation read, and only
+the agents that reach those layers ever need one.
 
 Three pieces:
 
@@ -58,9 +58,9 @@ __all__ = [
     "BYTES_PER_AGENT_COLUMNS",
 ]
 
-#: Raw column bytes per agent: 8 (balance) + 4 (nonce) + 8 (reputation)
-#: + 8 (spent) + 8 (cap) + 1 (consent).
-BYTES_PER_AGENT_COLUMNS = 37
+#: Raw column bytes per agent: 8 (balance) + 4 (nonce) + 8 (spent)
+#: + 8 (cap).
+BYTES_PER_AGENT_COLUMNS = 28
 
 
 class AddressBook:
@@ -235,14 +235,7 @@ class AgentTable:
     kernel below writes the spent column only.
     """
 
-    __slots__ = (
-        "balances",
-        "nonces",
-        "reputation",
-        "privacy_spent",
-        "privacy_cap",
-        "consent",
-    )
+    __slots__ = ("balances", "nonces", "privacy_spent", "privacy_cap")
 
     def __init__(
         self,
@@ -253,10 +246,8 @@ class AgentTable:
     ):
         self.balances = np.full(n_agents, int(initial_balance), dtype=np.int64)
         self.nonces = np.zeros(n_agents, dtype=np.int32)
-        self.reputation = np.zeros(n_agents, dtype=np.float64)
         self.privacy_spent = np.zeros(n_agents, dtype=np.float64)
         self.privacy_cap = np.full(n_agents, float(privacy_cap), dtype=np.float64)
-        self.consent = np.zeros(n_agents, dtype=np.uint8)
 
     # ------------------------------------------------------------------
     # Shape / memory accounting
@@ -270,10 +261,8 @@ class AgentTable:
         return (
             self.balances.nbytes
             + self.nonces.nbytes
-            + self.reputation.nbytes
             + self.privacy_spent.nbytes
             + self.privacy_cap.nbytes
-            + self.consent.nbytes
         )
 
     @property
@@ -295,15 +284,6 @@ class AgentTable:
 
     def cap_map(self, book: AddressBook) -> ColumnMap:
         return ColumnMap(book, self.privacy_cap, float)
-
-    # ------------------------------------------------------------------
-    # Consent bitmap
-    # ------------------------------------------------------------------
-    def grant_consent(self, index: int, channel_bit: int) -> None:
-        self.consent[index] |= np.uint8(1 << channel_bit)
-
-    def has_consent(self, index: int, channel_bit: int) -> bool:
-        return bool(self.consent[index] & (1 << channel_bit))
 
     # ------------------------------------------------------------------
     # Bulk privacy kernel (``PrivacyBudget.charge_many``'s column fast

@@ -302,6 +302,52 @@ class TestBatchedService:
         if any(c.status is CaseStatus.UPHELD for c in service.cases):
             assert sanctions.records
 
+    @pytest.mark.parametrize("reviewed", [True, False], ids=["review", "auto"])
+    def test_process_batch_matches_process_prepared(self, rngs, reviewed):
+        # process_batch draws the classifier, then the report desk, and
+        # hands the rows to process_prepared; the same draws made by
+        # hand and fed to process_prepared must give the same run.
+        import numpy as np
+
+        from repro.workloads.generators import synthetic_interaction_batch
+
+        def service():
+            sanctions = GraduatedSanctionPolicy(world=None)
+            reviewer = HumanModeratorPool(
+                rngs.fresh("eq-rev"), capacity_per_epoch=10
+            ) if reviewed else None
+            return sanctions, ModerationService(
+                sanctions=sanctions,
+                classifier=AbuseClassifier(rngs.fresh("eq-clf")),
+                report_desk=ReportDesk(rngs.fresh("eq-desk")),
+                reviewer=reviewer,
+            )
+
+        batch_sanctions, batch_service = service()
+        prep_sanctions, prep_service = service()
+        classifier = AbuseClassifier(rngs.fresh("eq-clf"))
+        desk = ReportDesk(rngs.fresh("eq-desk"))
+        stream = rngs.fresh("eq-batch")
+        for epoch in range(4):
+            batch = synthetic_interaction_batch(
+                40, 300, time=float(epoch), rng=stream, abusive_rate=0.2,
+            )
+            delivered = np.flatnonzero(batch.delivered)
+            flagged = delivered[classifier.flag_array(batch.abusive[delivered])]
+            reported = desk.collect_batch(batch)
+            assert batch_service.process_batch(
+                batch, time=float(epoch)
+            ) == prep_service.process_prepared(
+                batch, flagged, reported, time=float(epoch)
+            )
+        cases = [
+            [(c.case_id, c.source, c.status) for c in s.cases]
+            for s in (batch_service, prep_service)
+        ]
+        assert cases[0] == cases[1] and cases[0]
+        assert batch_sanctions.records == prep_sanctions.records
+        assert batch_sanctions.records
+
     def test_backlog_drains_fifo_under_burst(self, rngs):
         sanctions = GraduatedSanctionPolicy(world=None)
         service = ModerationService(

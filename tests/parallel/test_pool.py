@@ -5,8 +5,6 @@ import pytest
 from repro.parallel import (
     ProcessPool,
     SerialPool,
-    make_pool,
-    parallel_map,
     shared_pool,
     shutdown_shared_pools,
 )
@@ -27,19 +25,10 @@ def boom_on_seven(x):
     return x * x
 
 
-class TestMakePool:
-    @pytest.mark.parametrize("workers", [None, 0, 1])
-    def test_low_counts_mean_inline(self, workers):
-        assert isinstance(make_pool(workers), SerialPool)
-
-    def test_two_plus_means_processes(self):
-        with make_pool(2) as pool:
-            assert isinstance(pool, ProcessPool)
-            assert pool.workers == 2
-
-    def test_process_pool_rejects_single_worker(self):
-        with pytest.raises(ValueError):
-            ProcessPool(1)
+@pytest.fixture
+def pool():
+    yield shared_pool(2)
+    shutdown_shared_pools()
 
 
 class TestMapOrdered:
@@ -48,40 +37,38 @@ class TestMapOrdered:
             x * x for x in range(10)
         ]
 
-    def test_process_pool_preserves_submission_order(self):
+    def test_process_pool_preserves_submission_order(self, pool):
+        # 40 tasks against a window of 2 * 2 + 2: results come back in
+        # submission order across many refills.
         items = list(range(40))
-        with make_pool(2) as pool:
-            assert pool.map_ordered(tag, items) == [tag(x) for x in items]
+        assert pool.map_ordered(tag, items) == [tag(x) for x in items]
 
-    def test_serial_equals_pooled(self):
+    def test_serial_equals_pooled(self, pool):
         items = [7, 1, 9, 2, 2, 5]
         serial = SerialPool().map_ordered(square, items)
-        with make_pool(2) as pool:
-            assert pool.map_ordered(square, items) == serial
+        assert pool.map_ordered(square, items) == serial
+
+    def test_process_pool_rejects_single_worker(self):
+        with pytest.raises(ValueError):
+            ProcessPool(1)
 
 
 class TestBackpressure:
-    def test_default_window_scales_with_workers(self):
-        with make_pool(2) as pool:
-            assert pool.window == 2 * 2 + 2
+    def test_window_scales_with_workers(self, pool):
+        assert pool.window == 2 * 2 + 2
 
-    def test_window_must_be_positive(self):
-        with pytest.raises(ValueError):
-            ProcessPool(2, window=0)
+    @pytest.mark.parametrize("n_tasks", [0, 1, 6, 7])
+    def test_results_match_across_the_window_edge(self, pool, n_tasks):
+        # No task, one, exactly a window of 2 * 2 + 2, and one refill.
+        items = list(range(n_tasks))
+        assert pool.map_ordered(tag, items) == [tag(x) for x in items]
 
-    @pytest.mark.parametrize("window", [1, 3, 100])
-    def test_window_never_changes_results(self, window):
-        items = list(range(25))
-        with ProcessPool(2, window=window) as pool:
-            assert pool.map_ordered(tag, items) == [tag(x) for x in items]
-
-    def test_worker_exception_propagates(self):
-        with make_pool(2) as pool:
-            with pytest.raises(ValueError, match="task 7 failed"):
-                pool.map_ordered(boom_on_seven, list(range(40)))
-            # A task exception must not poison the pool itself.
-            assert pool.map_ordered(square, [3, 4]) == [9, 16]
-            assert not pool.broken
+    def test_worker_exception_propagates(self, pool):
+        with pytest.raises(ValueError, match="task 7 failed"):
+            pool.map_ordered(boom_on_seven, list(range(40)))
+        # A task exception must not poison the pool itself.
+        assert pool.map_ordered(square, [3, 4]) == [9, 16]
+        assert not pool.broken
 
 
 class TestSharedPool:
@@ -111,29 +98,3 @@ class TestSharedPool:
 
     def test_distinct_worker_counts_get_distinct_pools(self):
         assert shared_pool(2) is not shared_pool(3)
-
-
-class TestParallelMap:
-    def test_matches_builtin_map_inline(self):
-        items = list(range(23))
-        assert parallel_map(square, items) == [x * x for x in items]
-
-    @pytest.mark.parametrize("chunk_size", [1, 2, 5, 23, 100])
-    def test_chunk_size_never_changes_results(self, chunk_size):
-        items = list(range(23))
-        expected = [tag(x) for x in items]
-        assert parallel_map(tag, items, chunk_size=chunk_size) == expected
-
-    def test_pooled_matches_inline(self):
-        items = list(range(37))
-        expected = parallel_map(tag, items)
-        with make_pool(2) as pool:
-            for chunk_size in (None, 1, 4, 50):
-                assert parallel_map(tag, items, pool=pool, chunk_size=chunk_size) == expected
-
-    def test_empty_items(self):
-        assert parallel_map(square, []) == []
-
-    def test_bad_chunk_size_rejected(self):
-        with pytest.raises(ValueError):
-            parallel_map(square, [1], chunk_size=0)

@@ -157,15 +157,6 @@ class TestChargeMany:
         )
         assert accepted == [True, True, False]
 
-    def test_record_ledger_false_spends_without_ledger(self):
-        budget = PrivacyBudget(default_cap=2.0)
-        accepted = budget.charge_many(
-            ["u", "u"], [0.5, 0.25], record_ledger=False
-        )
-        assert accepted == [True, True]
-        assert budget.spent("u") == pytest.approx(0.75)
-        assert budget.ledger == []
-
     def test_negative_epsilon_rejected_atomically(self):
         budget = PrivacyBudget(default_cap=1.0)
         with pytest.raises(PrivacyError):

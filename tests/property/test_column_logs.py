@@ -85,17 +85,16 @@ class ReferenceBudget:
         self.spent = {}
         self.ledger = []
 
-    def charge(self, subject, epsilon, channel, time, record=True):
+    def charge(self, subject, epsilon, channel, time):
         used = self.spent.get(subject, 0.0)
         if epsilon > max(0.0, self.cap - used) + 1e-12:
             return False
         self.spent[subject] = used + epsilon
-        if record:
-            self.ledger.append(
-                BudgetLedgerEntry(
-                    subject=subject, epsilon=epsilon, channel=channel, time=time
-                )
+        self.ledger.append(
+            BudgetLedgerEntry(
+                subject=subject, epsilon=epsilon, channel=channel, time=time
             )
+        )
         return True
 
 
@@ -133,7 +132,7 @@ def test_budget_ledger(seed, make):
         )
 
     for _ in range(60):
-        op = rng.integers(4)
+        op = rng.integers(3)
         if op == 0:
             subject, epsilon, channel, time = draw()
             expected = ref.charge(subject, epsilon, channel, time)
@@ -153,7 +152,7 @@ def test_budget_ledger(seed, make):
                 ref.charge(s, e, channel, time) for s, e in zip(subjects, epsilons)
             ]
             got = budget.charge_many(subjects, epsilons, channel=channel, time=time)
-        elif op == 2:  # a channel and time per entry
+        else:  # a channel and time per entry
             expected = [ref.charge(*entry) for entry in entries]
             got = budget.charge_many(
                 subjects,
@@ -161,12 +160,6 @@ def test_budget_ledger(seed, make):
                 channel=[e[2] for e in entries],
                 time=np.array([e[3] for e in entries]),
             )
-        else:  # spend without ledger rows
-            expected = [
-                ref.charge(s, e, "", 0.0, record=False)
-                for s, e in zip(subjects, epsilons)
-            ]
-            got = budget.charge_many(subjects, epsilons, record_ledger=False)
         assert got == expected
     assert len(ref.ledger) > 10
     assert budget.ledger == ref.ledger

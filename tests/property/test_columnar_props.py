@@ -2,11 +2,11 @@
 
 The struct-of-arrays :class:`~repro.world.columnar.AgentTable` is an
 optimisation of the per-agent dict world, so every observable —
-balances, nonces, privacy spends, reputation, acceptance verdicts,
-refusal *ordering* (skip-not-suffix), and raised exception types — must
-be indistinguishable between the two backings.  Hypothesis drives
-interleaved mutations across all four column families and compares
-against the dict-backed reference after every program.
+balances, nonces, privacy spends, acceptance verdicts, refusal
+*ordering* (skip-not-suffix), and raised exception types — must be
+indistinguishable between the two backings.  Hypothesis drives
+interleaved mutations across the column families and compares against
+the dict-backed reference after every program.
 """
 
 import math
@@ -260,13 +260,13 @@ class TestColumnMapDictSemantics:
 
 
 class TestInterleavedMutations:
-    """One program mutating all four column families, checked against
-    dict-backed state — the composed 'society tick' equivalence."""
+    """One program mutating the balance, nonce and spent columns, checked
+    against dict-backed state — the composed 'society tick' equivalence."""
 
     @given(
         ops=st.lists(
             st.tuples(
-                st.sampled_from(["balance", "nonce", "charge", "reputation"]),
+                st.sampled_from(["balance", "nonce", "charge"]),
                 subject_idx,
                 st.integers(min_value=0, max_value=50),
             ),
@@ -285,7 +285,6 @@ class TestInterleavedMutations:
         balances = {a: 100 for a in ADDRESSES}
         nonces = {}
         obj_budget = PrivacyBudget(default_cap=CAP)
-        reputation = {a: 0.0 for a in ADDRESSES}
 
         for op, idx, value in ops:
             address = ADDRESSES[idx]
@@ -295,7 +294,7 @@ class TestInterleavedMutations:
             elif op == "nonce":
                 nonce_view[address] = nonce_view.get(address, 0) + 1
                 nonces[address] = nonces.get(address, 0) + 1
-            elif op == "charge":
+            else:
                 epsilon = value / 100.0
                 got = exp = None
                 try:
@@ -309,17 +308,13 @@ class TestInterleavedMutations:
                 except PrivacyBudgetExceeded:
                     exp = False
                 assert got == exp
-            else:
-                table.reputation[idx] = value / 10.0
-                reputation[address] = value / 10.0
 
         assert {a: balance_view[a] for a in ADDRESSES} == balances
         assert {a: nonce_view[a] for a in ADDRESSES} == {
             a: nonces.get(a, 0) for a in ADDRESSES
         }
-        for i, address in enumerate(ADDRESSES):
+        for address in ADDRESSES:
             assert col_budget.spent(address) == obj_budget.spent(address)
-            assert float(table.reputation[i]) == reputation[address]
         assert math.isclose(
             float(table.privacy_spent.sum()),
             sum(obj_budget.spent(a) for a in ADDRESSES),

@@ -6,8 +6,6 @@ import random
 
 import pytest
 
-from repro.errors import ConfigurationError
-from repro.core.config import FrameworkConfig
 from repro.sim.metrics import Histogram, MetricsRegistry, SketchHistogram
 
 
@@ -126,16 +124,3 @@ class TestBackendWiring:
         assert summary["min"] == 1.0
         assert summary["max"] == 4.0
         assert "lat" in registry.render()
-
-    def test_framework_config_option(self):
-        assert FrameworkConfig(histogram_backend="sketch").histogram_backend == "sketch"
-        with pytest.raises(ConfigurationError):
-            FrameworkConfig(histogram_backend="lossless")
-
-    def test_framework_wires_backend_to_metrics(self):
-        from repro.core.framework import MetaverseFramework
-
-        fw = MetaverseFramework(
-            FrameworkConfig(seed=1, n_users=5, histogram_backend="sketch")
-        )
-        assert isinstance(fw.metrics.histogram("probe"), SketchHistogram)
