@@ -53,10 +53,6 @@ class ShardImbalance:
                 row[result.shard] += float(seconds)
                 self._final_epoch_totals[result.shard] += float(seconds)
 
-    def shard_seconds(self, phase: str) -> List[float]:
-        """Per-shard wall seconds for ``phase`` (zeros if never seen)."""
-        return list(self._phase_shard.get(phase, [0.0] * self.n_shards))
-
     def report(self) -> Dict[str, Dict[str, float]]:
         """Max/mean/imbalance per phase plus two aggregate rows:
         ``"epoch"`` (all phases, whole run) and ``"final_epoch"`` (all

@@ -1,7 +1,8 @@
 """Ship-cost metric: bytes crossing the process boundary per epoch.
 
 Records the pickled size of every shard task the parent dispatches,
-the shard's nonce-column slice and hot-subject spend snapshot included.
+the shard's nonce-column slice and the float64 snapshot of its hot
+subjects' privacy-budget spends included.
 Recorded for *every* run, including inline ``workers=1`` execution,
 where they are the bytes that *would* cross a process boundary.
 

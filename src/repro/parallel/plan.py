@@ -421,23 +421,6 @@ class ShardPlan:
         )
 
     # ------------------------------------------------------------------
-    # Work splitting
-    # ------------------------------------------------------------------
-    def count_for(self, total: int, shard: int) -> int:
-        """Shard's slice of ``total`` per-epoch operations.
-
-        Quota split mirrors an *equal* agent split: ``total // n_shards``
-        each, remainder to the lowest shard ids.  Sums to ``total``
-        exactly.  Weighted plans instead apportion quotas with
-        :func:`split_weighted` over per-shard activity mass.
-        """
-        if total < 0:
-            raise ValueError(f"total must be >= 0, got {total}")
-        self._check_shard(shard)
-        base, rem = divmod(total, self.n_shards)
-        return base + (1 if shard < rem else 0)
-
-    # ------------------------------------------------------------------
     # Streams
     # ------------------------------------------------------------------
     def rng(self, shard: int, epoch: int, phase: int) -> np.random.Generator:

@@ -35,8 +35,9 @@ shard-id order): mempool/chain state, the EigenTrust solve, DAO tally,
 the moderation case queue, the privacy pipeline's authoritative
 consent/PET/budget/disclosure stages, and all metric observation.
 
-Agents travel as dense indices.  A phase that needs an agent's address
-(a transfer's id, a frame's subject) derives it from the index with
+Agents travel as dense indices.  Frames name their subjects by index,
+and the one phase that needs addresses, the transfers (for their ids),
+derives them from the indices with
 :func:`~repro.workloads.load.agent_address`, so no task ships an
 address list and no process keeps one.  The one per-process cache,
 shard social graphs, holds only values that are pure functions of their
@@ -46,7 +47,6 @@ keys, so cache state can never make two schedules diverge.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -567,12 +567,11 @@ def _privacy_prepass(
     if task.frame_count <= 0 or not hot or not task.channels:
         return
     from repro.workloads.generators import synthetic_frame_burst
-    from repro.workloads.load import agent_address
 
     rng = task.plan.rng(task.shard, task.epoch, Phase.FRAMES)
     channel_eps = dict(task.channels)
 
-    frames, subject_indices = synthetic_frame_burst(
+    frames = synthetic_frame_burst(
         hot,
         task.frame_count,
         time=now,
@@ -580,18 +579,13 @@ def _privacy_prepass(
         channel_of=lambda subject: channel_of(
             subject, task.channels, task.plan.hot_stride
         ),
-        # Each picked subject's address, derived once per burst.
-        subject_id_of=lru_cache(maxsize=None)(agent_address),
         value_dims=FRAME_VALUE_DIMS,
     )
 
     # --- local apply: replicate ingest_all's admission, frame by frame.
-    spent = {
-        agent: float(used)
-        for agent, used in zip(hot, task.hot_spent)
-    }
+    spent = dict(zip(hot, task.hot_spent.tolist()))
     released = blocked_consent = blocked_budget = 0
-    for subject, channel in zip(subject_indices, frames.channels):
+    for subject, channel in zip(frames.subjects, frames.channels):
         if not _consented(task, subject):
             blocked_consent += 1
             continue

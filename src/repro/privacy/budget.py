@@ -4,6 +4,11 @@ Per-subject epsilon metering with hard caps: once a subject's budget is
 spent, further DP releases about them raise
 :class:`~repro.errors.PrivacyBudgetExceeded` — the enforcement half of
 "granular control to manage the input data flows" (§II-D).
+
+One :class:`PrivacyBudget` meters every privacy pipeline: the
+framework's, the serving tier's and the load workload's.  A subject is
+any hashable key — a user id, or in the load workload an agent index —
+and the budget keeps a spend only for subjects it has charged.
 """
 
 from __future__ import annotations
@@ -12,18 +17,11 @@ import math
 from array import array
 from dataclasses import dataclass
 from itertools import compress, repeat
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
+from typing import Dict, Hashable, List, Sequence, Union
 
 import numpy as np
 
 from repro.errors import PrivacyBudgetExceeded, PrivacyError
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.world.columnar import AddressBook, AgentTable
-
-# Below this batch size the vectorized columnar charge path costs more
-# in numpy dispatch than the plain loop saves.
-_VECTOR_MIN_BATCH = 8
 
 __all__ = ["BudgetLedgerEntry", "PrivacyBudget"]
 
@@ -37,7 +35,7 @@ def _per_entry(value: object) -> bool:
 class BudgetLedgerEntry:
     """One metered release."""
 
-    subject: str
+    subject: Hashable
     epsilon: float
     channel: str
     time: float
@@ -63,60 +61,29 @@ class PrivacyBudget:
         if not default_cap > 0:  # also rejects NaN
             raise PrivacyError(f"default_cap must be positive, got {default_cap}")
         self._default_cap = float(default_cap)
-        self._caps: Dict[str, float] = {}
-        self._spent: Dict[str, float] = {}
-        self._ledger_subjects: List[str] = []
+        self._caps: Dict[Hashable, float] = {}
+        self._spent: Dict[Hashable, float] = {}
+        self._ledger_subjects: List[Hashable] = []
         self._ledger_epsilons = array("d")
         self._ledger_channels: List[str] = []
         self._ledger_times = array("d")
-        # Columnar backing: the table and the book resolving its rows.
-        self._table: Optional["AgentTable"] = None
-        self._addresses: Optional["AddressBook"] = None
 
-    @classmethod
-    def from_table(
-        cls,
-        table: "AgentTable",
-        addresses: "AddressBook",
-        default_cap: Optional[float] = None,
-    ) -> "PrivacyBudget":
-        """Column-backed budget over an
-        :class:`~repro.world.columnar.AgentTable`, whose rows
-        ``addresses`` resolves from subject addresses.
-
-        Spent and cap accounting read and write the table's
-        ``privacy_spent`` / ``privacy_cap`` columns directly (dict views
-        for compatibility, vectorized :meth:`charge_many` straight into
-        the spent column for batches).  The cap column is expected to be
-        pre-filled with the default cap (``AgentTable(privacy_cap=...)``
-        does that); ``default_cap`` only governs subjects outside the
-        table and defaults to the column's fill value.
-        """
-        if default_cap is None:
-            default_cap = float(table.privacy_cap[0]) if len(table) else 10.0
-        budget = cls(default_cap=default_cap)
-        budget._caps = table.cap_map(addresses)
-        budget._spent = table.spent_map(addresses)
-        budget._table = table
-        budget._addresses = addresses
-        return budget
-
-    def set_cap(self, subject: str, cap: float) -> None:
+    def set_cap(self, subject: Hashable, cap: float) -> None:
         """Give ``subject`` a personal cap (their privacy preference)."""
         if not cap > 0:  # also rejects NaN
             raise PrivacyError(f"cap must be positive, got {cap}")
         self._caps[subject] = float(cap)
 
-    def cap_of(self, subject: str) -> float:
+    def cap_of(self, subject: Hashable) -> float:
         return self._caps.get(subject, self._default_cap)
 
-    def spent(self, subject: str) -> float:
+    def spent(self, subject: Hashable) -> float:
         return self._spent.get(subject, 0.0)
 
-    def remaining(self, subject: str) -> float:
+    def remaining(self, subject: Hashable) -> float:
         return max(0.0, self.cap_of(subject) - self.spent(subject))
 
-    def can_afford(self, subject: str, epsilon: float) -> bool:
+    def can_afford(self, subject: Hashable, epsilon: float) -> bool:
         return epsilon <= self.remaining(subject) + 1e-12
 
     @staticmethod
@@ -135,7 +102,7 @@ class PrivacyBudget:
         if epsilon < 0:
             raise PrivacyError(f"epsilon must be >= 0, got {epsilon}")
 
-    def charge(self, subject: str, epsilon: float, channel: str = "", time: float = 0.0) -> None:
+    def charge(self, subject: Hashable, epsilon: float, channel: str = "", time: float = 0.0) -> None:
         """Meter a release.
 
         Raises
@@ -161,7 +128,7 @@ class PrivacyBudget:
 
     def charge_many(
         self,
-        subjects: Sequence[str],
+        subjects: Sequence[Hashable],
         epsilons: Sequence[float],
         channel: Union[str, Sequence[str]] = "",
         time: Union[float, Sequence[float]] = 0.0,
@@ -175,13 +142,6 @@ class PrivacyBudget:
         subject may still fit (order matters).  ``channel`` and ``time``
         are either one value for every entry or a sequence with one per
         entry (the ledger row's channel and time).
-
-        Column-backed budgets (:meth:`from_table`) route batches whose
-        subjects' addresses the book has all derived through a
-        vectorized kernel writing straight into the spent column;
-        acceptance decisions, skip-not-suffix refusal ordering, and
-        float accumulation are bit-identical to the sequential loop (the
-        property suite pins this).
 
         Raises
         ------
@@ -200,25 +160,6 @@ class PrivacyBudget:
                 raise PrivacyError(
                     f"{name} length {len(value)} != subjects length {len(subjects)}"
                 )
-        table = self._table
-        if table is not None and len(subjects) >= _VECTOR_MIN_BATCH:
-            indices = self._addresses.bulk_indices(subjects)
-            if indices is not None:  # all resolved → column fast path
-                eps_arr = np.asarray(epsilons, dtype=np.float64)
-                if not np.isfinite(eps_arr).all() or (
-                    eps_arr.size and eps_arr.min() < 0
-                ):
-                    # Same validation as the loop below, vectorized; on
-                    # failure re-run the scalar checks for the exact
-                    # per-value error message.
-                    for epsilon in epsilons:
-                        self._check_epsilon(epsilon)
-                    raise PrivacyError(  # pragma: no cover - loop raises
-                        "invalid epsilon in batch"
-                    )
-                accepted = table.charge_spent(indices, eps_arr).tolist()
-                self._log(accepted, subjects, epsilons, channel, time)
-                return accepted
         for epsilon in epsilons:
             self._check_epsilon(epsilon)
         spent = self._spent
@@ -233,18 +174,6 @@ class PrivacyBudget:
                 continue
             spent[subject] = used + epsilon
             accepted.append(True)
-        self._log(accepted, subjects, epsilons, channel, time)
-        return accepted
-
-    def _log(
-        self,
-        accepted: List[bool],
-        subjects: Sequence[str],
-        epsilons: Sequence[float],
-        channel: Union[str, Sequence[str]],
-        time: Union[float, Sequence[float]],
-    ) -> None:
-        """Append the accepted entries' ledger rows."""
         count = sum(accepted)
         self._ledger_subjects.extend(compress(subjects, accepted))
         self._ledger_epsilons.extend(compress(epsilons, accepted))
@@ -256,6 +185,7 @@ class PrivacyBudget:
         self._ledger_times.extend(
             compress(time, accepted) if _per_entry(time) else repeat(time, count)
         )
+        return accepted
 
     @property
     def ledger(self) -> List[BudgetLedgerEntry]:
@@ -269,9 +199,6 @@ class PrivacyBudget:
             )
         ]
 
-    def reset(self, subject: str) -> None:
+    def reset(self, subject: Hashable) -> None:
         """New accounting period for ``subject``."""
-        if isinstance(self._spent, dict):
-            self._spent.pop(subject, None)
-        else:  # column-backed view: absent and zero read the same
-            self._spent[subject] = 0.0
+        self._spent.pop(subject, None)

@@ -12,6 +12,9 @@ benchmarks and tests stay declarative:
 * :func:`synthetic_interaction_batch` — one columnar epoch of
   avatar-to-avatar interactions for batched moderation at population
   scale (the load workload's moderation phase).
+* :func:`synthetic_frame_burst` — one columnar burst of sensor frames
+  over the load workload's hot subjects, named by agent index (its
+  privacy phase).
 """
 
 from __future__ import annotations
@@ -257,20 +260,19 @@ def synthetic_frame_burst(
     time: float,
     rng: np.random.Generator,
     channel_of,
-    subject_id_of,
     value_dims: int = 4,
-) -> Tuple[FrameBatch, List[int]]:
+) -> FrameBatch:
     """One epoch burst of sensor frames over a hot subject set.
 
     Each frame picks a subject uniformly from ``subjects`` (so caps on a
     small hot set genuinely exhaust), streams on the subject's fixed
     ``channel_of(subject)``, and carries ``value_dims`` standard-normal
-    values for the PET stage to obfuscate.  Returns the frames as one
-    :class:`~repro.privacy.sensors.FrameBatch` plus the picked subject
-    indices (callers that predict budget admission need the indices,
-    not just the hashed subject ids).  Deterministic given ``rng``;
-    exactly ``2 * n_frames`` generator draws, a subject pick then that
-    frame's values.
+    values for the PET stage to obfuscate.  The returned
+    :class:`~repro.privacy.sensors.FrameBatch` names each frame's
+    subject by the picked entry of ``subjects`` (the load workload's
+    agent indices).  Deterministic given ``rng``; exactly
+    ``2 * n_frames`` generator draws, a subject pick then that frame's
+    values.
     """
     if n_frames < 0:
         raise ValueError(f"n_frames must be >= 0, got {n_frames}")
@@ -282,14 +284,11 @@ def synthetic_frame_burst(
     for row in values:
         picks.append(subjects[int(pick(count))])
         row[:] = normal(0.0, 1.0, size=value_dims)
-    return (
-        FrameBatch(
-            subjects=[subject_id_of(subject) for subject in picks],
-            channels=[channel_of(subject) for subject in picks],
-            times=np.full(n_frames, float(time)),
-            values=values,
-        ),
-        picks,
+    return FrameBatch(
+        subjects=picks,
+        channels=[channel_of(subject) for subject in picks],
+        times=np.full(n_frames, float(time)),
+        values=values,
     )
 
 

@@ -51,13 +51,15 @@ and cost profile (``_fold``) and applies them at the barriers, one
 governance, moderation, privacy, cascade, trust.
 
 An agent is its dense index: its row in the
-:class:`~repro.world.columnar.AgentTable`, its place in the shard plan
-and its identity in the reputation layer, whose trust rows follow the
-index.  Its 64-hex address, its pseudonym on the ledger, is derived on
-first use through the run's :class:`~repro.world.columnar.AddressBook`,
-only for the agents that transact, vote, stream frames or appear in a
-moderation case; shard workers derive the addresses their transfer ids
-and frames need from the indices.  No address outlives the run.
+:class:`~repro.world.columnar.AgentTable`, its place in the shard plan,
+its identity in the reputation layer, whose trust rows follow the
+index, and its subject key in the privacy pipeline, whose consent
+switches and budget spends name the index.  Its 64-hex address, its
+pseudonym on the ledger, is derived on first use through the run's
+:class:`~repro.world.columnar.AddressBook`, only for the agents that
+transact, vote or appear in a moderation case; shard workers derive the
+addresses their transfer ids need from the indices.  No address
+outlives the run.
 
 Cross-shard effects use a two-phase protocol: transfer debits are
 validated shard-locally (senders are shard-owned), credits to other
@@ -336,17 +338,19 @@ def run_load(
     carry per-member attention state, which at full population size
     would be setup cost, not load); pass None to enrol every agent.
     ``privacy_cap`` is the per-subject epsilon cap; frames target the
-    strided hot ~1% of the population so the cap actually binds.
+    strided hot ~1% of the population so the cap actually binds, and
+    one plain :class:`~repro.privacy.budget.PrivacyBudget` meters them,
+    keyed by agent index.
     ``trace=True`` captures the obs-layer trace (parent epoch spans +
     merged worker spans + substrate spans) and returns its JSONL export.
     Metrics and traces are pure functions of the semantic config:
     ``workers`` never changes a byte.
 
-    The society's hot state — genesis balances, the nonce tracker and
-    the privacy-budget spent/cap accounting — lives in the columns of a
-    struct-of-arrays :class:`~repro.world.columnar.AgentTable`.  Shard
-    state reaches workers pickled inside each task: the shard's
-    nonce-column slice and its hot subjects' spends.  ``transport`` has
+    The state every agent has — genesis balances and the nonce tracker
+    — lives in the columns of a struct-of-arrays
+    :class:`~repro.world.columnar.AgentTable`.  Shard state reaches
+    workers pickled inside each task: the shard's nonce-column slice
+    and its hot subjects' spends, read off the budget.  ``transport`` has
     one legal value, ``"pickle"`` (the default); it stays only because
     the repository benchmark passes it, and a change to that benchmark
     can drop it.  The pickled task bytes land in
@@ -356,7 +360,8 @@ def run_load(
     integer (not a ``bool``), ``n_agents``, ``block_size`` and
     ``electorate_size`` (unless None) must be at least 1, ``epochs``,
     ``cascade_members``, ``workers`` and every ``*_per_epoch`` count at
-    least 0, ``n_shards`` None or in ``[1, n_agents]``; anything else
+    least 0, ``n_shards`` None or in ``[1, n_agents]``, and
+    ``privacy_cap`` above 0 (``inf`` included, NaN not); anything else
     raises ``ValueError`` naming the parameter.
 
     Everything built before the first epoch — agent columns, DAO
@@ -378,7 +383,8 @@ def run_load(
         "frames_per_epoch": frames_per_epoch,
     }
     _check_config(
-        n_agents, n_shards, electorate_size, block_size, transport,
+        n_agents, n_shards, electorate_size, block_size, privacy_cap,
+        transport,
         dict(epochs=epochs, cascade_members=cascade_members, workers=workers,
              **mix),
     )
@@ -451,6 +457,7 @@ def _check_config(
     n_shards: Optional[int],
     electorate_size: Optional[int],
     block_size: int,
+    privacy_cap: float,
     transport: str,
     counts: Dict[str, int],
 ) -> None:
@@ -469,6 +476,8 @@ def _check_config(
                 f"n_shards must be None or an integer in [1, {n_agents}], "
                 f"got {n_shards!r}"
             )
+    if not privacy_cap > 0:  # also rejects NaN
+        raise ValueError(f"privacy_cap must be positive, got {privacy_cap!r}")
     if transport != "pickle":
         raise ValueError(f"transport must be 'pickle', got {transport!r}")
 
@@ -515,18 +524,15 @@ def _set_up(
         )
 
     # An agent's identity is its index; its address is derived on first
-    # use, for the agents the ledger, the electorate, consent and
-    # moderation name.  The validator is not an agent.
+    # use, for the agents the ledger, the electorate and moderation
+    # name.  The validator is not an agent.
     validator = sha256(b"load-validator").hex()
     addresses = AddressBook(n_agents, agent_address, non_agents=(validator,))
-    # Struct-of-arrays hot state: genesis balances live in an int64
-    # column (the ledger's copy-on-write base), the nonce tracker in an
-    # int32 column shipped to shards as slices, and the privacy
-    # spent/cap accounting in float64 columns the budget charges
-    # directly.  No population-sized dict or string table is built.
-    table = AgentTable(
-        n_agents, initial_balance=1_000_000, privacy_cap=privacy_cap
-    )
+    # Struct-of-arrays state: genesis balances live in an int64 column
+    # (the ledger's copy-on-write base) and the nonce tracker in an
+    # int32 column shipped to shards as slices.  No population-sized
+    # dict or string table is built.
+    table = AgentTable(n_agents, initial_balance=1_000_000)
     chain = Blockchain(
         PoAConsensus([validator]),
         genesis_state=LedgerState.from_columns(table, addresses),
@@ -557,10 +563,11 @@ def _set_up(
     )
 
     # Privacy: the authoritative pipeline (consent → PET → budget →
-    # disclosure).  Workers predict its admissions; the barrier asserts.
+    # disclosure), keyed by agent index.  Workers predict its
+    # admissions; the barrier asserts.
     pipeline = PrivacyPipeline(
         consent=ConsentRegistry(),
-        budget=PrivacyBudget.from_table(table, addresses),
+        budget=PrivacyBudget(default_cap=privacy_cap),
         obs=obs,
     )
     for channel, epsilon in DEFAULT_CHANNELS:
@@ -568,12 +575,12 @@ def _set_up(
             channel,
             LaplaceMechanism(epsilon, rng=rngs.stream(f"load.pets.{channel}")),
         )
-    # Every hot subject streams frames under its address.
+    # Every hot subject streams frames under its index; all but every
+    # CONSENT_DENIED_MOD-th one opt in to its channel.
     for subject in range(0, n_agents, HOT_STRIDE):
-        address = addresses.address_of(subject)
         if (subject // HOT_STRIDE) % CONSENT_DENIED_MOD != 0:
             pipeline.consent.grant(
-                address, channel_of(subject, DEFAULT_CHANNELS, HOT_STRIDE)
+                subject, channel_of(subject, DEFAULT_CHANNELS, HOT_STRIDE)
             )
 
     run = _Run(
@@ -635,19 +642,18 @@ def _shard_tasks(
     model), except frames, which follow hot-subject activity, and votes,
     which follow electorate overlap.  Every split sums exactly to its
     per-epoch total.  Each task carries a copy of its shard's
-    nonce-column slice and of its hot subjects' spends.
+    nonce-column slice and a float64 snapshot of its hot subjects'
+    budget spends.
     """
     shards = range(epoch_plan.n_shards)
     ranges = [epoch_plan.range_of(s) for s in shards]
-    hot_by_shard = [
-        np.asarray(epoch_plan.hot_subjects_of(s), dtype=np.int64)
-        for s in shards
-    ]
+    hot_by_shard = [epoch_plan.hot_subjects_of(s) for s in shards]
     cum = run.activity_cum
     masses = [int(cum[hi] - cum[lo]) for lo, hi in ranges]
     weights = {
         "frames_per_epoch": [
-            int(run.activity[hot].sum()) for hot in hot_by_shard
+            int(run.activity[np.asarray(hot, dtype=np.int64)].sum())
+            for hot in hot_by_shard
         ],
         "votes_per_epoch": [
             max(0, mhi - mlo)
@@ -658,6 +664,7 @@ def _shard_tasks(
         name: split_weighted(total, weights.get(name, masses))
         for name, total in run.mix.items()
     }
+    spent = run.pipeline.budget.spent
     tasks = [
         ShardTask(
             plan=epoch_plan,
@@ -670,9 +677,9 @@ def _shard_tasks(
             interaction_count=quotas["interactions_per_epoch"][shard],
             frame_count=quotas["frames_per_epoch"][shard],
             base_nonce_slice=run.table.nonces[lo:hi].copy(),
-            # Fancy indexing copies: a frozen snapshot of the shard's
-            # hot spends.
-            hot_spent=run.table.privacy_spent[hot_by_shard[shard]],
+            hot_spent=np.array(
+                [spent(h) for h in hot_by_shard[shard]], dtype=np.float64
+            ),
             privacy_cap=run.privacy_cap,
             channels=DEFAULT_CHANNELS,
             consent_denied_mod=CONSENT_DENIED_MOD,

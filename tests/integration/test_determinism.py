@@ -94,7 +94,7 @@ LOAD = dict(
 def _load_invariants(runs: Runs) -> None:
     for _, result in runs:
         assert result.n_shards > 1
-        assert result.table_bytes_per_agent == 28.0
+        assert result.table_bytes_per_agent == 12.0
         assert result.trace_jsonl
         assert result.txs_included == result.txs_submitted > 0
         assert result.proposals_closed == result.trust_computes == result.epochs
@@ -372,7 +372,7 @@ ROWS = [
     _perfbench_row(
         "society-100k",
         dict(metrics="f6ac7fdfc0f0c6c6c3bb121be649fb7e753fda86a3d5f87e802d9215cb390298"),
-        bytes_per_agent=28.0,
+        bytes_per_agent=12.0,
     ),
     _perfbench_row(
         "serving-flash",
@@ -386,7 +386,7 @@ ROWS = [
     _perfbench_row(
         "society-1m",
         dict(metrics="8907614302efe4d31eca2b975cef4c55b34b5cc15565bed8380bd4abcd5406ad"),
-        bytes_per_agent=28.0,
+        bytes_per_agent=12.0,
     ),
 ]
 

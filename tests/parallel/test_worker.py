@@ -1,4 +1,5 @@
-"""The shard worker's transfer columns against a per-transfer loop."""
+"""The shard worker: transfer columns against a per-transfer loop, and
+frames that name their subjects by agent index."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from repro.ledger.transactions import Transaction, TxKind
 from repro.parallel.plan import Phase, ShardPlan
 from repro.parallel.worker import ShardEpochResult, ShardTask, run_phase
-from repro.workloads.load import agent_addresses
+from repro.workloads.load import DEFAULT_CHANNELS, agent_addresses
 
 
 def reference_transfers(task, addresses):
@@ -76,3 +77,35 @@ def test_columns_match_the_scalar_loop(
     assert all(
         type(value) is int for row in columns for value in row[:5]
     )
+
+
+def test_frames_carry_agent_indices_and_derive_no_address(monkeypatch):
+    from repro.workloads import load
+
+    def no_address(i):
+        raise AssertionError(f"the frames phase derived agent {i}'s address")
+
+    monkeypatch.setattr(load, "agent_address", no_address)
+    plan = ShardPlan(
+        seed=3, n_agents=2_000, n_shards=2, n_members=2_000, hot_stride=100,
+    )
+    shard = 1
+    hot = plan.hot_subjects_of(shard)
+    task = ShardTask(
+        plan=plan, shard=shard, epoch=0, tx_count=0, rating_count=0,
+        report_count=0, vote_count=0, interaction_count=0, frame_count=300,
+        base_nonce_slice=np.zeros(plan.size_of(shard), dtype=np.int32),
+        hot_spent=np.zeros(len(hot), dtype=np.float64),
+        channels=DEFAULT_CHANNELS,
+    )
+    result = ShardEpochResult(shard=shard)
+    run_phase(task, result, Phase.FRAMES)
+    assert len(result.frames) == task.frame_count
+    assert all(
+        type(subject) is int and subject in hot
+        for subject in result.frames.subjects
+    )
+    outcomes = result.predicted_outcomes
+    assert sum(outcomes.values()) == task.frame_count
+    # Consent and the cap both bind, so the prediction is not vacuous.
+    assert outcomes["blocked_consent"] and outcomes["blocked_budget"]

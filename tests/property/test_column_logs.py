@@ -14,7 +14,6 @@ import pytest
 from repro.errors import ConsentError, PrivacyBudgetExceeded, PrivacyError
 from repro.privacy import BudgetLedgerEntry, DisclosureIndicator, PrivacyBudget
 from repro.reputation import FeedbackEvent, ReputationSystem
-from repro.world.columnar import AddressBook, AgentTable
 from repro.workloads.load import agent_addresses
 
 SEEDS = [0, 1, 2, 3]
@@ -99,27 +98,14 @@ class ReferenceBudget:
 
 
 SUBJECTS = agent_addresses(6)
-OUTSIDER = "not-in-the-table"  # forces the column budget's scalar path
-
-
-def dict_budget(cap):
-    return PrivacyBudget(default_cap=cap)
-
-
-def column_budget(cap):
-    book = AddressBook(len(SUBJECTS), SUBJECTS.__getitem__)
-    book.addresses()  # every subject derived: batches take the column path
-    return PrivacyBudget.from_table(
-        AgentTable(len(SUBJECTS), privacy_cap=cap), book
-    )
+OUTSIDER = "not-an-agent"
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("make", [dict_budget, column_budget], ids=["dict", "column"])
-def test_budget_ledger(seed, make):
+def test_budget_ledger(seed):
     rng = np.random.default_rng(seed)
     cap = 2.0
-    budget, ref = make(cap), ReferenceBudget(cap)
+    budget, ref = PrivacyBudget(default_cap=cap), ReferenceBudget(cap)
     channels = ["gaze", "gait", "heart_rate"]
 
     def draw():

@@ -5,9 +5,9 @@ import json
 import os
 import sys
 
+import numpy as np
 import pytest
 
-from repro.errors import PrivacyError
 from repro.ledger.chain import Blockchain
 from repro.ledger.consensus import PoAConsensus
 from repro.ledger.crypto import sha256
@@ -38,6 +38,22 @@ SMALL = dict(
     votes_per_epoch=50,
     electorate_size=300,
 )
+
+
+def run_state(monkeypatch, config):
+    """Run ``run_load(**config)`` and return its final run state."""
+    from repro.workloads import load
+
+    runs = []
+    apply_trust = load._apply_trust
+
+    def keeping(run):
+        apply_trust(run)
+        runs.append(run)
+
+    monkeypatch.setattr(load, "_apply_trust", keeping)
+    run_load(**config)
+    return runs[-1]
 
 
 class TestSyntheticTransactions:
@@ -105,8 +121,8 @@ class TestSyntheticTransactions:
 
 class TestAddresses:
     """An agent's identity is its index: a run derives an agent's
-    address only when the ledger, the electorate, consent or moderation
-    names it, and keeps no address state between runs."""
+    address only when the ledger, the electorate or moderation names
+    it, and keeps no address state between runs."""
 
     CONFIG = {**SMALL, "n_agents": 20_000}
 
@@ -115,22 +131,14 @@ class TestAddresses:
         address was derived during it."""
         from repro.workloads import load
 
-        derived, runs = [], []
+        derived = []
 
         def deriving(i):
             derived.append(i)
             return agent_address(i)
 
-        apply_trust = load._apply_trust
-
-        def keeping(run):
-            apply_trust(run)
-            runs.append(run)
-
         monkeypatch.setattr(load, "agent_address", deriving)
-        monkeypatch.setattr(load, "_apply_trust", keeping)
-        run_load(**self.CONFIG)
-        return runs[-1], derived
+        return run_state(monkeypatch, self.CONFIG), derived
 
     def test_each_run_derives_the_addresses_it_touches(self, monkeypatch):
         first, derived = self._run(monkeypatch)
@@ -139,13 +147,28 @@ class TestAddresses:
         assert sorted(again) == sorted(derived)
         touched = set(derived)
         n_agents = self.CONFIG["n_agents"]
-        # Each run derives its electorate's and hot subjects' addresses,
-        # and far fewer than the population's.
-        assert (
-            set(range(self.CONFIG["electorate_size"]))
-            | set(range(0, n_agents, HOT_STRIDE))
-        ) <= touched
+        electorate = set(range(self.CONFIG["electorate_size"]))
+        # Each run derives its electorate's addresses and those its
+        # blocks and moderation cases name: far fewer than the
+        # population's.
+        book = first.addresses
+        named = {
+            book.get(address)
+            for _, tx in first.chain.iter_transactions()
+            for address in (tx.sender, tx.recipient)
+        } | {
+            book.get(party)
+            for case in first.moderation.cases
+            for party in (case.interaction.initiator, case.interaction.target)
+        }
+        assert book.misses == 0
+        assert touched == electorate | named
         assert len(touched) < n_agents // 4
+        # Hot subjects stream frames under their indices: one outside
+        # the electorate that no block or case names is never derived.
+        unnamed_hot = set(range(0, n_agents, HOT_STRIDE)) - electorate - named
+        assert len(unnamed_hot) > 100
+        assert not unnamed_hot & touched
 
     def test_an_address_the_run_never_derived_reads_its_genesis(
         self, monkeypatch
@@ -196,10 +219,44 @@ class TestLoadWorkload:
             with pytest.raises(ValueError, match="block_size"):
                 run_load(block_size=block_size, **SMALL)
 
-    def test_nan_privacy_cap_rejected(self):
-        # NaN passed `cap <= 0` and then blocked almost every frame.
-        with pytest.raises(PrivacyError):
-            run_load(privacy_cap=float("nan"), **SMALL)
+    def test_nan_privacy_cap_rejected(self, monkeypatch):
+        # A cap that is not above 0, NaN included, fails the config
+        # check before any set-up work.
+        from repro.workloads import load
+
+        class SetUpReached(Exception):
+            pass
+
+        def set_up(**config):
+            raise SetUpReached
+
+        monkeypatch.setattr(load, "_set_up", set_up)
+        for privacy_cap in (float("nan"), 0.0, -1.0):
+            with pytest.raises(ValueError, match="privacy_cap"):
+                run_load(privacy_cap=privacy_cap, **SMALL)
+        # An infinite cap, which PrivacyBudget allows, passes the check.
+        with pytest.raises(SetUpReached):
+            run_load(privacy_cap=float("inf"), **SMALL)
+
+    def test_tasks_ship_the_budget_spends_of_their_hot_subjects(
+        self, monkeypatch
+    ):
+        from repro.workloads import load
+
+        run = run_state(monkeypatch, SMALL)
+        budget = run.pipeline.budget
+        # The one budget names its subjects by agent index.
+        assert budget.ledger
+        assert all(type(entry.subject) is int for entry in budget.ledger)
+        epoch_plan = load._epoch_plan(run)
+        shipped = []
+        for task in load._shard_tasks(run, epoch_plan, SMALL["epochs"]):
+            hot = epoch_plan.hot_subjects_of(task.shard)
+            assert task.hot_spent.dtype == np.float64
+            assert task.hot_spent.tolist() == [budget.spent(h) for h in hot]
+            shipped.extend(task.hot_spent.tolist())
+        assert len(shipped) == len(range(0, SMALL["n_agents"], HOT_STRIDE))
+        assert any(shipped)
 
     def test_different_seed_differs(self):
         base = run_load(**SMALL)
