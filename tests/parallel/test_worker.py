@@ -1,5 +1,6 @@
 """The shard worker: transfer columns against a per-transfer loop, and
-frames that name their subjects by agent index."""
+frames that name their subjects by agent index and whose predicted
+admissions match the authoritative pipeline's."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -7,8 +8,24 @@ from hypothesis import strategies as st
 
 from repro.ledger.transactions import Transaction, TxKind
 from repro.parallel.plan import Phase, ShardPlan
-from repro.parallel.worker import ShardEpochResult, ShardTask, run_phase
-from repro.workloads.load import DEFAULT_CHANNELS, agent_addresses
+from repro.parallel.worker import (
+    ShardEpochResult,
+    ShardTask,
+    channel_of,
+    run_phase,
+)
+from repro.privacy import (
+    ConsentRegistry,
+    LaplaceMechanism,
+    PrivacyBudget,
+    PrivacyPipeline,
+)
+from repro.workloads.load import (
+    CONSENT_DENIED_MOD,
+    DEFAULT_CHANNELS,
+    HOT_STRIDE,
+    agent_addresses,
+)
 
 
 def reference_transfers(task, addresses):
@@ -109,3 +126,81 @@ def test_frames_carry_agent_indices_and_derive_no_address(monkeypatch):
     assert sum(outcomes.values()) == task.frame_count
     # Consent and the cap both bind, so the prediction is not vacuous.
     assert outcomes["blocked_consent"] and outcomes["blocked_budget"]
+
+
+def authoritative_pipeline(hot, hot_spent, privacy_cap):
+    """The run's pipeline as set-up builds it, over the hot subjects
+    ``hot``, each of which has already spent its ``hot_spent`` entry."""
+    pipeline = PrivacyPipeline(
+        consent=ConsentRegistry(),
+        budget=PrivacyBudget(default_cap=privacy_cap),
+    )
+    for channel, epsilon in DEFAULT_CHANNELS:
+        pipeline.set_pet(
+            channel, LaplaceMechanism(epsilon, rng=np.random.default_rng(0))
+        )
+    for subject, spent in zip(hot, hot_spent):
+        if (subject // HOT_STRIDE) % CONSENT_DENIED_MOD != 0:
+            pipeline.consent.grant(
+                subject, channel_of(subject, DEFAULT_CHANNELS, HOT_STRIDE)
+            )
+        if spent:
+            pipeline.budget.charge(subject, spent)
+    return pipeline
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**16),
+    n_agents=st.integers(min_value=100, max_value=3_000),
+    n_shards=st.integers(min_value=1, max_value=3),
+    epoch=st.integers(min_value=0, max_value=3),
+    frame_count=st.integers(min_value=0, max_value=400),
+    privacy_cap=st.one_of(
+        st.floats(min_value=0.05, max_value=8.0), st.sampled_from([0.25, 4.0])
+    ),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_predicted_outcomes_match_the_pipeline(
+    seed, n_agents, n_shards, epoch, frame_count, privacy_cap, data
+):
+    """The worker replays the pipeline's admission on the shipped spend
+    snapshot: its outcome counts are the pipeline's for any snapshot,
+    a cap already reached or one channel's epsilon short of it
+    included."""
+    plan = ShardPlan(
+        seed=seed, n_agents=n_agents, n_shards=n_shards,
+        n_members=n_agents, hot_stride=HOT_STRIDE,
+    )
+    shard = data.draw(st.integers(min_value=0, max_value=n_shards - 1))
+    hot = plan.hot_subjects_of(shard)
+    edges = [0.0, privacy_cap] + [
+        privacy_cap - epsilon
+        for _, epsilon in DEFAULT_CHANNELS
+        if epsilon < privacy_cap
+    ]
+    spend = st.one_of(
+        st.floats(min_value=0.0, max_value=privacy_cap), st.sampled_from(edges)
+    )
+    hot_spent = data.draw(
+        st.lists(spend, min_size=len(hot), max_size=len(hot))
+    )
+    task = ShardTask(
+        plan=plan, shard=shard, epoch=epoch, tx_count=0, rating_count=0,
+        report_count=0, vote_count=0, interaction_count=0,
+        frame_count=frame_count,
+        base_nonce_slice=np.zeros(plan.size_of(shard), dtype=np.int32),
+        hot_spent=np.array(hot_spent, dtype=np.float64),
+        privacy_cap=privacy_cap,
+        channels=DEFAULT_CHANNELS,
+        consent_denied_mod=CONSENT_DENIED_MOD,
+    )
+    result = ShardEpochResult(shard=shard)
+    run_phase(task, result, Phase.FRAMES)
+    pipeline = authoritative_pipeline(hot, hot_spent, privacy_cap)
+    pipeline.ingest_all(result.frames)
+    stats, predicted = pipeline.stats, result.predicted_outcomes
+    assert stats.offered == len(result.frames)
+    assert predicted.get("released", 0) == stats.released
+    assert predicted.get("blocked_consent", 0) == stats.blocked_consent
+    assert predicted.get("blocked_budget", 0) == stats.blocked_budget

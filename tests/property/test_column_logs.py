@@ -97,19 +97,25 @@ class ReferenceBudget:
         return True
 
 
-SUBJECTS = agent_addresses(6)
-OUTSIDER = "not-an-agent"
+# The serving tier names a subject by address, the society by agent
+# index; each form comes with an outsider drawn now and then.
+SUBJECT_FORMS = {
+    "address": (agent_addresses(6), "not-an-agent"),
+    "index": (list(range(6)), 6),
+}
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_budget_ledger(seed):
+@pytest.mark.parametrize("form", list(SUBJECT_FORMS))
+def test_budget_ledger(seed, form):
+    population, outsider = SUBJECT_FORMS[form]
     rng = np.random.default_rng(seed)
     cap = 2.0
     budget, ref = PrivacyBudget(default_cap=cap), ReferenceBudget(cap)
     channels = ["gaze", "gait", "heart_rate"]
 
     def draw():
-        pool = SUBJECTS + ([OUTSIDER] if rng.random() < 0.1 else [])
+        pool = population + ([outsider] if rng.random() < 0.1 else [])
         return (
             pool[int(rng.integers(len(pool)))],
             float(rng.choice([0.1, 0.25, 0.35, 0.6])),
@@ -149,7 +155,7 @@ def test_budget_ledger(seed):
         assert got == expected
     assert len(ref.ledger) > 10
     assert budget.ledger == ref.ledger
-    for subject in SUBJECTS + [OUTSIDER]:
+    for subject in population + [outsider]:
         assert budget.spent(subject) == ref.spent.get(subject, 0.0)
 
 

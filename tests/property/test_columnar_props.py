@@ -2,11 +2,11 @@
 
 The struct-of-arrays :class:`~repro.world.columnar.AgentTable` is an
 optimisation of the per-agent dict world, so the balance view the
-ledger reads must be indistinguishable from a plain dict, and the
+ledger reads must be indistinguishable from a plain dict, the
 :class:`~repro.world.columnar.AddressBook` behind it must resolve every
-agent's address to its row, derived or not.  Hypothesis drives
-interleaved reads and writes and compares against a dict after every
-program.
+agent's address to its row, derived or not, and balance and nonce
+writes must never disturb each other.  Hypothesis drives interleaved
+reads and writes and compares against dicts after every program.
 """
 
 import pytest
@@ -112,3 +112,50 @@ class TestColumnMapDictSemantics:
         view = table.balance_map(derived_book())
         with pytest.raises(TypeError):
             del view[ADDRESSES[0]]
+
+
+class TestInterleavedMutations:
+    """One program moving balances through the ledger's view and nonces
+    in their column, as an epoch's transfers do, and shipping nonce
+    slices to shards, checked against dict-backed state."""
+
+    @given(
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(["balance", "nonce", "ship"]),
+                st.integers(min_value=0, max_value=N_AGENTS - 1),
+                st.integers(min_value=0, max_value=50),
+            ),
+            min_size=0,
+            max_size=40,
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_columnar_state_matches_dicts(self, ops):
+        table = AgentTable(N_AGENTS, initial_balance=100)
+        balance_view = table.balance_map(AddressBook(N_AGENTS, agent_address))
+        balances = {a: 100 for a in ADDRESSES}
+        nonces = {}
+        shipped = []
+
+        for op, idx, value in ops:
+            address = ADDRESSES[idx]
+            if op == "balance":
+                balance_view[address] = balance_view[address] + value
+                balances[address] = balances[address] + value
+            elif op == "nonce":  # the sender's nonce runs on by one
+                table.nonces[idx] = table.nonces[idx] + 1
+                nonces[idx] = nonces.get(idx, 0) + 1
+            else:  # a shard's task carries a copy of its nonce slice
+                shipped.append((
+                    table.nonces[idx:].copy(),
+                    [nonces.get(i, 0) for i in range(idx, N_AGENTS)],
+                ))
+
+        assert {a: balance_view[a] for a in ADDRESSES} == balances
+        assert table.nonces.tolist() == [
+            nonces.get(i, 0) for i in range(N_AGENTS)
+        ]
+        # Later writes to the column never reach a shipped slice.
+        for column, expected in shipped:
+            assert column.tolist() == expected

@@ -1,5 +1,6 @@
 """Tests for workload generators."""
 
+import numpy as np
 import pytest
 
 from repro.workloads import (
@@ -8,6 +9,7 @@ from repro.workloads import (
     linkage_workload,
     sensor_corpus,
 )
+from repro.workloads.generators import synthetic_frame_burst
 
 
 class TestSensorCorpus:
@@ -80,3 +82,36 @@ class TestProposalLoad:
             dao_proposal_load(-1, ["a"], rngs.stream("p"))
         with pytest.raises(ValueError):
             dao_proposal_load(1, [], rngs.stream("p"))
+
+
+class TestFrameBurst:
+    HOT = [0, 100, 200, 300]
+
+    @staticmethod
+    def channel_of(subject):
+        return ("gaze", "gait")[subject // 100 % 2]
+
+    def test_frames_name_the_picked_indices(self, rngs):
+        burst = synthetic_frame_burst(
+            self.HOT, 50, time=3.0, rng=rngs.fresh("burst"),
+            channel_of=self.channel_of, value_dims=3,
+        )
+        # Per frame, a subject pick and then that frame's values.
+        rng, subjects, values = rngs.fresh("burst"), [], []
+        for _ in range(50):
+            subjects.append(self.HOT[int(rng.integers(len(self.HOT)))])
+            values.append(rng.normal(0.0, 1.0, size=3))
+        assert burst.subjects == subjects
+        assert all(type(subject) is int for subject in burst.subjects)
+        assert burst.channels == [self.channel_of(s) for s in subjects]
+        assert burst.times.tolist() == [3.0] * 50
+        assert np.array_equal(burst.values, np.array(values))
+        assert burst.metadata is None
+
+    def test_invalid_bursts_rejected(self, rngs):
+        rng = rngs.stream("burst")
+        with pytest.raises(ValueError):
+            synthetic_frame_burst(self.HOT, -1, 0.0, rng, self.channel_of)
+        with pytest.raises(ValueError):
+            synthetic_frame_burst([], 1, 0.0, rng, self.channel_of)
+        assert len(synthetic_frame_burst([], 0, 0.0, rng, self.channel_of)) == 0

@@ -238,6 +238,37 @@ class TestLoadWorkload:
         with pytest.raises(SetUpReached):
             run_load(privacy_cap=float("inf"), **SMALL)
 
+    def test_an_infinite_privacy_cap_blocks_no_frame(self):
+        # The same frames meet the same consent gate; with no cap to
+        # reach, every consented frame is released.
+        capped = run_load(**SMALL)
+        uncapped = run_load(privacy_cap=float("inf"), **SMALL)
+        assert capped.frames_blocked_budget > 0
+        assert uncapped.frames_blocked_budget == 0
+        assert uncapped.frames_offered == capped.frames_offered
+        assert uncapped.frames_blocked_consent == capped.frames_blocked_consent
+        assert uncapped.frames_released == (
+            uncapped.frames_offered - uncapped.frames_blocked_consent
+        )
+
+    def test_a_diverged_frame_prediction_fails_the_barrier(self, monkeypatch):
+        # The barrier checks the workers' predicted admissions against
+        # the pipeline's, so a worker one frame off stops the run.
+        from repro.parallel import worker
+
+        prepass = worker._privacy_prepass
+
+        def one_frame_off(task, result, now):
+            prepass(task, result, now)
+            if result.predicted_outcomes:
+                result.predicted_outcomes["released"] += 1
+
+        monkeypatch.setattr(worker, "_privacy_prepass", one_frame_off)
+        with pytest.raises(
+            RuntimeError, match="two-phase privacy protocol diverged"
+        ):
+            run_load(**SMALL)
+
     def test_tasks_ship_the_budget_spends_of_their_hot_subjects(
         self, monkeypatch
     ):
