@@ -4,23 +4,27 @@ Orders candidates by fee (highest first) while respecting per-sender
 nonce order, rejects duplicates and obviously-invalid transactions at
 admission, and evicts the lowest-fee entries when full.
 
-Two persistent fee-ordered structures keep the hot paths sub-linear,
-both built on the same lazy-deletion idiom (stale heap entries are
-skipped on pop instead of being searched out on removal):
+Two persistent fee-ordered heaps keep the hot paths sub-linear, both
+built on the same lazy-deletion idiom (stale heap entries are skipped on
+pop instead of being searched out on removal), beside a one-level index
+from each sender to a dict of nonce -> bucket of residents:
 
 * a global **min**-heap over ``(fee, tx_id)`` serves eviction — finding
   the cheapest resident is O(log n) amortised instead of a full scan
   per admission; and
-* a global **max**-heap over ``(sender max fee, sender)`` plus a
-  per-sender nonce-chain index serves selection — block assembly pulls
-  the best executable transaction in O(log n) per pick instead of
-  rescanning every sender per pick (O(senders x picks)).
+* a global **max**-heap over ``(fee, sender)`` serves selection — block
+  assembly pulls the best executable transaction in O(log n) per pick
+  instead of rescanning every sender per pick (O(senders x picks)).
 
-A sender's heap key is the *maximum* resident fee of that sender, which
-upper-bounds the fee of whatever transaction of theirs is currently
-executable; selection therefore never has to look at a sender whose
-bound is below the best candidate already in hand, which is what makes
-block assembly sub-linear in the number of senders.
+Every admission pushes one ``(fee, sender)`` entry, and nothing else
+touches the selection heap but selection itself, so a sender's largest
+entry stays an upper bound on the fee of whatever transaction of theirs
+is currently executable for as long as they have residents.  Selection
+therefore never has to look at a sender whose bound is below the best
+candidate already in hand, which is what makes block assembly sub-linear
+in the number of senders; a bound left high by an included or evicted
+transaction only draws its sender early.  Either heap is rebuilt once
+its stale entries outnumber the residents.
 
 Admissions, rejections, and evictions emit trace events through the
 optional ``obs`` instrumentation (eviction events carry fee, age, and
@@ -32,7 +36,7 @@ its eviction event carries ``age=None`` rather than a misleading 0.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import InvalidTransactionError
 from repro.ledger.state import LedgerState
@@ -46,63 +50,6 @@ def _fee_key(stx: SignedTransaction) -> Tuple[int, str]:
     """Total order used everywhere a "best" transaction is picked:
     highest fee first, ties broken by tx_id so every node agrees."""
     return (stx.tx.fee, stx.tx_id)
-
-
-class _SenderChain:
-    """One sender's resident transactions, indexed by nonce.
-
-    ``by_nonce`` buckets replacements (same sender, same nonce,
-    different tx_id) together; selection considers only the best-fee
-    member of the bucket at the executable nonce.  ``max_fee`` is served
-    from a lazy max-heap over the chain's residents and is the sender's
-    key in the pool-wide selection heap.
-    """
-
-    __slots__ = ("txs", "by_nonce", "_fee_heap")
-
-    def __init__(self) -> None:
-        self.txs: Dict[str, SignedTransaction] = {}
-        self.by_nonce: Dict[int, List[SignedTransaction]] = {}
-        # Max-heap of (-fee, tx_id); stale entries skipped on peek.
-        self._fee_heap: List[Tuple[int, str]] = []
-
-    def __len__(self) -> int:
-        return len(self.txs)
-
-    def add(self, stx: SignedTransaction) -> None:
-        tx = stx.tx
-        tx_id = tx.tx_id
-        self.txs[tx_id] = stx
-        self.by_nonce.setdefault(tx.nonce, []).append(stx)
-        heapq.heappush(self._fee_heap, (-tx.fee, tx_id))
-
-    def remove(self, tx_id: str) -> SignedTransaction:
-        stx = self.txs.pop(tx_id)
-        bucket = self.by_nonce[stx.tx.nonce]
-        if len(bucket) == 1:
-            del self.by_nonce[stx.tx.nonce]
-        else:
-            bucket[:] = [s for s in bucket if s.tx_id != tx_id]
-        return stx
-
-    def max_fee(self) -> int:
-        """Highest resident fee (the chain must be non-empty)."""
-        heap = self._fee_heap
-        while heap:
-            neg_fee, tx_id = heap[0]
-            if tx_id in self.txs:
-                return -neg_fee
-            heapq.heappop(heap)  # stale: pruned/evicted earlier
-        raise KeyError("max_fee() on an empty sender chain")
-
-    def best_at(self, nonce: int) -> Optional[SignedTransaction]:
-        """Best-fee resident at exactly ``nonce`` (None if no bucket)."""
-        bucket = self.by_nonce.get(nonce)
-        if not bucket:
-            return None
-        if len(bucket) == 1:
-            return bucket[0]
-        return max(bucket, key=_fee_key)
 
 
 class Mempool:
@@ -123,16 +70,19 @@ class Mempool:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self._capacity = capacity
         self._by_id: Dict[str, SignedTransaction] = {}
-        self._chains: Dict[str, _SenderChain] = {}
+        # sender -> nonce -> residents at that nonce (replacements share
+        # a bucket; selection takes the best-fee member).
+        self._senders: Dict[str, Dict[int, List[SignedTransaction]]] = {}
         # Min-heap of (fee, tx_id) over all residents; entries whose
         # tx_id is no longer resident are stale and skipped on pop
         # (lazy deletion), or dropped by prune_included's rebuild.
         # Serves eviction.
         self._fee_heap: List[Tuple[int, str]] = []
-        # Max-heap of (-max resident fee, sender); an entry is live
-        # while its fee still equals the sender's current max_fee().
-        # Serves selection: the top is an upper bound on the best
-        # executable fee of any sender not yet considered.
+        # Max-heap of (-fee, sender), one entry pushed per admission.
+        # While a sender has residents, its largest entry bounds the fee
+        # of each of them; entries of senders with no residents are
+        # stale and skipped on pop.  Serves selection: the top bounds
+        # the best executable fee of any sender not yet considered.
         self._head_heap: List[Tuple[int, str]] = []
         self._admitted_at: Dict[str, float] = {}
         self._obs = obs if obs is not None else NULL_OBS
@@ -174,12 +124,21 @@ class Mempool:
         if len(by_id) >= self._capacity and not self._evict_for(stx, time):
             return self._reject(stx, "full-pool-fee-too-low", time)
         by_id[tx_id] = stx
-        chain = self._chains.get(sender)
-        if chain is None:
-            chain = self._chains[sender] = _SenderChain()
-        chain.add(stx)
+        buckets = self._senders.get(sender)
+        if buckets is None:
+            self._senders[sender] = {nonce: [stx]}
+        else:
+            bucket = buckets.get(nonce)
+            if bucket is None:
+                buckets[nonce] = [stx]
+            else:
+                bucket.append(stx)
         heapq.heappush(self._fee_heap, (fee, tx_id))
-        heapq.heappush(self._head_heap, (-chain.max_fee(), sender))
+        head_heap = self._head_heap
+        heapq.heappush(head_heap, (-fee, sender))
+        # Evictions leave their senders' entries behind.
+        if len(head_heap) > 2 * len(by_id):
+            self._rebuild_head_heap()
         if time is not None:
             self._admitted_at[tx_id] = float(time)
         obs = self._obs
@@ -252,19 +211,29 @@ class Mempool:
         return True
 
     def _remove(self, tx_id: str) -> None:
+        """Drop a resident from the id map and its sender's index.  Its
+        selection-heap entries stay: they still bound the sender's other
+        residents, or go stale with the sender."""
         stx = self._by_id.pop(tx_id)
         self._admitted_at.pop(tx_id, None)
-        sender = stx.tx.sender
-        chain = self._chains.get(sender)
-        if chain is None:
-            return
-        chain.remove(tx_id)
-        if not chain.txs:
-            del self._chains[sender]
+        tx = stx.tx
+        buckets = self._senders[tx.sender]
+        bucket = buckets[tx.nonce]
+        if len(bucket) > 1:
+            bucket.remove(stx)
+        elif len(buckets) > 1:
+            del buckets[tx.nonce]
         else:
-            # Re-key the sender in the selection heap; the old entry
-            # goes stale and is skipped lazily.
-            heapq.heappush(self._head_heap, (-chain.max_fee(), sender))
+            del self._senders[tx.sender]
+
+    def _rebuild_head_heap(self) -> None:
+        """One entry per sender, at its largest resident fee."""
+        heap = []
+        for sender, buckets in self._senders.items():
+            top = max(stx.tx.fee for bucket in buckets.values() for stx in bucket)
+            heap.append((-top, sender))
+        heapq.heapify(heap)
+        self._head_heap = heap
 
     # ------------------------------------------------------------------
     # Selection
@@ -278,7 +247,7 @@ class Mempool:
         order.  Replacements (same sender and nonce) are resolved in
         favour of the highest-fee resident.
 
-        Implementation: senders are drawn from the persistent max-fee
+        Implementation: senders are drawn from the persistent fee-bound
         head heap; a sender is only materialised into the candidate heap
         when its fee upper bound beats the best candidate in hand, so a
         block of K picks costs O((K + drawn) log n) rather than
@@ -287,101 +256,79 @@ class Mempool:
         """
         if max_count <= 0:
             return []
+        heappop, heappush = heapq.heappop, heapq.heappush
         head_heap = self._head_heap
-        chains = self._chains
-        # Senders drawn out of the persistent heap this call (restored
-        # on exit); their executable candidate lives in ``candidates``.
-        drawn: Set[str] = set()
+        senders = self._senders
+        nonce_of = state.nonce_of
+        # Senders drawn out of the persistent heap this call, each with
+        # the largest entry it had (restored on exit); their executable
+        # candidate lives in ``candidates``.
+        drawn: Dict[str, int] = {}
         candidates: List[Tuple[int, str, SignedTransaction]] = []
         selected: List[SignedTransaction] = []
-
-        def draw_best_sender() -> Optional[int]:
-            """Peek the best live sender bound; None when exhausted."""
-            while head_heap:
-                neg_fee, sender = head_heap[0]
-                chain = chains.get(sender)
-                if (
-                    chain is None
-                    or sender in drawn
-                    or chain.max_fee() != -neg_fee
-                ):
-                    heapq.heappop(head_heap)  # stale or already drawn
-                    continue
-                return -neg_fee
-            return None
-
         try:
             while len(selected) < max_count:
-                # Materialise senders until every unseen sender's fee
-                # bound is at or below the best candidate in hand.  A
-                # bound equal to the candidate fee must still be drawn:
-                # the tx_id tie-break may favour the unseen sender.
-                while True:
-                    bound = draw_best_sender()
-                    if bound is None or (candidates and bound < -candidates[0][0]):
+                # Materialise senders until every undrawn sender's fee
+                # bound is below the best candidate in hand.  A bound
+                # equal to the candidate fee must still be drawn: the
+                # tx_id tie-break may favour the undrawn sender.
+                while head_heap:
+                    neg_fee, sender = head_heap[0]
+                    if candidates and neg_fee > candidates[0][0]:
                         break
-                    _, sender = heapq.heappop(head_heap)
-                    drawn.add(sender)
-                    chain = chains[sender]
-                    head = chain.best_at(state.nonce_of(sender))
-                    if head is not None:
-                        heapq.heappush(
-                            candidates, (-head.tx.fee, _desc_id(head.tx_id), head)
-                        )
+                    heappop(head_heap)
+                    buckets = senders.get(sender)
+                    if buckets is None or sender in drawn:
+                        continue  # no residents left, or drawn already
+                    drawn[sender] = neg_fee
+                    bucket = buckets.get(nonce_of(sender))
+                    if bucket:
+                        heappush(candidates, _candidate(bucket))
                 if not candidates:
                     break
-                _, _, best = heapq.heappop(candidates)
+                _, _, best = heappop(candidates)
                 selected.append(best)
                 tx = best.tx
                 # The sender's next nonce, as this call's own picks leave
                 # it (the pool itself is left untouched).
-                successor = chains[tx.sender].best_at(tx.nonce + 1)
-                if successor is not None:
-                    heapq.heappush(
-                        candidates,
-                        (-successor.tx.fee, _desc_id(successor.tx_id), successor),
-                    )
+                bucket = senders[tx.sender].get(tx.nonce + 1)
+                if bucket:
+                    heappush(candidates, _candidate(bucket))
         finally:
-            # Restore every drawn sender's live entry; stale duplicates
-            # left behind are cleaned up lazily on later pops.
-            for sender in drawn:
-                chain = chains.get(sender)
-                if chain is not None and chain.txs:
-                    heapq.heappush(head_heap, (-chain.max_fee(), sender))
+            # Restore every drawn sender that still has residents at its
+            # largest entry; its other entries, skipped above, went stale.
+            for sender, neg_fee in drawn.items():
+                if sender in senders:
+                    heappush(head_heap, (neg_fee, sender))
         return selected
 
     def prune_included(self, included_ids: List[str]) -> int:
         """Drop transactions that made it into a block; returns count.
 
-        Batched: each sender's chain is re-keyed in the selection heap
-        once, so pruning a whole block is O(pruned log pool) rather than
-        O(block x pool).
+        O(pruned) plus the rebuilds: no selection-heap entry is touched
+        (a pruned sender's entries go stale or keep bounding the rest
+        of its residents), and each heap is rebuilt once its stale
+        entries outnumber the residents.
         """
-        targets = {tx_id for tx_id in included_ids if tx_id in self._by_id}
-        if not targets:
+        by_id = self._by_id
+        pruned = 0
+        for tx_id in included_ids:
+            if tx_id in by_id:
+                self._remove(tx_id)
+                pruned += 1
+        if not pruned:
             return 0
-        touched_senders = set()
-        for tx_id in targets:
-            stx = self._by_id.pop(tx_id)
-            self._admitted_at.pop(tx_id, None)
-            sender = stx.tx.sender
-            touched_senders.add(sender)
-            self._chains[sender].remove(tx_id)
-        for sender in touched_senders:
-            chain = self._chains[sender]
-            if chain.txs:
-                heapq.heappush(self._head_heap, (-chain.max_fee(), sender))
-            else:
-                del self._chains[sender]
         # Pruned ids stay in the eviction heap as stale entries, and only
         # a full pool pops them.  Rebuild once they outnumber residents;
         # (fee, tx_id) is a total order, so eviction picks are unchanged.
-        if len(self._fee_heap) > 2 * len(self._by_id):
+        if len(self._fee_heap) > 2 * len(by_id):
             self._fee_heap = [
-                (stx.tx.fee, tx_id) for tx_id, stx in self._by_id.items()
+                (stx.tx.fee, tx_id) for tx_id, stx in by_id.items()
             ]
             heapq.heapify(self._fee_heap)
-        return len(targets)
+        if len(self._head_heap) > 2 * len(by_id):
+            self._rebuild_head_heap()
+        return pruned
 
     def pending(self) -> List[SignedTransaction]:
         """All resident transactions (no particular order)."""
@@ -393,6 +340,15 @@ class Mempool:
 _DESC_TABLE = str.maketrans(
     {ch: "%x" % (15 - int(ch, 16)) for ch in "0123456789abcdefABCDEF"}
 )
+
+
+def _candidate(
+    bucket: List[SignedTransaction],
+) -> Tuple[int, str, SignedTransaction]:
+    """Candidate-heap entry for a nonce bucket's best-fee member
+    (replacements resolved by :func:`_fee_key`)."""
+    best = bucket[0] if len(bucket) == 1 else max(bucket, key=_fee_key)
+    return (-best.tx.fee, _desc_id(best.tx_id), best)
 
 
 def _desc_id(tx_id: str) -> str:

@@ -2,7 +2,7 @@
 
 ``LedgerState`` is a pure state container with an ``apply`` method that
 validates and executes one signed transaction.  The blockchain replays
-blocks through it; the mempool uses throwaway copies to pre-validate.
+blocks through it and tries a block's mempool candidates on a child.
 
 Validation rules (all raise :class:`InvalidTransactionError`):
 
@@ -13,6 +13,14 @@ Validation rules (all raise :class:`InvalidTransactionError`):
 
 Contract calls are delegated to an executor callable so the state module
 does not depend on the contract VM (dependencies stay one-directional).
+
+Block states are copy-on-write snapshots (:meth:`LedgerState.child`):
+each map of a child holds only its own delta, and a read checks that
+delta, then one flat dict of every delta below it, then the genesis
+base.  The newest child takes the flat over from its parent, so the
+head of a growing chain reads in at most three lookups and no snapshot
+ever copies the keys touched since genesis; a state whose flat moved on
+rebuilds one from its ancestors' deltas when it is next read.
 """
 
 from __future__ import annotations
@@ -29,9 +37,8 @@ from repro.ledger.transactions import SignedTransaction, Transaction, TxKind
 
 __all__ = ["LedgerState"]
 
-# A copy-on-write chain flattens itself into a plain dict once this many
-# overlay layers stack up, bounding per-read cost while keeping child
-# creation O(1) (one flatten per _FLATTEN_DEPTH blocks, amortised).
+# A copy-on-write list materialises its parent prefix once this many
+# overlays stack up, bounding the walk an index read takes.
 _FLATTEN_DEPTH = 16
 
 _MISSING = object()
@@ -41,66 +48,89 @@ class _CowMap(MutableMapping):
     """Mapping overlay: reads fall through to the parent snapshot,
     writes land in a local delta dict.
 
-    The overlay keeps every layer it reads through as one tuple of delta
-    dicts, newest (its own ``_local``) first, plus the base mapping below
-    them, so a read is one flat loop rather than a walk up a chain of
-    parents.  The parent is logically frozen once a child exists (the
-    chain never mutates a committed block state); nothing enforces that,
-    so do not hand a parent out for mutation after calling
-    ``LedgerState.child``.
+    Besides its own delta (``_local``) an overlay reads one *flat* dict
+    holding every overlay delta below it, oldest first and newest
+    winning, and then the base mapping under the oldest overlay, so a
+    read is at most three lookups however deep the chain.  The flat
+    moves down the chain: the newest child of a map takes its parent's
+    flat and updates it in place with the parent's delta (O(that
+    delta)), and the parent gives it up.  A map without a flat (a
+    forked or dropped child took it, or an old block state is read)
+    rebuilds one from its ancestors' deltas on its next read, starting
+    from the nearest ancestor that still holds one.
+
+    The parent is logically frozen once a child exists (the chain never
+    mutates a committed block state); nothing enforces that, so do not
+    hand a parent out for mutation after calling ``LedgerState.child``.
     """
 
-    __slots__ = ("_local", "_layers", "_base")
+    __slots__ = ("_local", "_flat", "_parent", "_base")
 
     def __init__(self, parent: Optional[Mapping] = None):
-        if isinstance(parent, _CowMap) and len(parent._layers) >= _FLATTEN_DEPTH:
-            parent = parent._compacted()
         self._local: Dict = {}
         if isinstance(parent, _CowMap):
-            self._layers = (self._local,) + parent._layers
+            flat = parent._flat_below()
+            parent._flat = None
+            flat.update(parent._local)
+            self._flat: Optional[Dict] = flat
+            self._parent: Optional[_CowMap] = parent
             self._base = parent._base
         else:
-            self._layers = (self._local,)
+            self._flat = {}
+            self._parent = None
             self._base = parent
 
-    def _compacted(self):
-        """Collapse the overlay layers to at most one.
-
-        A plain-dict (or absent) base is fully materialised, as the
-        original flatten did.  Any other base — e.g. a columnar
-        :class:`~repro.world.columnar.ColumnMap` over a million-agent
-        table — stays the bottom layer untouched and only the overlay
-        deltas fold into a single dict, keeping the flatten O(touched
-        keys) instead of O(population)."""
-        base = self._base
-        if base is None or type(base) is dict:
-            return self._merged()
-        folded = type(self)(base)
-        for local in reversed(self._layers):
-            folded._local.update(local)
-        return folded
+    def _flat_below(self) -> Dict:
+        """The flat of every overlay delta below this one, rebuilt from
+        the ancestors' deltas if a child took it."""
+        flat = self._flat
+        if flat is None:
+            deltas = []
+            node = self._parent
+            while node is not None and node._flat is None:
+                deltas.append(node._local)
+                node = node._parent
+            if node is None:
+                flat = {}
+            else:
+                flat = dict(node._flat)
+                flat.update(node._local)
+            for local in reversed(deltas):
+                flat.update(local)
+            self._flat = flat
+        return flat
 
     def _merged(self) -> Dict:
         """Materialise the full mapping (newest layer wins)."""
         base = self._base
         merged = dict(base) if base else {}
-        for local in reversed(self._layers):
-            merged.update(local)
+        merged.update(self._flat_below())
+        merged.update(self._local)
         return merged
 
     def __getitem__(self, key):
-        for local in self._layers:
-            if key in local:
-                return local[key]
+        local = self._local
+        if key in local:
+            return local[key]
+        flat = self._flat
+        if flat is None:
+            flat = self._flat_below()
+        if key in flat:
+            return flat[key]
         base = self._base
         if base is not None:
             return base[key]
         raise KeyError(key)
 
     def get(self, key, default=None):
-        for local in self._layers:
-            if key in local:
-                return local[key]
+        local = self._local
+        if key in local:
+            return local[key]
+        flat = self._flat
+        if flat is None:
+            flat = self._flat_below()
+        if key in flat:
+            return flat[key]
         base = self._base
         if base is not None:
             return base.get(key, default)
@@ -155,19 +185,21 @@ class _CowStorageMap(_CowMap):
 
     def __getitem__(self, key):
         local = self._local
-        for layer in self._layers:
-            if key in layer:
-                value = layer[key]
-                if layer is local and not self._frozen:
-                    return value
-                break
+        if key in local:
+            value = local[key]
+            if not self._frozen:
+                return value
         else:
-            base = self._base
-            if base is None:
-                raise KeyError(key)
-            value = base.get(key, _MISSING)
-            if value is _MISSING:
-                raise KeyError(key)
+            flat = self._flat_below()
+            if key in flat:
+                value = flat[key]
+            else:
+                base = self._base
+                if base is None:
+                    raise KeyError(key)
+                value = base.get(key, _MISSING)
+                if value is _MISSING:
+                    raise KeyError(key)
         value = _deep_copy_storage(value)
         if not self._frozen:
             local[key] = value
@@ -436,11 +468,13 @@ class LedgerState:
         return clone
 
     def child(self) -> "LedgerState":
-        """O(1) copy-on-write snapshot layered over this state.
+        """Copy-on-write snapshot layered over this state.
 
         The child reads through to this state and writes only deltas —
         the chain uses this so appending a block costs O(touched keys)
-        instead of O(total accounts).  Contract: once a child exists,
+        instead of O(total accounts).  The child takes over this state's
+        flat read view and folds this state's own delta into it, so the
+        cost is O(keys this state wrote).  Contract: once a child exists,
         this state is a frozen snapshot and must not be mutated (the
         chain guarantees that — committed block states are never written
         again); mutate the child only.

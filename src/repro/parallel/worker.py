@@ -38,8 +38,10 @@ consent/PET/budget/disclosure stages, and all metric observation.
 Agents travel as dense indices.  Frames name their subjects by index,
 and the one phase that needs addresses, the transfers (for their ids),
 derives them from the indices with
-:func:`~repro.workloads.load.agent_address`, so no task ships an
-address list and no process keeps one.  The one per-process cache,
+:func:`~repro.workloads.load.agent_address` and returns them beside the
+indices, so the barrier records each party's address instead of
+hashing it again.  No task ships an address and no process keeps one
+between tasks.  The one per-process cache,
 shard social graphs, holds only values that are pure functions of their
 keys, so cache state can never make two schedules diverge.
 """
@@ -138,6 +140,9 @@ class ShardEpochResult:
     tx_fees: List[int] = field(default_factory=list)
     tx_nonces: List[int] = field(default_factory=list)
     tx_ids: List[str] = field(default_factory=list)
+    # The parties' addresses the ids were hashed from, row for row.
+    tx_sender_addresses: List[str] = field(default_factory=list)
+    tx_recipient_addresses: List[str] = field(default_factory=list)
     # Reputation edge deltas (indices are global).
     rating_raters: List[int] = field(default_factory=list)
     rating_ratees: List[int] = field(default_factory=list)
@@ -412,7 +417,9 @@ def _generate_transactions(
     calls would.  Each sender's nonces run on from its base nonce in
     draw order, and the id is
     :func:`~repro.ledger.transactions.transfer_id` of the field values
-    and the parties' addresses: no transaction object is built.
+    and the parties' addresses: no transaction object is built.  The
+    addresses go back with the result, so the barrier does not derive
+    them again.
     """
     count = task.tx_count
     if count <= 0:
@@ -447,16 +454,20 @@ def _generate_transactions(
     result.tx_amounts = draws[:, 2].tolist()
     result.tx_fees = draws[:, 3].tolist()
     result.tx_nonces = nonces.tolist()
-    result.tx_ids = [
-        transfer_id(agent_address(s), agent_address(r), amount, fee, nonce)
-        for s, r, amount, fee, nonce in zip(
-            result.tx_senders,
-            result.tx_recipients,
+    result.tx_sender_addresses = list(map(agent_address, result.tx_senders))
+    result.tx_recipient_addresses = list(
+        map(agent_address, result.tx_recipients)
+    )
+    result.tx_ids = list(
+        map(
+            transfer_id,
+            result.tx_sender_addresses,
+            result.tx_recipient_addresses,
             result.tx_amounts,
             result.tx_fees,
             result.tx_nonces,
         )
-    ]
+    )
 
 
 def _generate_ratings(

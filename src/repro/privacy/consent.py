@@ -15,7 +15,7 @@ device) when personal data is collected or transmitted."
 from __future__ import annotations
 
 from array import array
-from typing import Dict, List, Set, Tuple
+from typing import Dict, Hashable, List, Set, Tuple
 
 from repro.errors import ConsentError
 
@@ -28,14 +28,16 @@ class ConsentRegistry:
     The default is **deny**: a channel must be explicitly granted
     (privacy-by-default, as GDPR art. 25 demands).  Bystanders can never
     be marked as consenting — they have no relationship with the device.
+    A subject is any hashable key: a user id, or an agent index in the
+    load workload.
     """
 
     def __init__(self) -> None:
-        self._granted: Set[Tuple[str, str]] = set()
-        self._bystanders: Set[str] = set()
+        self._granted: Set[Tuple[Hashable, str]] = set()
+        self._bystanders: Set[Hashable] = set()
         self.denied_count = 0
 
-    def register_bystander(self, subject: str) -> None:
+    def register_bystander(self, subject: Hashable) -> None:
         """Mark ``subject`` as a bystander; grants to them are illegal."""
         self._bystanders.add(subject)
         # Revoke anything previously granted by mistake.
@@ -43,7 +45,7 @@ class ConsentRegistry:
             (s, c) for (s, c) in self._granted if s != subject
         }
 
-    def grant(self, subject: str, channel: str) -> None:
+    def grant(self, subject: Hashable, channel: str) -> None:
         """Record opt-in for one channel.
 
         Raises
@@ -57,16 +59,16 @@ class ConsentRegistry:
             )
         self._granted.add((subject, channel))
 
-    def revoke(self, subject: str, channel: str) -> None:
+    def revoke(self, subject: Hashable, channel: str) -> None:
         self._granted.discard((subject, channel))
 
-    def revoke_all(self, subject: str) -> None:
+    def revoke_all(self, subject: Hashable) -> None:
         self._granted = {(s, c) for (s, c) in self._granted if s != subject}
 
-    def is_granted(self, subject: str, channel: str) -> bool:
+    def is_granted(self, subject: Hashable, channel: str) -> bool:
         return (subject, channel) in self._granted
 
-    def check(self, subject: str, channel: str) -> None:
+    def check(self, subject: Hashable, channel: str) -> None:
         """Enforce; counts denials for the transparency metrics."""
         if not self.is_granted(subject, channel):
             self.denied_count += 1
@@ -74,7 +76,7 @@ class ConsentRegistry:
                 f"no consent from {subject} for channel {channel!r}"
             )
 
-    def channels_granted(self, subject: str) -> Set[str]:
+    def channels_granted(self, subject: Hashable) -> Set[str]:
         return {c for (s, c) in self._granted if s == subject}
 
 

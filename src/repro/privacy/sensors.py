@@ -19,7 +19,7 @@ Channels and what they leak:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Hashable, List, Optional, Sequence
 
 import numpy as np
 
@@ -49,7 +49,7 @@ class SensorFrame:
     """
 
     channel: str
-    subject: str
+    subject: Hashable
     time: float
     values: np.ndarray
     metadata: Dict[str, Any] = field(default_factory=dict)
@@ -79,7 +79,7 @@ class FrameBatch:
     are raw: they carry no PET provenance.
     """
 
-    subjects: List[str] = field(default_factory=list)
+    subjects: List[Hashable] = field(default_factory=list)
     channels: List[str] = field(default_factory=list)
     times: np.ndarray = field(default_factory=lambda: np.empty(0))
     values: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))

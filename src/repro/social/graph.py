@@ -36,7 +36,9 @@ class CsrSnapshot:
     already iterates in.  Row ``i`` holds the neighbours of
     ``ids[i]`` as ``indices[indptr[i]:indptr[i + 1]]`` (ascending, i.e.
     lexicographic by id) with tie trust in the matching ``weights``
-    slots.  The undirected graph stores each edge in both rows.
+    slots, and ``rows`` names each entry's row, so the entries in order
+    are the (member, neighbour) pairs in sorted-member-then-neighbour
+    order.  The undirected graph stores each edge in both rows.
     """
 
     ids: Tuple[str, ...]
@@ -44,6 +46,7 @@ class CsrSnapshot:
     indptr: np.ndarray  # int32, shape (n + 1,)
     indices: np.ndarray  # int32, shape (2 * edges,)
     weights: np.ndarray  # float64, shape (2 * edges,)
+    rows: np.ndarray  # intp, shape (2 * edges,)
 
     @property
     def n_members(self) -> int:
@@ -203,7 +206,8 @@ class SocialGraph:
         indptr = np.zeros(n + 1, dtype=np.int32)
         indptr[1:] = np.cumsum(np.bincount(src, minlength=n))
         return CsrSnapshot(
-            ids=ids, index=index, indptr=indptr, indices=dst, weights=wts
+            ids=ids, index=index, indptr=indptr, indices=dst, weights=wts,
+            rows=src.astype(np.intp),
         )
 
     # ------------------------------------------------------------------

@@ -21,12 +21,17 @@ Two implementations share the exact same PCG64 stream:
   Bernoulli draw per ignorant neighbour plus one stifle draw per
   spreader;
 * the **vectorized** path (default) compiles the graph to a CSR
-  snapshot and gathers every draw a round needs into a single
-  ``rng.random(total)`` call — ``rng.random(k)`` consumes the identical
-  PCG64 doubles as ``k`` scalar draws, so the two paths produce
-  byte-identical cascades (reached set, timeline, rounds) at the same
-  seed.  Property tests in ``tests/property/test_cascade_props.py`` pin
-  this equivalence.
+  snapshot.  Each round one mask over the snapshot's entries picks the
+  (spreader, ignorant neighbour) pairs in the loop's visit order, and a
+  single ``rng.random(total)`` call draws every double the round needs:
+  a pair's draw sits at its rank plus its spreader's rank, a spreader's
+  stifle draw after its pairs' draws.  ``rng.random(k)`` consumes the
+  identical PCG64 doubles as ``k`` scalar draws, so the two paths
+  produce byte-identical cascades (reached set, timeline, rounds) at
+  the same seed.  New believers are marked in the member state array,
+  and the reached set is read off it once, after the last round.
+  Property tests in ``tests/property/test_cascade_props.py`` pin this
+  equivalence.
 
 Benchmark E7 compares reach with credibility off vs on (liars having
 earned low reputations through prior fact-check feedback);
@@ -137,49 +142,39 @@ class MisinformationModel:
         unknown = [s for s in seeds if s not in index]
         if unknown:
             raise ReproError(f"seed(s) not in graph: {unknown[:5]}")
-        ids = snap.ids
-        indptr, indices, weights = snap.indptr, snap.indices, snap.weights
+        # Index arrays as intp, so no gather converts them per round.
+        ids, rows, indices = snap.ids, snap.rows, snap.indices.astype(np.intp)
+        # Every CSR entry's share probability before credibility.
+        tie_p = self._base * snap.weights
         state = np.zeros(snap.n_members, dtype=np.int8)
-        seed_idx = np.array(sorted({index[s] for s in seeds}), dtype=np.int64)
-        state[seed_idx] = _SPREADER
-        reached: Set[str] = set(seeds)
+        state[np.array([index[s] for s in seeds], dtype=np.int64)] = _SPREADER
+        spreaders = np.flatnonzero(state)
         timeline: List[int] = [len(seeds)]
 
         rounds = 0
         while rounds < max_rounds:
             rounds += 1
-            spreaders = np.flatnonzero(state == _SPREADER)
-            if spreaders.size == 0:
+            n_spreaders = spreaders.size
+            if n_spreaders == 0:
                 break
 
-            # Gather every (spreader, neighbour) pair of the round in
-            # sorted-spreader-then-sorted-neighbour order — exactly the
-            # loop path's visit order.
-            starts = indptr[spreaders].astype(np.int64)
-            counts = (indptr[spreaders + 1] - indptr[spreaders]).astype(np.int64)
-            total = int(counts.sum())
-            if total:
-                group_starts = np.cumsum(counts) - counts
-                flat = (
-                    np.arange(total, dtype=np.int64)
-                    - np.repeat(group_starts, counts)
-                    + np.repeat(starts, counts)
-                )
-                nbrs = indices[flat]
-                tie_w = weights[flat]
-                owner = np.repeat(
-                    np.arange(spreaders.size, dtype=np.int64), counts
-                )
-                ig = state[nbrs] == _IGNORANT
-                nbrs_ig, tie_ig, owner_ig = nbrs[ig], tie_w[ig], owner[ig]
-            else:
-                nbrs_ig = np.empty(0, dtype=np.int32)
-                tie_ig = np.empty(0, dtype=np.float64)
-                owner_ig = np.empty(0, dtype=np.int64)
+            # The round's (spreader, ignorant neighbour) pairs as CSR
+            # entries, in sorted-spreader-then-sorted-neighbour order —
+            # exactly the loop path's visit order — and each pair's
+            # spreader rank.
+            pairs = np.flatnonzero(
+                (state[rows] == _SPREADER) & (state[indices] == _IGNORANT)
+            )
+            owner = np.searchsorted(spreaders, rows[pairs])
 
-            if self._credibility is None:
-                cred = None
-            else:
+            # Draw layout per spreader: its ignorant-neighbour draws, then
+            # one stifle draw — the same doubles, in the same order, the
+            # scalar loop consumes.  So pair j's draw sits at j plus its
+            # spreader's rank, and spreader i's stifle draw at i plus the
+            # number of pairs of spreaders up to i.
+            draws = self._rng.random(pairs.size + n_spreaders)
+            p = tie_p[pairs]
+            if self._credibility is not None:
                 cred = np.clip(
                     np.array(
                         [float(self._credibility(ids[s])) for s in spreaders],
@@ -188,35 +183,24 @@ class MisinformationModel:
                     0.0,
                     1.0,
                 )
-
-            # Draw layout per spreader: k ignorant-neighbour draws, then
-            # one stifle draw — the same doubles, in the same order, the
-            # scalar loop consumes.
-            k = np.bincount(owner_ig, minlength=spreaders.size)
-            draw_starts = np.cumsum(k + 1) - (k + 1)
-            draws = self._rng.random(int(k.sum()) + spreaders.size)
-
-            if nbrs_ig.size:
-                k_starts = np.cumsum(k) - k
-                within = np.arange(nbrs_ig.size, dtype=np.int64) - np.repeat(
-                    k_starts, k
-                )
-                share_draws = draws[draw_starts[owner_ig] + within]
-                p = self._base * tie_ig
-                if cred is not None:
-                    p = p * cred[owner_ig]
-                hits = nbrs_ig[share_draws < p]
-            else:
-                hits = nbrs_ig
-            stifled = draws[draw_starts + k] < self._stifle
+                p = p * cred[owner]
+            hits = indices[pairs[draws[np.arange(pairs.size) + owner] < p]]
+            ranks = np.arange(n_spreaders)
+            stifled = (
+                draws[np.searchsorted(owner, ranks, side="right") + ranks]
+                < self._stifle
+            )
             state[spreaders[stifled]] = _STIFLER
-
-            new_idx = np.unique(hits)
-            state[new_idx] = _SPREADER
-            reached.update(ids[i] for i in new_idx)
-            timeline.append(int(new_idx.size))
-            if new_idx.size == 0 and not (state == _SPREADER).any():
+            # Hits were ignorant: those still spreading plus the distinct
+            # new believers are the next round's spreaders.
+            state[hits] = _SPREADER
+            still_spreading = n_spreaders - int(np.count_nonzero(stifled))
+            spreaders = np.flatnonzero(state == _SPREADER)
+            timeline.append(spreaders.size - still_spreading)
+            if spreaders.size == 0:
                 break
+        # Everyone not ignorant is a seed or was reached.
+        reached = {ids[i] for i in np.flatnonzero(state).tolist()}
         return SpreadResult(rounds=rounds, reached=reached, timeline=timeline)
 
     # ------------------------------------------------------------------

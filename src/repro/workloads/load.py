@@ -58,8 +58,9 @@ switches and budget spends name the index.  Its 64-hex address, its
 pseudonym on the ledger, is derived on first use through the run's
 :class:`~repro.world.columnar.AddressBook`, only for the agents that
 transact, vote or appear in a moderation case; shard workers derive the
-addresses their transfer ids need from the indices.  No address
-outlives the run.
+addresses their transfer ids need from the indices and return them, and
+the barrier records those in the book rather than hashing them again.
+No address outlives the run.
 
 Cross-shard effects use a two-phase protocol: transfer debits are
 validated shard-locally (senders are shard-owned), credits to other
@@ -99,7 +100,7 @@ import numpy as np
 
 from repro.dao.dao import DAO
 from repro.dao.members import Member
-from repro.errors import check_count
+from repro.errors import VotingError, check_count
 from repro.governance.moderation import (
     AbuseClassifier,
     HumanModeratorPool,
@@ -784,8 +785,10 @@ def _apply_ledger(
     run: _Run, results: List[ShardEpochResult], now: float
 ) -> None:
     """Submit the workers' transfers in shard order, then fill blocks
-    until the mempool is empty."""
-    address, chain, registry = run.addresses.address_of, run.chain, run.registry
+    until the mempool is empty.  Each party's address comes with the
+    result, hashed by the worker for the id, and is recorded in the
+    run's book."""
+    record, chain, registry = run.addresses.record, run.chain, run.registry
     nonces = run.table.nonces
     # No block is proposed until every transfer is admitted.
     state = chain.state
@@ -795,9 +798,11 @@ def _apply_ledger(
         if not result.tx_ids:
             continue
         fee_histogram = registry.histogram("load.tx.fee")
-        for s, r, amount, fee, nonce, tx_id in zip(
+        for s, r, sender, recipient, amount, fee, nonce, tx_id in zip(
             result.tx_senders,
             result.tx_recipients,
+            result.tx_sender_addresses,
+            result.tx_recipient_addresses,
             result.tx_amounts,
             result.tx_fees,
             result.tx_nonces,
@@ -805,7 +810,8 @@ def _apply_ledger(
         ):
             # One pinned record per transfer, carrying the worker's id.
             tx = row(
-                address(s), address(r), amount, fee, nonce, transfer, {}, tx_id
+                record(s, sender), record(r, recipient), amount, fee, nonce,
+                transfer, {}, tx_id,
             )
             if not submit(tx, state, time=now):
                 raise RuntimeError(
@@ -880,7 +886,7 @@ def _apply_governance(
                     option="yes" if yes else "no",
                     time=now + 0.2,
                 )
-            except Exception:
+            except VotingError:
                 continue  # duplicate voter in the sample
             run.votes_cast += 1
     run.proposals_closed += len(run.dao.close_due(now + 1.0))

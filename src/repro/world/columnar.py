@@ -66,11 +66,12 @@ class AddressBook:
 
     :meth:`address_of` derives an agent's address once (``derive(i)``)
     and remembers both directions, so a run pays for the addresses it
-    touches, not for the population.  :meth:`get` resolves an address
-    to its index.  An address the book has not derived is a *miss*: the
-    first miss derives every remaining address, so any agent's address
-    still resolves to its row and no lookup can silently read the wrong
-    value.  ``misses`` counts those lookups; a run whose reads all name
+    touches, not for the population; :meth:`record` remembers one that
+    was derived elsewhere (a shard worker hashing a transfer id).
+    :meth:`get` resolves an address to its index.  An address the book
+    has not derived is a *miss*: the first miss derives every remaining
+    address, so any agent's address still resolves to its row and no
+    lookup can silently read the wrong value.  ``misses`` counts those lookups; a run whose reads all name
     addresses it derived keeps it at 0.  Keys listed in ``non_agents``
     (e.g. a block validator) are known not to be agents and never miss.
     """
@@ -103,11 +104,29 @@ class AddressBook:
         if address is None:
             if not 0 <= index < self._n:
                 raise IndexError(f"agent index {index} out of range")
-            address = self._derive(index)
+            address = self.record(index, self._derive(index))
+        return address
+
+    def record(self, index: int, address: str) -> str:
+        """Remember ``address``, which is ``derive(index)`` worked out
+        elsewhere, as agent ``index``'s and return the book's address
+        for it; :meth:`address_of` stores its derivations through here.
+
+        An address another agent holds raises ``ValueError``, and so
+        does an agent recorded under a second address."""
+        known = self._addresses.get(index)
+        if known is None:
+            if not 0 <= index < self._n:
+                raise IndexError(f"agent index {index} out of range")
             if self._index.setdefault(address, index) != index:
                 raise ValueError(f"duplicate address {address!r}")
             self._addresses[index] = address
-        return address
+            return address
+        if known != address:
+            raise ValueError(
+                f"agent {index} holds {known!r}, not {address!r}"
+            )
+        return known
 
     def addresses(self) -> List[str]:
         """Every agent's address in index order (derives the rest)."""

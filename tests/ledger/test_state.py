@@ -189,7 +189,8 @@ class TestCopyOnWriteChild:
         assert state.balance_of(alice.address) == 100
 
     def test_deep_chains_flatten_and_stay_correct(self, state, alice, bob):
-        # Far deeper than the flatten threshold; values must survive.
+        # A long chain of overlays (the records list still flattens
+        # every 16 layers); values must survive.
         current = state
         for i in range(50):
             current = current.child()

@@ -90,10 +90,18 @@ def test_columns_match_the_scalar_loop(
         result.tx_senders, result.tx_recipients, result.tx_amounts,
         result.tx_fees, result.tx_nonces, result.tx_ids,
     ))
-    assert columns == reference_transfers(task, agent_addresses(n_agents))
+    addresses = agent_addresses(n_agents)
+    assert columns == reference_transfers(task, addresses)
     assert all(
         type(value) is int for row in columns for value in row[:5]
     )
+    # The parties' addresses the ids were hashed from come back too.
+    assert result.tx_sender_addresses == [
+        addresses[s] for s in result.tx_senders
+    ]
+    assert result.tx_recipient_addresses == [
+        addresses[r] for r in result.tx_recipients
+    ]
 
 
 def test_frames_carry_agent_indices_and_derive_no_address(monkeypatch):

@@ -70,6 +70,20 @@ class TestAddressBook:
         with pytest.raises(ValueError):
             clash.address_of(1)
 
+    def test_a_recorded_address_is_checked_and_never_derived(self):
+        calls = []
+        book = AddressBook(N_AGENTS, lambda i: calls.append(i) or ADDRESSES[i])
+        assert book.record(2, ADDRESSES[2]) == ADDRESSES[2]
+        assert book.address_of(2) == book.record(2, ADDRESSES[2])
+        assert book.get(ADDRESSES[2]) == 2
+        assert calls == [] and book.misses == 0
+        for index, address in ((2, ADDRESSES[3]), (3, ADDRESSES[2])):
+            with pytest.raises(ValueError):
+                book.record(index, address)
+        for index in (-1, N_AGENTS):
+            with pytest.raises(IndexError):
+                book.record(index, "ab" * 32)
+
 
 class TestColumnMapDictSemantics:
     @given(

@@ -201,6 +201,50 @@ class TestIndexedSelectionEquivalence:
         assert {s.tx_id for s in pool.pending()} == before
 
 
+class TestDrainBlockByBlock:
+    """Blocks drained one after another from one pool: the head heap's
+    stale and over-estimated entries never change a pick."""
+
+    @given(subs=indexed_submissions, block=st.integers(min_value=1, max_value=6))
+    @settings(max_examples=100, deadline=None)
+    def test_every_block_matches_reference_and_heap_stays_bounded(
+        self, subs, block
+    ):
+        state = LedgerState({agent_address(i): 10_000 for i in range(9)})
+        pool = Mempool()
+        # Agent 8's max-fee transfer goes in the first block and leaves
+        # a lower-fee successor behind, under the entry the first one
+        # pushed.
+        lead = agent_address(8)
+        subs = [(8, 0, 100, 1), (8, 1, 0, 1)] + list(subs)
+        for sender_i, nonce, fee, amount in subs:
+            pool.submit(
+                synthetic_transfer(
+                    agent_address(sender_i), "ff" * 32, amount, fee, nonce
+                ),
+                state,
+            )
+            assert len(pool._head_heap) <= 2 * len(pool)
+        while True:
+            want = [
+                s.tx_id for s in _greedy_reference(pool.pending(), state, block)
+            ]
+            picked = pool.select(state, max_count=block)
+            assert [s.tx_id for s in picked] == want
+            if not picked:
+                break
+            state = state.child()
+            for stx in picked:
+                state.apply(stx)
+            pool.prune_included([s.tx_id for s in picked])
+            assert len(pool._head_heap) <= 2 * len(pool)
+        assert state.nonce_of(lead) == 2
+        # What is left lost to a replacement or waits behind a nonce gap.
+        assert all(
+            s.tx.nonce != state.nonce_of(s.tx.sender) for s in pool.pending()
+        )
+
+
 class TestDescId:
     @given(tx_id=st.text(alphabet="0123456789abcdefABCDEF", min_size=64, max_size=64))
     @settings(max_examples=200, deadline=None)

@@ -170,6 +170,41 @@ class TestAddresses:
         assert len(unnamed_hot) > 100
         assert not unnamed_hot & touched
 
+    def test_transfer_parties_are_recorded_not_derived(self, monkeypatch):
+        # Workers hash each transfer's parties for its id and return the
+        # addresses: the ledger barrier records them in the run's book
+        # and derives none of them again.
+        from repro.workloads import load
+        from repro.world.columnar import AddressBook
+
+        in_ledger, derived_in_ledger, parties = [], [], set()
+
+        def book(n_agents, derive, non_agents=()):
+            def deriving(i):
+                if in_ledger:
+                    derived_in_ledger.append(i)
+                return derive(i)
+
+            return AddressBook(n_agents, deriving, non_agents)
+
+        apply_ledger = load._apply_ledger
+
+        def ledger(run, results, now):
+            for result in results:
+                parties.update(result.tx_senders, result.tx_recipients)
+            in_ledger.append(True)
+            apply_ledger(run, results, now)
+            in_ledger.clear()
+
+        monkeypatch.setattr(load, "AddressBook", book)
+        monkeypatch.setattr(load, "_apply_ledger", ledger)
+        run = run_state(monkeypatch, self.CONFIG)
+        assert len(parties) > 100
+        assert derived_in_ledger == []
+        recorded = run.addresses
+        assert all(recorded.get(agent_address(i)) == i for i in parties)
+        assert recorded.misses == 0
+
     def test_an_address_the_run_never_derived_reads_its_genesis(
         self, monkeypatch
     ):
@@ -267,6 +302,18 @@ class TestLoadWorkload:
         with pytest.raises(
             RuntimeError, match="two-phase privacy protocol diverged"
         ):
+            run_load(**SMALL)
+
+    def test_a_failing_ballot_fails_the_barrier(self, monkeypatch):
+        # Only a duplicate voter is skipped; any other error from
+        # cast_ballot stops the run instead of leaving a vote uncounted.
+        from repro.dao.dao import DAO
+
+        def broken(self, *args, **kwargs):
+            raise RuntimeError("ballot store unavailable")
+
+        monkeypatch.setattr(DAO, "cast_ballot", broken)
+        with pytest.raises(RuntimeError, match="ballot store unavailable"):
             run_load(**SMALL)
 
     def test_tasks_ship_the_budget_spends_of_their_hot_subjects(
